@@ -137,7 +137,7 @@ class SpeculativeWalker:
         self._ras.restore(ras)
         self._at_branch = True
 
-    # -- object-shaped API (timing model, tests) ---------------------------
+    # -- object-shaped API (tests, frozen reference machines) -------------
 
     def next_branch(self) -> FetchedBranch:
         """Advance through non-conditional control flow to the next

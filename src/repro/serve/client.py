@@ -196,8 +196,10 @@ class SweepClient:
         """Stream the job's events: full history first, then live.
 
         Yields each newline-delimited JSON event as a dict and returns
-        after the terminal ``done`` event (or on daemon shutdown, when
-        the stream closes).
+        right after the terminal ``done`` event (or on daemon shutdown,
+        when the stream closes). It never reads on to end-of-stream after
+        ``done``: a daemon's lazily forked pool workers can inherit the
+        stream's socket and hold it open long after the job finished.
         """
         connection = self._connection()
         try:
@@ -214,7 +216,10 @@ class SweepClient:
                     return
                 line = line.strip()
                 if line:
-                    yield json.loads(line.decode("utf-8"))
+                    event = json.loads(line.decode("utf-8"))
+                    yield event
+                    if event.get("event") == "done":
+                        return
         finally:
             connection.close()
 

@@ -150,3 +150,17 @@ class TestTimedMachine:
         )
         if result.mispredicts:
             assert result.uops_per_flush == result.committed_uops / result.mispredicts
+
+    @pytest.mark.parametrize("warmup", [1000, 1500])
+    def test_empty_measurement_window_rejected(self, warmup):
+        """Like ``simulate``, a warmup that covers the whole run is an
+        error, not a result with ``branches == 0`` and the whole run's
+        uPC."""
+        from repro.sim.specs import ProgramSpec, SystemSpec
+
+        machine = TimedMachine(
+            ProgramSpec(benchmark="flash").build(),
+            SystemSpec.single("gshare", 16).build(),
+        )
+        with pytest.raises(ValueError, match="warmup must leave a measurement window"):
+            machine.run(1000, warmup=warmup)

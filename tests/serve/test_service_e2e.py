@@ -335,3 +335,40 @@ class TestDrain:
         handle.stop(timeout=120)
         for job in jobs:
             assert handle.daemon.jobs[job].state == "done"
+
+
+class TestEventStreamEnd:
+    def test_events_return_at_done_on_pooled_daemon(self, tmp_path):
+        """events() returns right after ``done`` on a ``jobs=2`` daemon.
+
+        The pool forks lazily, inside the first job, so its workers
+        inherit that job's open event-stream socket and the stream never
+        reaches end-of-file. Reading on to EOF after ``done`` would block
+        until the client's timeout.
+        """
+        handle = start_daemon(ServeConfig(
+            port=0, jobs=2, cache_url=str(tmp_path / "cache"), paused=True,
+        ))
+        try:
+            client = SweepClient(handle.url, timeout=60)
+            job = client.submit_payload(_payload())
+            stream = client.events(job)
+            # The stream is open (the history replay has started) before
+            # the runner forks the pool for this job.
+            events = [next(stream)]
+            handle.resume()
+            finished = threading.Event()
+
+            def drain() -> None:
+                events.extend(stream)
+                finished.set()
+
+            reader = threading.Thread(target=drain, daemon=True)
+            start = time.monotonic()
+            reader.start()
+            assert finished.wait(timeout=30), "events() did not return after done"
+            assert time.monotonic() - start < 30
+            assert events[-1]["event"] == "done"
+            assert sum(e["event"] == "cell" for e in events) == 4
+        finally:
+            handle.stop(timeout=120)
