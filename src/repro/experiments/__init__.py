@@ -12,9 +12,7 @@ from repro.experiments.base import (
     BASE_BRANCHES,
     BASE_WARMUP,
     ExperimentResult,
-    hybrid_system,
     scaled_config,
-    single_system,
 )
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
@@ -23,8 +21,6 @@ __all__ = [
     "BASE_WARMUP",
     "EXPERIMENTS",
     "ExperimentResult",
-    "hybrid_system",
     "run_experiment",
     "scaled_config",
-    "single_system",
 ]

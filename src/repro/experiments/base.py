@@ -9,9 +9,7 @@ cache every experiment without touching its code.
 :func:`single_spec` / :func:`hybrid_spec` cover the paper's Table-3
 budget vocabulary; :func:`system_spec` opens the whole predictor
 registry (any kind, any geometry, config-dict spellings included — see
-``docs/CONFIG.md``). The legacy closure factories
-(:func:`single_system`, :func:`hybrid_system`) remain for ad-hoc
-in-process use.
+``docs/CONFIG.md``).
 """
 
 from __future__ import annotations
@@ -19,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from repro.core.hybrid import PredictionSystem, ProphetCriticSystem, SinglePredictorSystem
 from repro.pipeline.machine import PipelineResult
-from repro.predictors.budget import make_critic, make_prophet
 from repro.sim.driver import SimulationConfig
 from repro.sim.execution import SweepEngine, get_default_engine
 from repro.sim.results import format_table, render_series
@@ -154,34 +150,6 @@ def run_timed_grid(
         (cell.system_label, cell.bench_name): result
         for cell, result in zip(cells, results)
     }
-
-
-def single_system(kind: str, budget_kb: int) -> Callable[[], PredictionSystem]:
-    """Factory for a prophet-alone baseline at a Table-3 budget."""
-
-    def build() -> PredictionSystem:
-        return SinglePredictorSystem(make_prophet(kind, budget_kb))
-
-    return build
-
-
-def hybrid_system(
-    prophet_kind: str,
-    prophet_kb: int,
-    critic_kind: str,
-    critic_kb: int,
-    future_bits: int,
-) -> Callable[[], PredictionSystem]:
-    """Factory for a prophet/critic hybrid at Table-3 budgets."""
-
-    def build() -> PredictionSystem:
-        return ProphetCriticSystem(
-            make_prophet(prophet_kind, prophet_kb),
-            make_critic(critic_kind, critic_kb),
-            future_bits=future_bits,
-        )
-
-    return build
 
 
 @dataclass

@@ -29,9 +29,12 @@ run — :class:`SinglePredictorSystem` and :class:`ProphetCriticSystem`
 over the table predictors (2bc-gskew, gshare, gas, bimodal) plus the
 perceptron, with the tagged-gshare and filtered-perceptron critics —
 and returns None for anything else (including when numpy is
-unavailable), telling the driver to fall back to the scalar loop.
+unavailable), telling the driver to fall back to the scalar loop. Both
+shapes run through one replay loop, :func:`_replay`: a single predictor
+is the prophet/critic machine with no critic, exactly as in the scalar
+driver.
 
-Two amortization layers sit on top of the kernels:
+Two amortization layers sit on top of the loop:
 
 * :class:`FusedReplayContext` — shared precompute (trace-derived
   columns, flat CFG tables, fused per-branch rows) for replaying many
@@ -44,6 +47,8 @@ Two amortization layers sit on top of the kernels:
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 try:
     import numpy as np
@@ -80,9 +85,9 @@ _PROPHET_KINDS = {
     PerceptronPredictor: _PERC,
 }
 
-_CR_TAGGED, _CR_FPERC = 1, 2
-
-#: Critic shapes the hybrid kernel fuses (exact types, like the prophets).
+#: Critic shapes the replay loop fuses (exact types, like the prophets);
+#: ``_CR_NONE`` is the critic-less shape of a SinglePredictorSystem.
+_CR_NONE, _CR_TAGGED, _CR_FPERC = 0, 1, 2
 _CRITIC_KINDS = {
     TaggedGsharePredictor: _CR_TAGGED,
     FilteredPerceptronPredictor: _CR_FPERC,
@@ -297,7 +302,7 @@ def batch_hash_filtered_perceptron(critic, pcs, histories):
 
 # -- flat CFG segments ------------------------------------------------------
 #
-# The kernels walk a per-block table of flat tuples instead of
+# The replay loop walks a per-block table of flat tuples instead of
 # CompiledSegment objects + BasicBlock attribute chains. Slot layout:
 #
 #   0 uops   1 ras_ops|None   2 pc|None (None = no terminating branch)
@@ -466,7 +471,7 @@ def _make_flattener(compiled, use_btb: bool, set_mask: int, set_bits: int, pc_co
 # columns, the flat CFG table, the BTB set/tag columns and every
 # pc-derived per-branch row are pure functions of (program, predictor
 # geometry, BTB geometry) — not of predictor *state* — so K same-program
-# cells can share them. The kernels ask for each artifact through
+# cells can share them. The loop asks for each artifact through
 # `_ctx_get(shared, key, build)`: with no context the artifact is built
 # per run exactly as before; with a context the first run pays and the
 # rest reuse.
@@ -543,6 +548,8 @@ def get_trace_store():
 
 def simulate_batched(program, system, config, shared=None):
     """Run the batched kernel, or return None for unsupported shapes."""
+    if np is None:
+        return None
     if shared is None:
         # Sequential replays of one program reuse the same memoized
         # precompute the fused path shares across a chunk; every key
@@ -553,16 +560,15 @@ def simulate_batched(program, system, config, shared=None):
             program._replay_ctx = shared
     if type(system) is SinglePredictorSystem:
         kind = _PROPHET_KINDS.get(type(system.predictor))
-        if kind is None:
-            return None
-        return _simulate_single(program, system, config, kind, shared)
-    if type(system) is ProphetCriticSystem:
+        ckind = _CR_NONE
+    elif type(system) is ProphetCriticSystem:
         kind = _PROPHET_KINDS.get(type(system.prophet))
         ckind = _CRITIC_KINDS.get(type(system.critic))
-        if kind is None or ckind is None:
-            return None
-        return _simulate_hybrid(program, system, config, kind, ckind, shared)
-    return None
+    else:
+        return None
+    if kind is None or ckind is None:
+        return None
+    return _replay(program, system, config, kind, ckind, shared)
 
 
 def fused_replay(program, runs, shared=None):
@@ -581,29 +587,20 @@ def fused_replay(program, runs, shared=None):
     ]
 
 
-# -- single-predictor kernel ------------------------------------------------
+# -- architectural trace ----------------------------------------------------
 #
-# With future_bits == 0 every critique is trivially eligible the moment
-# its branch is fetched, produces final == prophet (never a redirect)
-# and has no side effects, so the scalar driver's three-arm loop
-# provably collapses to: fetch one branch while the window holds at most
-# `depth` entries, otherwise resolve one. Fetch bursts are single-fetch
-# (the just-fetched branch immediately satisfies its own target_seq),
-# resolve bursts are single-resolve, the census can only ever contain
-# CORRECT_NONE / INCORRECT_NONE, and seq bookkeeping drops out.
-#
-# The kernel then exploits one more structural fact: the architectural
-# executor never observes the front end, so the committed branch stream
-# is a pure function of the program. It is resolved once, up front, into
-# structure-of-arrays trace columns, and everything derivable from the
-# trace pcs alone — BTB set/tag pairs, each predictor's pc-side index
-# constants — is precomputed in one vectorized numpy pass. While the
-# front end is on the committed path ("aligned", which is everywhere
-# except between a divergent fetch and the flush that follows it) a
-# fetch needs no CFG walk and no RAS maintenance at all: it reads trace
-# columns, probes the BTB, and predicts from the precomputed constants.
-# Only wrong-path fetches (at most depth+1 per flush) walk the flat CFG
-# table, and every flush re-aligns the front end with the trace.
+# The architectural executor never observes the front end, so the
+# committed branch stream is a pure function of the program. It is
+# resolved once, up front, into structure-of-arrays trace columns, and
+# everything derivable from the trace pcs alone — BTB set/tag pairs,
+# each predictor's pc-side index constants — is precomputed in one
+# vectorized numpy pass. While the front end is on the committed path
+# ("aligned", which is everywhere except between a divergent fetch and
+# the flush that follows it) a fetch needs no CFG walk and no RAS
+# maintenance at all: it reads trace columns, probes the BTB, and
+# predicts from the precomputed constants. Only wrong-path fetches walk
+# the flat CFG table, and every flush re-aligns the front end with the
+# trace.
 
 
 def _architectural_trace(program, n: int):
@@ -663,16 +660,60 @@ def _architectural_trace(program, n: int):
     return cols
 
 
-def _simulate_single(program, system, config, kind: int, shared=None):
-    if np is None:
-        return None
+def _prophet_columns(prophet, kind: int, pcs) -> list:
+    """Per-branch pc-side prophet index columns (slots 8.. of the flat
+    segment table, in the same order)."""
+    words = pcs >> 2
+    if kind == _GSKEW:
+        v1_np = words & prophet._index_mask
+        return [
+            v1_np.tolist(),
+            (pcs >> prophet._pc_high_shift).tolist(),
+            _np_table(prophet, "_h_np", prophet._h_table)[v1_np].tolist(),
+            _np_table(prophet, "_hinv_np", prophet._hinv_table)[v1_np].tolist(),
+        ]
+    if kind == _GSHARE:
+        return [words.tolist()]
+    if kind == _GAS:
+        return [(words & ((1 << prophet.set_bits) - 1)).tolist()]
+    if kind == _PERC:
+        return [(words % prophet.n_perceptrons).tolist()]
+    return [(words & ((1 << prophet._index_bits) - 1)).tolist()]
+
+
+# -- the replay loop --------------------------------------------------------
+#
+# One loop runs both system shapes. It keeps the scalar driver's full
+# three-arm event loop (critique / fetch burst / resolve burst) verbatim
+# — future bits make the arm interleaving data-dependent — but fuses
+# every operation the arms perform: walker traversal, BTB, prophet
+# predict, the critic's fold hash + tag filter + counter train, and both
+# history registers as plain local ints.
+#
+# A SinglePredictorSystem is the prophet/critic machine with no critic
+# (``ckind == _CR_NONE``): 0 required future bits, no BOR. Every
+# critique is then eligible the moment its branch is fetched and never
+# redirects (final == prophet), so the critic-less shape is exact with
+# three arms swapped, each marked "critic-less" below:
+#
+# * critique — a pass-through: ``critiqued`` advances with ``tail``, no
+#   critique record is written;
+# * wrong-path fill — entries past a divergence are flushed by the
+#   divergent branch's own resolve before any of them reaches the head,
+#   so the fill stores nothing in the ring and keeps only the side
+#   effects: fetched uops, BTB LRU refreshes and the speculative BHR bits
+#   that steer further wrong-path predictions;
+# * resolve — no critic training and no filter stats.
+
+
+def _replay(program, system, config, kind: int, ckind: int, shared=None):
     program.reset()
     compiled = program.compiled(pair_limit=_RAS_CAPACITY)
     entry = program.entry
     n_branches = config.n_branches
 
-    # Architectural trace: SoA columns of the committed stream, built by
-    # exactly n_branches resolve_next() calls (memoized across runs).
+    # Architectural trace, resolved up front (the executor never observes
+    # the front end): exactly n_branches resolve_next() calls, memoized.
     t_pc, t_tk, t_uops, t_tt, t_ft, t_snap = _architectural_trace(
         program, n_branches
     )
@@ -687,13 +728,20 @@ def _simulate_single(program, system, config, kind: int, shared=None):
     else:
         b_sets = b_set_mask = b_set_bits = b_ways = None
 
-    predictor = system.predictor
-    update_packed = system._update_packed
-    geom = _prophet_geometry(predictor, kind)
-    pc_consts = _make_pc_consts(predictor, kind, None)
+    if ckind:
+        prophet = system.prophet
+        critic = system.critic
+        tb5 = 5 + critic.tag_bits
+    else:
+        prophet = system.predictor
+        critic = None
+        tb5 = 5
+    prophet_update = prophet.update_packed
+    geom = _prophet_geometry(prophet, kind)
+    pc_consts = _make_pc_consts(prophet, kind, critic)
     flat, flatten = _ctx_get(
         shared,
-        ("flat", kind, geom, use_btb, b_set_mask or 0, b_set_bits or 0, 5),
+        ("flat", kind, geom, use_btb, b_set_mask or 0, b_set_bits or 0, tb5),
         lambda: _make_flattener(
             compiled, use_btb, b_set_mask or 0, b_set_bits or 0, pc_consts
         ),
@@ -718,545 +766,15 @@ def _simulate_single(program, system, config, kind: int, shared=None):
     else:
         a_si = a_tag = [0] * n_branches
 
-    # Per-kind hoisted constants + per-branch pc-side index columns.
-    if kind == _GSKEW:
-        gk_n = predictor._index_bits
-        gk_n2 = 2 * gk_n
-        gk_n3 = 3 * gk_n
-        gk_imask = predictor._index_mask
-        gk_hmask = predictor._history_mask
-        gk_h = predictor._h_table
-        gk_hinv = predictor._hinv_table
-        gk_bim = predictor._bim_raw
-        gk_g0 = predictor._g0_raw
-        gk_g1 = predictor._g1_raw
-        gk_meta = predictor._meta_raw
-        def _build_rows():
-            v1_np = (pcs >> 2) & gk_imask
-            a_v1 = v1_np.tolist()
-            a_pch = (pcs >> predictor._pc_high_shift).tolist()
-            a_h1 = _np_table(predictor, "_h_np", gk_h)[v1_np].tolist()
-            a_hi1 = _np_table(predictor, "_hinv_np", gk_hinv)[v1_np].tolist()
-            return list(zip(t_uops, t_tk, a_si, a_tag, a_v1, a_pch, a_h1, a_hi1))
-    elif kind == _GSHARE:
-        gs_hmask = predictor._history_mask
-        gs_imask = predictor._index_mask
-        gs_raw = predictor._raw
-        gs_mid = predictor._midpoint
-
-        def _build_rows():
-            a_c = (pcs >> 2).tolist()
-            return list(zip(t_uops, t_tk, a_si, a_tag, a_c))
-    elif kind == _GAS:
-        ga_hmask = (1 << predictor.history_length) - 1
-        ga_sb = predictor.set_bits
-        ga_raw = predictor.table.raw
-        ga_mid = predictor.table.midpoint
-
-        def _build_rows():
-            a_c = ((pcs >> 2) & ((1 << ga_sb) - 1)).tolist()
-            return list(zip(t_uops, t_tk, a_si, a_tag, a_c))
-    elif kind == _PERC:
-        pp_w = predictor.weights
-        pp_inputs = predictor._inputs
-        np_dot = np.dot
-        np_int32 = np.int32
-
-        def _build_rows():
-            a_c = ((pcs >> 2) % predictor.n_perceptrons).tolist()
-            return list(zip(t_uops, t_tk, a_si, a_tag, a_c))
-    else:
-        bm_raw = predictor.table.raw
-        bm_mid = predictor.table.midpoint
-
-        def _build_rows():
-            a_c = ((pcs >> 2) & ((1 << predictor._index_bits) - 1)).tolist()
-            return list(zip(t_uops, t_tk, a_si, a_tag, a_c))
-    # Fused per-branch rows: one tuple unpack per event in the hot loops
-    # instead of half a dozen list indexings.
-    f_rows = _ctx_get(
-        shared,
-        ("frows1", kind, geom, n_branches, use_btb, b_set_mask or 0, b_set_bits or 0),
-        _build_rows,
-    )
-    res_rows = _ctx_get(
-        shared,
-        ("res1", n_branches, use_btb, b_set_mask or 0, b_set_bits or 0),
-        lambda: list(zip(t_pc, t_tk, t_uops, a_si, a_tag)),
-    )
-
-    stats = RunStats(benchmark=program.name, system=type(system).__name__)
-    depth = config.effective_depth(0)
-    warmup = config.warmup
-    collect_per_site = config.collect_per_site
-
-    # Structure-of-arrays in-flight ring (pending never exceeds depth+1).
-    # Only aligned-fetched entries are stored: the ring row at `head` is
-    # trace row `resolved` by construction, so no pc column is kept.
-    cap = depth + 8
-    r_pred = [False] * cap
-    r_bhr = [0] * cap
-    r_state = [0] * cap
-    r_static = [False] * cap
-    head = 0
-    tail = 0
-    resolved = 0
-    warmup_fetched = 0
-    fetched_uops = 0
-
-    bhr = system.bhr
-    bhr_val = bhr._value
-    bhr_mask = bhr._mask
-
-    # Flat walker state, materialised only while off the committed path:
-    # current block and RAS list. (Wrong-path ring entries are only ever
-    # flushed, never resolved, so no snapshots need to be kept for them.)
-    w_block = entry
-    ras: list = []
-    #: True while the front end walks the committed path; `tail` is then
-    #: the absolute trace index of the next fetch and the ring holds
-    #: trace branches head..tail-1.
-    aligned = True
-
-    # Measurement counters (flushed into stats at the end).
-    st_branches = st_uops = st_taken = st_static = st_misp = st_pmisp = 0
-    c_cn = c_in = 0
-    site: dict = {}
-
-    if not config.collect_predictor_stats:
-        system.set_stats_enabled(False)
-    gk_stats_on = kind == _GSKEW and predictor.stats_enabled
-    gk_sn = gk_sc = 0
-    flat_get = flat.get
-    try:
-        while resolved < n_branches:
-            if tail - head <= depth:
-                # ---- fetch arm -------------------------------------------
-                # The window is open; fill it completely (the scalar loop
-                # also fetches back-to-back until pending == depth+1, so
-                # bursting keeps the exact event order).
-                if aligned:
-                    # Aligned burst: the walker provably sits on the
-                    # committed path, so the trace columns *are* the walk
-                    # — no CFG traversal, no RAS bookkeeping.
-                    fill = head + depth + 1
-                    if fill > n_branches:
-                        fill = n_branches
-                    m = tail
-                    s = m % cap
-                    if kind == _GSKEW:
-                        while m < fill:
-                            uops, taken, si, tag, v1, pch, h1, hi1 = f_rows[m]
-                            fetched_uops += uops
-                            if use_btb:
-                                row = b_sets[si]
-                                if tag in row:
-                                    if row[-1] != tag:
-                                        row.remove(tag)
-                                        row.append(tag)
-                                    dyn = True
-                                else:
-                                    dyn = False
-                            else:
-                                dyn = True
-                            r_bhr[s] = bhr_val
-                            if dyn:
-                                v2 = ((bhr_val & gk_hmask) ^ pch) & gk_imask
-                                hinv_v2 = gk_hinv[v2]
-                                g0 = h1 ^ hinv_v2 ^ v2
-                                g1 = h1 ^ hinv_v2 ^ v1
-                                meta = hi1 ^ gk_h[v2] ^ v2
-                                bim = gk_bim[v1] > 1
-                                if gk_meta[meta] > 1:
-                                    pred = (bim + (gk_g0[g0] > 1) + (gk_g1[g1] > 1)) >= 2
-                                else:
-                                    pred = bim
-                                r_static[s] = False
-                                r_pred[s] = pred
-                                r_state[s] = (
-                                    v1 | (g0 << gk_n) | (g1 << gk_n2) | (meta << gk_n3)
-                                )
-                                bhr_val = ((bhr_val << 1) | pred) & bhr_mask
-                                if pred != taken:
-                                    # Divergent fetch: materialise the
-                                    # walker at the wrongly chosen target.
-                                    aligned = False
-                                    w_block = t_tt[m] if pred else t_ft[m]
-                                    ras[:] = t_snap[m]
-                                    m += 1
-                                    break
-                            else:
-                                r_static[s] = True
-                                r_pred[s] = False
-                                if taken:
-                                    # Static (BTB-miss) branch taken: the
-                                    # walker falls through, off the path.
-                                    aligned = False
-                                    w_block = t_ft[m]
-                                    ras[:] = t_snap[m]
-                                    m += 1
-                                    break
-                            m += 1
-                            s += 1
-                            if s == cap:
-                                s = 0
-                    else:
-                        while m < fill:
-                            uops, taken, si, tag, c = f_rows[m]
-                            fetched_uops += uops
-                            if use_btb:
-                                row = b_sets[si]
-                                if tag in row:
-                                    if row[-1] != tag:
-                                        row.remove(tag)
-                                        row.append(tag)
-                                    dyn = True
-                                else:
-                                    dyn = False
-                            else:
-                                dyn = True
-                            r_bhr[s] = bhr_val
-                            if dyn:
-                                if kind == _GSHARE:
-                                    state = (c ^ (bhr_val & gs_hmask)) & gs_imask
-                                    pred = gs_raw[state] > gs_mid
-                                elif kind == _GAS:
-                                    state = ((bhr_val & ga_hmask) << ga_sb) | c
-                                    pred = ga_raw[state] > ga_mid
-                                elif kind == _PERC:
-                                    state = pp_inputs(bhr_val)
-                                    pred = int(np_dot(pp_w[c].astype(np_int32), state)) >= 0
-                                else:
-                                    state = c
-                                    pred = bm_raw[state] > bm_mid
-                                r_static[s] = False
-                                r_pred[s] = pred
-                                r_state[s] = state
-                                bhr_val = ((bhr_val << 1) | pred) & bhr_mask
-                                if pred != taken:
-                                    aligned = False
-                                    w_block = t_tt[m] if pred else t_ft[m]
-                                    ras[:] = t_snap[m]
-                                    m += 1
-                                    break
-                            else:
-                                r_static[s] = True
-                                r_pred[s] = False
-                                if taken:
-                                    aligned = False
-                                    w_block = t_ft[m]
-                                    ras[:] = t_snap[m]
-                                    m += 1
-                                    break
-                            m += 1
-                            s += 1
-                            if s == cap:
-                                s = 0
-                    tail = m
-                    if aligned and m >= n_branches and tail - head <= depth:
-                        # Trace exhausted while aligned: speculative
-                        # fetches beyond branch n continue on the live
-                        # walker.
-                        aligned = False
-                        last = m - 1
-                        if r_static[last % cap]:
-                            w_block = t_ft[last]
-                        else:
-                            w_block = t_tt[last] if t_tk[last] else t_ft[last]
-                        ras[:] = t_snap[last]
-                if not aligned:
-                    # Wrong-path (or post-trace) fill: walk the flat CFG.
-                    # These entries are discarded by the coming flush and
-                    # never resolved, so nothing is stored in the ring —
-                    # only their observable side effects happen: fetched
-                    # uops, BTB LRU refreshes, and the speculative BHR
-                    # bits that steer further wrong-path predictions.
-                    limit = head + depth + 1
-                    while tail < limit:
-                        bid = w_block
-                        uops = 0
-                        while True:
-                            fs = flat_get(bid)
-                            if fs is None:
-                                fs = flatten(bid)
-                            uops += fs[0]
-                            ops = fs[1]
-                            if ops is not None:
-                                for op in ops:
-                                    if op >= 0:
-                                        if len(ras) >= _RAS_CAPACITY:
-                                            del ras[0]
-                                        ras.append(op)
-                                    else:
-                                        ras.pop()
-                            if fs[2] is not None:
-                                break
-                            if ras:
-                                bid = ras.pop()
-                            else:
-                                bid = entry
-                        fetched_uops += uops
-                        tail += 1
-                        _, _, _, tkb, ftb, _, si, tag, c0, c1, c2, c3, _k0, _k1 = fs
-                        if use_btb:
-                            row = b_sets[si]
-                            if tag in row:
-                                if row[-1] != tag:
-                                    row.remove(tag)
-                                    row.append(tag)
-                                dyn = True
-                            else:
-                                dyn = False
-                        else:
-                            dyn = True
-                        if dyn:
-                            if kind == _GSKEW:
-                                v2 = ((bhr_val & gk_hmask) ^ c1) & gk_imask
-                                bim = gk_bim[c0] > 1
-                                if gk_meta[c3 ^ gk_h[v2] ^ v2] > 1:
-                                    hinv_v2 = gk_hinv[v2]
-                                    g0 = c2 ^ hinv_v2 ^ v2
-                                    g1 = c2 ^ hinv_v2 ^ c0
-                                    pred = (
-                                        bim + (gk_g0[g0] > 1) + (gk_g1[g1] > 1)
-                                    ) >= 2
-                                else:
-                                    pred = bim
-                            elif kind == _GSHARE:
-                                pred = gs_raw[(c0 ^ (bhr_val & gs_hmask)) & gs_imask] > gs_mid
-                            elif kind == _GAS:
-                                pred = ga_raw[((bhr_val & ga_hmask) << ga_sb) | c0] > ga_mid
-                            elif kind == _PERC:
-                                pred = int(
-                                    np_dot(pp_w[c0].astype(np_int32), pp_inputs(bhr_val))
-                                ) >= 0
-                            else:
-                                pred = bm_raw[c0] > bm_mid
-                            bhr_val = ((bhr_val << 1) | pred) & bhr_mask
-                        else:
-                            pred = False
-                        w_block = tkb if pred else ftb
-
-            # ---- resolve arm --------------------------------------------
-            # Only aligned-fetched entries ever reach the head (the
-            # divergent entry flushes everything fetched after it), so the
-            # ring row at `head` is trace row `resolved` by construction.
-            s = head % cap
-            i = resolved
-            pc, taken, uops, si, tag = res_rows[i]
-            statc = r_static[s]
-            if i >= warmup:
-                st_branches += 1
-                st_uops += uops
-                if taken:
-                    st_taken += 1
-                if statc:
-                    st_static += 1
-                    if taken:
-                        st_misp += 1
-                        st_pmisp += 1
-                else:
-                    p = r_pred[s]
-                    if p == taken:
-                        c_cn += 1
-                    else:
-                        c_in += 1
-                        st_misp += 1
-                        st_pmisp += 1
-                    if collect_per_site:
-                        row = site.get(pc)
-                        if row is None:
-                            site[pc] = row = [0, 0, 0, 0, 0]
-                        row[0] += 1
-                        if p != taken:
-                            row[1] += 1
-                            row[2] += 1
-            if statc:
-                if use_btb:
-                    row = b_sets[si]
-                    if tag in row:
-                        row.remove(tag)
-                    elif len(row) >= b_ways:
-                        row.pop(0)
-                    row.append(tag)
-                mispredicted = taken
-
-            else:
-                p = r_pred[s]
-                if kind == _GSKEW:
-                    # Inlined TwoBcGskewPredictor.update_packed.
-                    if gk_stats_on:
-                        gk_sn += 1
-                        if p == taken:
-                            gk_sc += 1
-                    packed = r_state[s]
-                    bi = packed & gk_imask
-                    g0i = (packed >> gk_n) & gk_imask
-                    g1i = (packed >> gk_n2) & gk_imask
-                    mi = packed >> gk_n3
-                    bv = gk_bim[bi]
-                    g0v = gk_g0[g0i]
-                    g1v = gk_g1[g1i]
-                    bim = bv > 1
-                    g0 = g0v > 1
-                    g1 = g1v > 1
-                    mm = gk_meta[mi] > 1
-                    majority = (bim + g0 + g1) >= 2
-                    overall = majority if mm else bim
-                    if taken:
-                        if overall:
-                            if mm:
-                                if bim and bv < 3:
-                                    gk_bim[bi] = bv + 1
-                                if g0 and g0v < 3:
-                                    gk_g0[g0i] = g0v + 1
-                                if g1 and g1v < 3:
-                                    gk_g1[g1i] = g1v + 1
-                            elif bv < 3:
-                                gk_bim[bi] = bv + 1
-                        else:
-                            if bv < 3:
-                                gk_bim[bi] = bv + 1
-                            if g0v < 3:
-                                gk_g0[g0i] = g0v + 1
-                            if g1v < 3:
-                                gk_g1[g1i] = g1v + 1
-                    else:
-                        if not overall:
-                            if mm:
-                                if not bim and bv > 0:
-                                    gk_bim[bi] = bv - 1
-                                if not g0 and g0v > 0:
-                                    gk_g0[g0i] = g0v - 1
-                                if not g1 and g1v > 0:
-                                    gk_g1[g1i] = g1v - 1
-                            elif bv > 0:
-                                gk_bim[bi] = bv - 1
-                        else:
-                            if bv > 0:
-                                gk_bim[bi] = bv - 1
-                            if g0v > 0:
-                                gk_g0[g0i] = g0v - 1
-                            if g1v > 0:
-                                gk_g1[g1i] = g1v - 1
-                    if bim != majority:
-                        mv = gk_meta[mi]
-                        if majority == taken:
-                            if mv < 3:
-                                gk_meta[mi] = mv + 1
-                        elif mv > 0:
-                            gk_meta[mi] = mv - 1
-                else:
-                    update_packed(pc, r_bhr[s], taken, p, r_state[s])
-                mispredicted = p != taken
-            head += 1
-            resolved = i + 1
-            if resolved == warmup:
-                warmup_fetched = fetched_uops
-            if mispredicted:
-                bhr_val = ((r_bhr[s] << 1) | (1 if taken else 0)) & bhr_mask
-                # Flush re-aligns the front end with the trace; the
-                # walker state is rebuilt from trace columns at the next
-                # divergence, so nothing else to restore.
-                aligned = True
-                tail = head
-    finally:
-        if not config.collect_predictor_stats:
-            system.set_stats_enabled(True)
-        bhr._value = bhr_val
-        if gk_sn:
-            pstats = predictor.stats
-            pstats.predictions += gk_sn
-            pstats.correct += gk_sc
-
-    stats.branches = st_branches
-    stats.committed_uops = st_uops
-    stats.taken_branches = st_taken
-    stats.static_branches = st_static
-    stats.mispredicts = st_misp
-    stats.prophet_mispredicts = st_pmisp
-    counts = stats.census.counts
-    counts[CritiqueKind.CORRECT_NONE] = c_cn
-    counts[CritiqueKind.INCORRECT_NONE] = c_in
-    if site:
-        stats.per_site = site
-    stats.fetched_uops = max(0, fetched_uops - warmup_fetched)
-    return stats
-
-
-# -- prophet/critic hybrid kernel -------------------------------------------
-#
-# The hybrid keeps the scalar driver's full three-arm event loop
-# (critique / fetch burst / resolve burst) verbatim — future bits make
-# the arm interleaving data-dependent — but fuses every operation the
-# arms perform: walker traversal, BTB, prophet predict, the critic's
-# fold hash + tag filter + counter train, and both history registers as
-# plain local ints. The in-flight window is the same structure-of-arrays
-# ring as the single kernel, widened with the critique-time fields.
-
-
-def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None):
-    if np is None:
-        return None
-    program.reset()
-    compiled = program.compiled(pair_limit=_RAS_CAPACITY)
-    entry = program.entry
-    n_resolved = config.n_branches
-
-    # Architectural trace, resolved up front (the executor never observes
-    # the front end): exactly n_branches resolve_next() calls, memoized.
-    t_pc, t_tk, t_uops, t_tt, t_ft, t_snap = _architectural_trace(
-        program, n_resolved
-    )
-
-    use_btb = config.use_btb
-    if use_btb:
-        btb = BranchTargetBuffer(config.btb_entries, config.btb_ways)
-        b_sets = btb._sets
-        b_set_mask = btb._set_mask
-        b_set_bits = btb._set_bits
-        b_ways = btb.ways
-    else:
-        b_sets = b_set_mask = b_set_bits = b_ways = None
-
-    prophet = system.prophet
-    critic = system.critic
-    prophet_update = prophet.update_packed
-    geom = _prophet_geometry(prophet, kind)
-    tb5 = 5 + critic.tag_bits
-    pc_consts = _make_pc_consts(prophet, kind, critic)
-    flat, flatten = _ctx_get(
-        shared,
-        ("flat", kind, geom, use_btb, b_set_mask or 0, b_set_bits or 0, tb5),
-        lambda: _make_flattener(
-            compiled, use_btb, b_set_mask or 0, b_set_bits or 0, pc_consts
-        ),
-    )
-
-    # ---- vectorized precompute over the trace pcs ----------------------
-    def _build_pcs():
-        if n_resolved:
-            return np.fromiter(t_pc, dtype=np.int64, count=n_resolved)
-        return np.zeros(0, dtype=np.int64)
-
-    pcs = _ctx_get(shared, ("pcs", n_resolved), _build_pcs)
-    if use_btb:
-
-        def _build_btb_cols():
-            words = pcs >> 2
-            return (words & b_set_mask).tolist(), (words >> b_set_bits).tolist()
-
-        a_si, a_tag = _ctx_get(
-            shared, ("btb", n_resolved, b_set_mask, b_set_bits), _build_btb_cols
+    if ckind:
+        a_k0, a_k1 = _ctx_get(
+            shared,
+            ("critic-pc", n_branches, tb5),
+            lambda: ((pcs >> 2).tolist(), ((pcs >> 5) ^ (pcs >> tb5)).tolist()),
         )
     else:
-        a_si = a_tag = [0] * n_resolved
-
-    a_k0, a_k1 = _ctx_get(
-        shared,
-        ("critic-pc", n_resolved, tb5),
-        lambda: ((pcs >> 2).tolist(), ((pcs >> 5) ^ (pcs >> tb5)).tolist()),
-    )
+        # Critic-less: nothing reads the critic pc columns.
+        a_k0 = a_k1 = repeat(0)
 
     def _build_snapc():
         # Trace RAS snapshots in the walker's cons-list form, deduped by
@@ -1274,7 +792,20 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
             ap(c)
         return out
 
-    t_snap_c = _ctx_get(shared, ("snapc", n_resolved), _build_snapc)
+    t_snap_c = _ctx_get(shared, ("snapc", n_branches), _build_snapc)
+
+    # Fused per-branch rows: one tuple unpack per aligned fetch instead
+    # of a dozen list indexings. Critic-less rows carry zero critic
+    # columns, so they key apart from the hybrid rows.
+    f_rows = _ctx_get(
+        shared,
+        ("frows", kind, geom, n_branches, use_btb,
+         b_set_mask or 0, b_set_bits or 0, tb5 if ckind else None),
+        lambda: list(zip(
+            t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
+            a_k0, a_k1, *_prophet_columns(prophet, kind, pcs),
+        )),
+    )
 
     np_dot = np.dot
     np_int32 = np.int32
@@ -1283,94 +814,50 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
     if kind == _GSKEW:
         gk_imask = prophet._index_mask
         gk_hmask = prophet._history_mask
-        gk_h = prophet._h_table
         gk_bim = prophet._bim_raw
         gk_g0 = prophet._g0_raw
         gk_g1 = prophet._g1_raw
         gk_meta = prophet._meta_raw
         gk_hx, gk_hv = _gskew_xor_tables(prophet)
-
-        def _build_rows():
-            v1_np = (pcs >> 2) & gk_imask
-            a_v1 = v1_np.tolist()
-            a_pch = (pcs >> prophet._pc_high_shift).tolist()
-            a_h1 = _np_table(prophet, "_h_np", gk_h)[v1_np].tolist()
-            a_hi1 = _np_table(prophet, "_hinv_np", prophet._hinv_table)[v1_np].tolist()
-            return list(zip(
-                t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
-                a_k0, a_k1, a_v1, a_pch, a_h1, a_hi1,
-            ))
     elif kind == _GSHARE:
         gs_hmask = prophet._history_mask
         gs_imask = prophet._index_mask
         gs_raw = prophet._raw
         gs_mid = prophet._midpoint
-
-        def _build_rows():
-            a_c = (pcs >> 2).tolist()
-            return list(zip(
-                t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
-                a_k0, a_k1, a_c,
-            ))
     elif kind == _GAS:
         ga_hmask = (1 << prophet.history_length) - 1
         ga_sb = prophet.set_bits
         ga_raw = prophet.table.raw
         ga_mid = prophet.table.midpoint
-
-        def _build_rows():
-            a_c = ((pcs >> 2) & ((1 << ga_sb) - 1)).tolist()
-            return list(zip(
-                t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
-                a_k0, a_k1, a_c,
-            ))
     elif kind == _PERC:
         pp_w = prophet.weights
         pp_inputs = prophet._inputs
-
-        def _build_rows():
-            a_c = ((pcs >> 2) % prophet.n_perceptrons).tolist()
-            return list(zip(
-                t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
-                a_k0, a_k1, a_c,
-            ))
     else:
         bm_raw = prophet.table.raw
         bm_mid = prophet.table.midpoint
-
-        def _build_rows():
-            a_c = ((pcs >> 2) & ((1 << prophet._index_bits) - 1)).tolist()
-            return list(zip(
-                t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
-                a_k0, a_k1, a_c,
-            ))
-
-    f_rows = _ctx_get(
-        shared,
-        ("frows2", kind, geom, n_resolved, use_btb,
-         b_set_mask or 0, b_set_bits or 0, tb5),
-        _build_rows,
-    )
 
     # Critic constants: fold-hash geometry + tag filter, plus either the
     # 2-bit counter bank (tagged gshare) or the perceptron weight table
     # (filtered perceptron). Both critics share the TagFilter and the
     # same fold-hash structure, so the critique arm's inline hash is
     # common; only the opinion/train bodies dispatch on ``ckind``.
-    filt = critic.filter
-    f_tags = filt._tags
-    f_lru = filt._lru
-    # Tag->way mirror of the filter rows: one dict probe per critique
-    # instead of two linear scans; the (inlined) inserts keep it in sync.
-    f_ways = filt.ways
-    f_maps = []
-    for _row in f_tags:
-        _m = {}
-        for _w, _t in enumerate(_row):
-            if _t is not None:
-                _m[_t] = _w
-        f_maps.append(_m)
     f_ins = f_evc = 0
+    f_lookups = f_hits = 0
+    if ckind:
+        filt = critic.filter
+        f_tags = filt._tags
+        f_lru = filt._lru
+        # Tag->way mirror of the filter rows: one dict probe per critique
+        # instead of two linear scans; the (inlined) inserts keep it in
+        # sync.
+        f_ways = filt.ways
+        f_maps = []
+        for _row in f_tags:
+            _m = {}
+            for _w, _t in enumerate(_row):
+                if _t is not None:
+                    _m[_t] = _w
+            f_maps.append(_m)
     if ckind == _CR_TAGGED:
         c_ways = critic.ways
         c_set_mask = critic._set_mask
@@ -1380,7 +867,7 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
         c_set_shifts = critic._set_fold_shifts
         c_tag_shifts = critic._tag_fold_shifts
         c_counters = critic._counters_raw
-    else:
+    elif ckind == _CR_FPERC:
         fhl = critic.filter_history_length
         c_set_mask = (1 << filt.set_bits) - 1
         c_tag_mask = (1 << critic.tag_bits) - 1
@@ -1399,7 +886,7 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
     # Fold-image tables for the critique hash (both critics share the
     # fold structure). Gated by width: the image spans one bit above the
     # history mask, and degenerate zero-history shapes keep the loop path.
-    if 0 < c_hmask.bit_length() <= 19:
+    if ckind and 0 < c_hmask.bit_length() <= 19:
         fst, ftt = _critic_fold_tables(c_hmask, c_rot, c_set_shifts, c_tag_shifts)
         vmask = (c_hmask << 1) | 1
     else:
@@ -1409,10 +896,9 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
     stats = RunStats(benchmark=program.name, system=type(system).__name__)
     required_bits = max(system.future_bits, 0)
     use_live_bor = system.future_bits >= 1
-    insert_final = system._insert_on_final
+    insert_final = system._insert_on_final if ckind else True
     depth = config.effective_depth(required_bits)
     hard_cap = depth + 8
-    n_branches = config.n_branches
     warmup = config.warmup
     collect_per_site = config.collect_per_site
 
@@ -1439,11 +925,14 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
     fetched_uops = 0
 
     bhr = system.bhr
-    bor = system.bor
     bhr_val = bhr._value
     bhr_mask = bhr._mask
-    bor_val = bor._value
-    bor_mask = bor._mask
+    if ckind:
+        bor = system.bor
+        bor_val = bor._value
+        bor_mask = bor._mask
+    else:
+        bor_val = bor_mask = 0
 
     w_block = entry
     ras_c = None  # immutable cons-list: (block, rest) | None
@@ -1463,31 +952,24 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
     st_branches = st_uops = st_taken = st_static = st_misp = st_pmisp = 0
     st_forced = st_credir = 0
     n_ca = n_cd = n_ia = n_id = n_cn = n_in = 0
-    f_lookups = f_hits = 0
     site: dict = {}
 
     if not config.collect_predictor_stats:
         system.set_stats_enabled(False)
-    # Hoist after the toggle so the critic's stats gate is the live one.
+    # Hoist after the toggle so the stats gates are the live ones.
     # (``set_stats_enabled`` does not reach into the filtered critic's
     # inner perceptron, so its gate is hoisted on its own.)
-    c_stats_on = critic.stats_enabled
-    c_sn = c_sc = 0
-    if kind == _GSKEW:
-        gk_stats_on = prophet.stats_enabled
-        gk_sn = gk_sc = 0
-    if ckind == _CR_FPERC:
-        fp_stats_on = fp.stats_enabled
-        fp_sn = fp_sc = 0
-    else:
-        fp_stats_on = False
-        fp_sn = fp_sc = 0
+    gk_stats_on = kind == _GSKEW and prophet.stats_enabled
+    c_stats_on = ckind and critic.stats_enabled
+    fp_stats_on = ckind == _CR_FPERC and fp.stats_enabled
+    gk_sn = gk_sc = c_sn = c_sc = fp_sn = fp_sc = 0
     depth1 = depth + 1
     try:
         while resolved < n_branches:
             pending = tail - head
             # 1) Critique arm (ordinary or forced, same eligibility logic
-            #    as the scalar driver).
+            #    as the scalar driver). Critic-less: never taken, the
+            #    fetch burst critiques every entry as it fetches it.
             if critiqued < pending:
                 s = (head + critiqued) & cmask
                 fe = r_fe[s]
@@ -1644,9 +1126,11 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                 # fetch-exit conditions (pending >= hard_cap; critiqued
                 # > 0 and pending > depth) collapse into one precomputed
                 # tail bound per critiqued-regime: ONE compare per fetch.
+                # Critic-less, every fetch is critiqued on the spot, so
+                # the bound is depth + 1 from the first fetch on.
                 head_cap = head + hard_cap
                 head_depth1 = head + depth1
-                fetch_limit = head_depth1 if critiqued else head_cap
+                fetch_limit = head_depth1 if critiqued or not ckind else head_cap
                 burst_done = False
                 while True:
                     # -- fetch one entry --------------------------------
@@ -1755,6 +1239,83 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 ras_snap = snap
                                 snap_ver = ras_ver
                                 w_block = ftb
+                    elif not ckind:
+                        # Critic-less wrong-path fill: walk the flat CFG
+                        # up to the window bound in one go, storing
+                        # nothing in the ring (see the section comment).
+                        while tail < fetch_limit:
+                            bid = w_block
+                            uops = 0
+                            while True:
+                                try:
+                                    fs = flat[bid]
+                                except KeyError:
+                                    fs = flatten(bid)
+                                uops += fs[0]
+                                ops = fs[1]
+                                if ops is not None:
+                                    for op in ops:
+                                        if op >= 0:
+                                            ras_c = (op, ras_c)
+                                            if ras_n < _RAS_CAPACITY:
+                                                ras_n += 1
+                                        else:
+                                            ras_c = ras_c[1]
+                                            ras_n -= 1
+                                if fs[2] is not None:
+                                    break
+                                if ras_n:
+                                    bid, ras_c = ras_c
+                                    ras_n -= 1
+                                else:
+                                    bid = entry
+                            fetched_uops += uops
+                            tail += 1
+                            if use_btb:
+                                row = b_sets[fs[6]]
+                                t = fs[7]
+                                if row and row[-1] == t:
+                                    dyn = True
+                                elif t in row:
+                                    row.remove(t)
+                                    row.append(t)
+                                    dyn = True
+                                else:
+                                    dyn = False
+                            else:
+                                dyn = True
+                            if dyn:
+                                if kind == _GSKEW:
+                                    v1 = fs[8]
+                                    v2 = ((bhr_val & gk_hmask) ^ fs[9]) & gk_imask
+                                    bim = gk_bim[v1] > 1
+                                    if gk_meta[fs[11] ^ gk_hv[v2]] > 1:
+                                        g0 = fs[10] ^ gk_hx[v2]
+                                        pred = (
+                                            bim + (gk_g0[g0] > 1)
+                                            + (gk_g1[g0 ^ v2 ^ v1] > 1)
+                                        ) >= 2
+                                    else:
+                                        pred = bim
+                                elif kind == _GSHARE:
+                                    pred = gs_raw[
+                                        (fs[8] ^ (bhr_val & gs_hmask)) & gs_imask
+                                    ] > gs_mid
+                                elif kind == _GAS:
+                                    pred = ga_raw[
+                                        ((bhr_val & ga_hmask) << ga_sb) | fs[8]
+                                    ] > ga_mid
+                                elif kind == _PERC:
+                                    pred = int(np_dot(
+                                        pp_w[fs[8]].astype(np_int32),
+                                        pp_inputs(bhr_val),
+                                    )) >= 0
+                                else:
+                                    pred = bm_raw[fs[8]] > bm_mid
+                                bhr_val = ((bhr_val << 1) | pred) & bhr_mask
+                                w_block = fs[3] if pred else fs[4]
+                            else:
+                                w_block = fs[4]
                     else:
                         # Wrong-path (or post-trace) fill: walk the flat
                         # CFG one fetch at a time.
@@ -1785,10 +1346,7 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 pc = fs[2]
                                 if pc is not None:
                                     break
-                                nb = fs[5]
-                                if nb is not None:
-                                    bid = nb
-                                elif ras_n:
+                                if ras_n:
                                     bid, ras_c = ras_c
                                     ras_n -= 1
                                     ras_ver += 1
@@ -1865,6 +1423,8 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                     # -- burst exit checks (same order as scalar) -------
                     if tail >= fetch_limit:
                         break
+                    if not ckind:
+                        continue
                     if not have_candidate:
                         have_candidate = True
                         if dyn:
@@ -1993,14 +1553,19 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                             break
                     if burst_done:
                         break
-                if burst_done != 2:
+                if not ckind:
+                    # Critic-less critique: a pass-through for every
+                    # entry just fetched; the window is now depth + 1
+                    # deep, so the scalar loop's next action is a resolve.
+                    critiqued = tail - head
+                elif burst_done != 2:
                     continue
                 # Depth-full exit: the scalar loop's next action is a
                 # resolve unless the arm has an eligible candidate (a
                 # forced critique needs pending >= hard_cap, impossible
                 # at depth + 1), so fall straight through to the resolve
                 # burst instead of re-dispatching through the outer loop.
-                if critiqued < tail - head:
+                elif critiqued < tail - head:
                     fe = r_fe[(head + critiqued) & cmask]
                     if fe[9] or next_seq - fe[8] >= required_bits:
                         continue
@@ -2039,7 +1604,11 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                         row.append(t)
                     mispredicted = taken
                 else:
-                    (final, chit, cpred, si, tg, borc) = r_cq[s]
+                    if ckind:
+                        (final, chit, cpred, si, tg, borc) = r_cq[s]
+                    else:
+                        final = ppred
+                        chit = False
                     if resolved >= warmup:
                         st_branches += 1
                         st_uops += uops
@@ -2141,10 +1710,11 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 gk_meta[mi] = mv - 1
                     else:
                         prophet_update(pc, bhrb, taken, ppred, state)
+                    # Critic training (critic-less: none). Inline
+                    # train_hashed: probe (no LRU/stats side effects),
+                    # train + touch on hit, insert on final-mispredict
+                    # miss.
                     fmt = (final != taken) if insert_final else (ppred != taken)
-                    # Inline train_hashed: probe (no LRU/stats side
-                    # effects), train + touch on hit, insert on
-                    # final-mispredict miss.
                     if ckind == _CR_TAGGED:
                         way = f_maps[si].get(tg)
                         if way is not None:
@@ -2180,7 +1750,7 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
                                 order.remove(way)
                                 order.append(way)
                             c_counters[si * c_ways + way] = 2 if taken else 1
-                    else:
+                    elif ckind == _CR_FPERC:
                         # Filtered perceptron. The scalar path dots the
                         # weight row twice (predict, then update's
                         # recompute) against weights nothing mutates in
@@ -2269,24 +1839,25 @@ def _simulate_hybrid(program, system, config, kind: int, ckind: int, shared=None
         if not config.collect_predictor_stats:
             system.set_stats_enabled(True)
         bhr._value = bhr_val
-        bor._value = bor_val
-        fstats = filt.stats
-        fstats.lookups += f_lookups
-        fstats.hits += f_hits
-        fstats.inserts += f_ins
-        fstats.evictions += f_evc
-        if c_sn:
-            cstats = critic.stats
-            cstats.predictions += c_sn
-            cstats.correct += c_sc
-        if kind == _GSKEW and gk_sn:
+        if gk_sn:
             pstats = prophet.stats
             pstats.predictions += gk_sn
             pstats.correct += gk_sc
-        if ckind == _CR_FPERC and fp_sn:
-            fpstats = fp.stats
-            fpstats.predictions += fp_sn
-            fpstats.correct += fp_sc
+        if ckind:
+            bor._value = bor_val
+            fstats = filt.stats
+            fstats.lookups += f_lookups
+            fstats.hits += f_hits
+            fstats.inserts += f_ins
+            fstats.evictions += f_evc
+            if c_sn:
+                cstats = critic.stats
+                cstats.predictions += c_sn
+                cstats.correct += c_sc
+            if fp_sn:
+                fpstats = fp.stats
+                fpstats.predictions += fp_sn
+                fpstats.correct += fp_sc
 
     stats.branches = st_branches
     stats.committed_uops = st_uops

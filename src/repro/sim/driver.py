@@ -121,6 +121,24 @@ class SimulationConfig:
     #: Defaults to the process-wide selection (:func:`set_default_backend`).
     backend: str = field(default_factory=lambda: _DEFAULT_BACKEND)
 
+    def __post_init__(self) -> None:
+        # Reject values no kernel can run, naming the field, before they
+        # reach a content hash or a pool worker.
+        for name in ("warmup", "inflight_depth"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        for name in ("btb_entries", "btb_ways"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        sets, rem = divmod(self.btb_entries, self.btb_ways)
+        if rem or sets & (sets - 1):
+            raise ValueError(
+                f"btb_entries ({self.btb_entries}) must be btb_ways "
+                f"({self.btb_ways}) times a power of two"
+            )
+
     def effective_depth(self, future_bits: int) -> int:
         """In-flight depth, never smaller than the critique window."""
         return max(self.inflight_depth, future_bits + 2)

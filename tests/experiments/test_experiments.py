@@ -11,10 +11,9 @@ from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.base import (
     ExperimentResult,
     average_series,
-    hybrid_system,
     scaled_config,
-    single_system,
 )
+from repro.sim.specs import SystemSpec
 
 TINY = 0.1  # 1600 branches: plumbing-check scale
 
@@ -35,11 +34,11 @@ class TestBase:
             scaled_config(0)
 
     def test_factories_build_fresh_systems(self):
-        factory = hybrid_system("gshare", 2, "tagged-gshare", 2, 4)
-        a, b = factory(), factory()
+        spec = SystemSpec.hybrid("gshare", 2, "tagged-gshare", 2, 4)
+        a, b = spec.build(), spec.build()
         assert a is not b
         assert a.future_bits == 4
-        alone = single_system("gshare", 2)()
+        alone = SystemSpec.single("gshare", 2).build()
         assert alone.future_bits == 0
 
     def test_average_series(self):

@@ -7,11 +7,12 @@ identical ``RunStats`` across independent runs, across a ``reset()`` of
 the system, and regardless of unrelated simulations in between.
 """
 
-from repro.experiments.base import hybrid_system, single_system
 from repro.sim import RunStats, SimulationConfig, simulate
+from repro.sim.specs import SystemSpec
 from repro.workloads.suites import benchmark
 
 CONFIG = SimulationConfig(n_branches=2000, warmup=400)
+GSHARE_HYBRID = SystemSpec.hybrid("gshare", 2, "tagged-gshare", 2, 4)
 
 _FIELDS = (
     "benchmark",
@@ -35,18 +36,14 @@ def assert_identical(a: RunStats, b: RunStats) -> None:
 
 class TestSimulateDeterminism:
     def test_two_fresh_runs_are_identical(self):
-        first = simulate(
-            benchmark("flash"), hybrid_system("gshare", 2, "tagged-gshare", 2, 4)(), CONFIG
-        )
-        second = simulate(
-            benchmark("flash"), hybrid_system("gshare", 2, "tagged-gshare", 2, 4)(), CONFIG
-        )
+        first = simulate(benchmark("flash"), GSHARE_HYBRID.build(), CONFIG)
+        second = simulate(benchmark("flash"), GSHARE_HYBRID.build(), CONFIG)
         assert first.mispredicts > 0  # a trivial run would prove nothing
         assert_identical(first, second)
 
     def test_rerun_after_system_reset_is_identical(self):
         program = benchmark("swim")
-        system = hybrid_system("2bc-gskew", 2, "tagged-gshare", 2, 4)()
+        system = SystemSpec.hybrid("2bc-gskew", 2, "tagged-gshare", 2, 4).build()
         first = simulate(program, system, CONFIG)
         system.reset()
         second = simulate(program, system, CONFIG)  # simulate() resets the program
@@ -54,7 +51,7 @@ class TestSimulateDeterminism:
 
     def test_single_system_reset_is_identical(self):
         program = benchmark("ammp")
-        system = single_system("gshare", 2)()
+        system = SystemSpec.single("gshare", 2).build()
         first = simulate(program, system, CONFIG)
         system.reset()
         second = simulate(program, system, CONFIG)
@@ -62,11 +59,7 @@ class TestSimulateDeterminism:
 
     def test_interleaved_unrelated_run_does_not_perturb(self):
         """No hidden global state couples independent simulations."""
-        first = simulate(
-            benchmark("flash"), hybrid_system("gshare", 2, "tagged-gshare", 2, 4)(), CONFIG
-        )
-        simulate(benchmark("tpcc"), single_system("perceptron", 2)(), CONFIG)
-        second = simulate(
-            benchmark("flash"), hybrid_system("gshare", 2, "tagged-gshare", 2, 4)(), CONFIG
-        )
+        first = simulate(benchmark("flash"), GSHARE_HYBRID.build(), CONFIG)
+        simulate(benchmark("tpcc"), SystemSpec.single("perceptron", 2).build(), CONFIG)
+        second = simulate(benchmark("flash"), GSHARE_HYBRID.build(), CONFIG)
         assert_identical(first, second)

@@ -1,10 +1,13 @@
 """Tests for the functional accuracy driver."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import ProphetCriticSystem, SinglePredictorSystem
 from repro.predictors import BimodalPredictor, GsharePredictor, TaggedGsharePredictor
 from repro.sim import SimulationConfig, simulate
+from repro.sim.specs import ProgramSpec, SweepCell, SystemSpec
 from repro.workloads.behaviors import BiasedRandomBehavior, PatternBehavior
 from repro.workloads.generator import WorkloadProfile, generate_program
 from repro.workloads.program import BasicBlock, BlockKind, Program
@@ -105,6 +108,59 @@ class TestDriverBasics:
         # Bayes rate and pays extra for counter flip-flop (~31% in the
         # steady state of the Markov chain) — bound it in [Bayes, ~flip-flop].
         assert 0.24 <= stats.mispredict_rate <= 0.36
+
+
+class TestConfigValidation:
+    """Impossible configs fail at construction, naming the field — not
+    as a ZeroDivisionError or IndexError inside a kernel, and never as a
+    distinct cache key."""
+
+    @pytest.mark.parametrize(
+        ("field", "kw"),
+        [
+            ("btb_ways", dict(btb_ways=0)),
+            ("btb_entries", dict(btb_entries=0)),
+            ("btb_entries", dict(btb_entries=12, btb_ways=4)),
+            ("btb_entries", dict(btb_entries=6, btb_ways=4)),
+            ("warmup", dict(warmup=-5)),
+            ("inflight_depth", dict(inflight_depth=-3)),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["scalar", "batched"])
+    def test_rejected_naming_the_field(self, field, kw, backend):
+        with pytest.raises(ValueError, match=field):
+            small_config(backend=backend, **kw)
+
+    def test_rejected_through_replace_and_spec_config(self):
+        with pytest.raises(ValueError, match="btb_ways"):
+            replace(small_config(), btb_ways=0)
+        cell = SweepCell(
+            system_label="s",
+            bench_name="gcc",
+            system=SystemSpec.single("gshare", 2),
+            program=ProgramSpec(benchmark="gcc"),
+            config=small_config(),
+        ).to_config()
+        cell["config"]["inflight_depth"] = -3
+        with pytest.raises(ValueError, match="inflight_depth"):
+            SweepCell.from_config(cell)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(inflight_depth=0, warmup=0),
+            dict(btb_entries=16, btb_ways=1),
+            dict(btb_entries=64, btb_ways=2),
+            dict(btb_entries=4, btb_ways=4),
+        ],
+    )
+    def test_edge_values_still_run(self, kw):
+        stats = simulate(
+            pattern_program(),
+            SinglePredictorSystem(GsharePredictor(256, 8)),
+            small_config(**kw),
+        )
+        assert stats.branches == 3000 - kw.get("warmup", 500)
 
 
 class TestDriverWithHybrid:
