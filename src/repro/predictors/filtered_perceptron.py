@@ -43,6 +43,16 @@ class FilteredPerceptronPredictor(DirectionPredictor):
         self.tag_bits = tag_bits
         self.history_length = max(history_length, filter_history_length)
 
+    @property
+    def stats_enabled(self) -> bool:
+        """One flag for the critic and its inner perceptron, whose
+        ``update`` keeps its own stats."""
+        return self.perceptron.stats_enabled
+
+    @stats_enabled.setter
+    def stats_enabled(self, enabled: bool) -> None:
+        self.perceptron.stats_enabled = enabled
+
     def _set_index(self, pc: int, history: int) -> int:
         return index_hash(pc, history, self.filter.set_bits, self.filter_history_length)
 

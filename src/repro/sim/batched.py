@@ -27,12 +27,15 @@ O(window). That is the deliberate trade for throughput.
 ``simulate_batched`` specializes the system shapes the sweeps actually
 run — :class:`SinglePredictorSystem` and :class:`ProphetCriticSystem`
 over the table predictors (2bc-gskew, gshare, gas, bimodal) plus the
-perceptron, with the tagged-gshare and filtered-perceptron critics —
-and returns None for anything else (including when numpy is
-unavailable), telling the driver to fall back to the scalar loop. Both
-shapes run through one replay loop, :func:`_replay`: a single predictor
-is the prophet/critic machine with no critic, exactly as in the scalar
-driver.
+perceptron as prophet, with three kinds of critic: the tagged-gshare
+and filtered-perceptron critics (fused), and any unfiltered critic with
+a packed fast path (gshare, gas, 2bc-gskew, TAGE, YAGS through the
+system's own packed calls; the perceptron through the loop's integer
+perceptron ops). It returns None for anything else (including when
+numpy is unavailable), telling the driver to fall back to the scalar
+loop. Both system shapes run through one replay loop, :func:`_replay`:
+a single predictor is the prophet/critic machine with no critic,
+exactly as in the scalar driver.
 
 Two amortization layers sit on top of the loop:
 
@@ -49,6 +52,7 @@ Two amortization layers sit on top of the loop:
 from __future__ import annotations
 
 from itertools import repeat
+from operator import add, mul, sub
 
 try:
     import numpy as np
@@ -85,17 +89,23 @@ _PROPHET_KINDS = {
     PerceptronPredictor: _PERC,
 }
 
-#: Critic shapes the replay loop fuses (exact types, like the prophets);
-#: ``_CR_NONE`` is the critic-less shape of a SinglePredictorSystem.
-_CR_NONE, _CR_TAGGED, _CR_FPERC = 0, 1, 2
+#: Critic shapes the replay loop fuses. The two filtered critics are
+#: fused by exact type, like the prophets; ``_CR_PLAIN`` is any
+#: unfiltered critic with a packed fast path (§7.2, Figure 6a), driven
+#: through the system's own packed calls; ``_CR_NONE`` is the
+#: critic-less shape of a SinglePredictorSystem.
+_CR_NONE, _CR_TAGGED, _CR_FPERC, _CR_PLAIN = 0, 1, 2, 3
 _CRITIC_KINDS = {
     TaggedGsharePredictor: _CR_TAGGED,
     FilteredPerceptronPredictor: _CR_FPERC,
 }
 
 #: Registered predictor kinds that *intentionally* run on the scalar
-#: fallback: no batched arm exists for them, and silently falling back
-#: is the documented behaviour rather than an oversight. REP004
+#: fallback *as prophets* (or single predictors): no batched prophet arm
+#: exists for them, and silently falling back is the documented
+#: behaviour rather than an oversight. As critics they never fall back:
+#: every critic-capable kind runs batched, the filtered ones fused and
+#: the unfiltered ones through ``_CR_PLAIN``. REP004
 #: (``repro lint``) enforces that every registered kind either appears
 #: in the dispatch tables above (via a class imported from its module)
 #: or is named here — so adding a predictor without deciding its
@@ -413,6 +423,91 @@ def _gskew_xor_tables(prophet):
     return hit
 
 
+# -- integer perceptron ops ---------------------------------------------------
+#
+# Every perceptron the loop drives -- prophet, the filtered critic's
+# inner perceptron, an unfiltered perceptron critic -- goes through one
+# bundle of plain-int operations instead of a few small numpy calls per
+# predict and train: a list-of-lists mirror of the int16 weight table,
+# ±1 input tuples assembled from 8-bit chunk tables, and
+# ``sum(map(mul, row, x))`` dots. This is exact: a training step moves
+# each weight by ±1 and saturates at [WEIGHT_MIN, WEIGHT_MAX], so every
+# weight fits int16 and every dot is the integer the numpy predictor
+# computes. ``PerceptronPredictor`` stays the oracle the differential
+# tests compare against.
+
+_CHUNK_TBL_CACHE: dict = {}
+
+
+def _pm1_chunk_table(width: int, bias: bool) -> tuple:
+    """±1 inputs for each 8-bit history chunk value: its low ``width``
+    bits (bit 0 first), preceded by the bias input when ``bias``.
+    Module-level: at most 16 small tables, shared by every run."""
+    key = (width, bias)
+    hit = _CHUNK_TBL_CACHE.get(key)
+    if hit is None:
+        head = (1,) if bias else ()
+        _CHUNK_TBL_CACHE[key] = hit = tuple(
+            head + tuple(1 if (v >> b) & 1 else -1 for b in range(width))
+            for v in range(256)
+        )
+    return hit
+
+
+class _PerceptronOps:
+    """Integer op bundle over one :class:`PerceptronPredictor`.
+
+    ``rows`` mirrors ``weights`` for the duration of a replay;
+    :meth:`write_back` stores it into the int16 array (the loop does
+    that in its ``finally``). ``inputs(history)`` is ``_inputs`` as a
+    tuple; ``train(row, x, taken)`` is ``update_packed`` minus the stats
+    (the dot is recomputed against current weights) and returns the dot.
+    """
+
+    __slots__ = ("_perceptron", "rows", "n", "inputs", "train")
+
+    def __init__(self, perceptron) -> None:
+        self._perceptron = perceptron
+        self.n = perceptron.n_perceptrons
+        self.rows = rows = perceptron.weights.tolist()
+        n_full, rem = divmod(perceptron.history_length, 8)
+        widths = [8] * n_full + ([rem] if rem else [])
+        first = _pm1_chunk_table(widths[0], True)
+        rest = tuple(_pm1_chunk_table(w, False) for w in widths[1:])
+
+        def inputs(history):
+            x = first[history & 255]
+            for table in rest:
+                history >>= 8
+                x += table[history & 255]
+            return x
+
+        thresh = perceptron.threshold
+        w_max = perceptron.WEIGHT_MAX
+        w_min = perceptron.WEIGHT_MIN
+        over = w_max + 1
+        under = w_min - 1
+
+        def train(wi, x, taken):
+            w = rows[wi]
+            y = sum(map(mul, w, x))
+            if (y >= 0) != taken or -thresh <= y <= thresh:
+                new = list(map(add if taken else sub, w, x))
+                if over in new or under in new:
+                    new = [
+                        w_max if v > w_max else w_min if v < w_min else v
+                        for v in new
+                    ]
+                rows[wi] = new
+            return y
+
+        self.inputs = inputs
+        self.train = train
+
+    def write_back(self) -> None:
+        self._perceptron.weights[:] = self.rows
+
+
 def _make_flattener(compiled, use_btb: bool, set_mask: int, set_bits: int, pc_consts):
     """Return ``(flat, flatten)``: the lazy per-block flat-tuple table.
 
@@ -564,6 +659,12 @@ def simulate_batched(program, system, config, shared=None):
     elif type(system) is ProphetCriticSystem:
         kind = _PROPHET_KINDS.get(type(system.prophet))
         ckind = _CRITIC_KINDS.get(type(system.critic))
+        if (
+            ckind is None
+            and not system._critic_is_filtered
+            and system._critic_predict_packed is not None
+        ):
+            ckind = _CR_PLAIN
     else:
         return None
     if kind is None or ckind is None:
@@ -704,6 +805,14 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 #   effects: fetched uops, BTB LRU refreshes and the speculative BHR bits
 #   that steer further wrong-path predictions;
 # * resolve — no critic training and no filter stats.
+#
+# An unfiltered critic (``ckind == _CR_PLAIN``, §7.2) keeps the hybrid
+# event loop and swaps only the critic's two calls, made in the same
+# order as ``ProphetCriticSystem``: at critique,
+# ``_critic_predict_packed(pc, bor)`` gives the final prediction (every
+# dynamic branch is a "hit"); at resolve, after the prophet's update,
+# ``_critic_update_packed(pc, bor_at_critique, taken, pred, state)``
+# trains it. No filter, fold tables or tag columns are involved.
 
 
 def _replay(program, system, config, kind: int, ckind: int, shared=None):
@@ -728,17 +837,17 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
     else:
         b_sets = b_set_mask = b_set_bits = b_ways = None
 
+    filtered = ckind == _CR_TAGGED or ckind == _CR_FPERC
     if ckind:
         prophet = system.prophet
         critic = system.critic
-        tb5 = 5 + critic.tag_bits
     else:
         prophet = system.predictor
         critic = None
-        tb5 = 5
+    tb5 = 5 + critic.tag_bits if filtered else 5
     prophet_update = prophet.update_packed
     geom = _prophet_geometry(prophet, kind)
-    pc_consts = _make_pc_consts(prophet, kind, critic)
+    pc_consts = _make_pc_consts(prophet, kind, critic if filtered else None)
     flat, flatten = _ctx_get(
         shared,
         ("flat", kind, geom, use_btb, b_set_mask or 0, b_set_bits or 0, tb5),
@@ -766,14 +875,15 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
     else:
         a_si = a_tag = [0] * n_branches
 
-    if ckind:
+    if filtered:
         a_k0, a_k1 = _ctx_get(
             shared,
             ("critic-pc", n_branches, tb5),
             lambda: ((pcs >> 2).tolist(), ((pcs >> 5) ^ (pcs >> tb5)).tolist()),
         )
     else:
-        # Critic-less: nothing reads the critic pc columns.
+        # Critic-less or unfiltered: nothing reads the critic pc columns
+        # (an unfiltered critic is called with the branch pc).
         a_k0 = a_k1 = repeat(0)
 
     def _build_snapc():
@@ -795,21 +905,28 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
     t_snap_c = _ctx_get(shared, ("snapc", n_branches), _build_snapc)
 
     # Fused per-branch rows: one tuple unpack per aligned fetch instead
-    # of a dozen list indexings. Critic-less rows carry zero critic
-    # columns, so they key apart from the hybrid rows.
+    # of a dozen list indexings. Rows without a filtered critic carry
+    # zero critic columns, so they key apart from the filtered rows.
     f_rows = _ctx_get(
         shared,
         ("frows", kind, geom, n_branches, use_btb,
-         b_set_mask or 0, b_set_bits or 0, tb5 if ckind else None),
+         b_set_mask or 0, b_set_bits or 0, tb5 if filtered else None),
         lambda: list(zip(
             t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
             a_k0, a_k1, *_prophet_columns(prophet, kind, pcs),
         )),
     )
 
-    np_dot = np.dot
-    np_int32 = np.int32
-    np_clip = np.clip
+    # Integer perceptron bundles, one per perceptron object; their
+    # weight mirrors are written back in the ``finally`` below.
+    perc_ops = []
+
+    def _perc_ops(perceptron):
+        for ops in perc_ops:
+            if ops._perceptron is perceptron:
+                return ops
+        perc_ops.append(_PerceptronOps(perceptron))
+        return perc_ops[-1]
 
     if kind == _GSKEW:
         gk_imask = prophet._index_mask
@@ -830,8 +947,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
         ga_raw = prophet.table.raw
         ga_mid = prophet.table.midpoint
     elif kind == _PERC:
-        pp_w = prophet.weights
-        pp_inputs = prophet._inputs
+        pp_ops = _perc_ops(prophet)
+        pp_rows = pp_ops.rows
+        pp_inputs = pp_ops.inputs
+        pp_train = pp_ops.train
+        pp_n = pp_ops.n
     else:
         bm_raw = prophet.table.raw
         bm_mid = prophet.table.midpoint
@@ -840,10 +960,23 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
     # 2-bit counter bank (tagged gshare) or the perceptron weight table
     # (filtered perceptron). Both critics share the TagFilter and the
     # same fold-hash structure, so the critique arm's inline hash is
-    # common; only the opinion/train bodies dispatch on ``ckind``.
+    # common; only the opinion/train bodies dispatch on ``ckind``. An
+    # unfiltered critic has no filter: it is the system's packed calls,
+    # or the integer perceptron bundle for an exact perceptron.
     f_ins = f_evc = 0
     f_lookups = f_hits = 0
-    if ckind:
+    cp_rows = None
+    if ckind == _CR_PLAIN:
+        if type(critic) is PerceptronPredictor:
+            cp_ops = _perc_ops(critic)
+            cp_rows = cp_ops.rows
+            cp_inputs = cp_ops.inputs
+            cp_train = cp_ops.train
+            cp_n = cp_ops.n
+        else:
+            c_predict = system._critic_predict_packed
+            c_update = system._critic_update_packed
+    elif ckind:
         filt = critic.filter
         f_tags = filt._tags
         f_lru = filt._lru
@@ -876,17 +1009,16 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
         c_set_shifts = tuple(range(0, fhl, max(filt.set_bits, 1)))
         c_tag_shifts = tuple(range(0, fhl, max(critic.tag_bits, 1)))
         fp = critic.perceptron
-        fp_w = fp.weights
-        fp_n = fp.n_perceptrons
-        fp_thresh = fp.threshold
-        fp_inputs = fp._inputs
-        fp_wmin = fp.WEIGHT_MIN
-        fp_wmax = fp.WEIGHT_MAX
+        fp_ops = _perc_ops(fp)
+        fp_rows = fp_ops.rows
+        fp_inputs = fp_ops.inputs
+        fp_train = fp_ops.train
+        fp_n = fp_ops.n
 
     # Fold-image tables for the critique hash (both critics share the
     # fold structure). Gated by width: the image spans one bit above the
     # history mask, and degenerate zero-history shapes keep the loop path.
-    if ckind and 0 < c_hmask.bit_length() <= 19:
+    if filtered and 0 < c_hmask.bit_length() <= 19:
         fst, ftt = _critic_fold_tables(c_hmask, c_rot, c_set_shifts, c_tag_shifts)
         vmask = (c_hmask << 1) | 1
     else:
@@ -956,13 +1088,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
 
     if not config.collect_predictor_stats:
         system.set_stats_enabled(False)
-    # Hoist after the toggle so the stats gates are the live ones.
-    # (``set_stats_enabled`` does not reach into the filtered critic's
-    # inner perceptron, so its gate is hoisted on its own.)
-    gk_stats_on = kind == _GSKEW and prophet.stats_enabled
+    # Hoist after the toggle so the stats gates are the live ones (the
+    # filtered perceptron's flag is its inner perceptron's).
+    p_stats_on = (kind == _GSKEW or kind == _PERC) and prophet.stats_enabled
     c_stats_on = ckind and critic.stats_enabled
-    fp_stats_on = ckind == _CR_FPERC and fp.stats_enabled
-    gk_sn = gk_sc = c_sn = c_sc = fp_sn = fp_sc = 0
+    p_sn = p_sc = c_sn = c_sc = fp_sn = fp_sc = 0
     depth1 = depth + 1
     try:
         while resolved < n_branches:
@@ -999,47 +1129,58 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                         k0 = fe[5]
                         ppred = fe[10]
                         bor_value = bor_val if use_live_bor else fe[2]
-                        if fst is not None:
-                            w = bor_value & vmask
-                            si = (k0 ^ fst[w]) & c_set_mask
-                            tg = (fe[6] ^ ftt[w]) & c_tag_mask
-                        else:
-                            # Inline TaggedGsharePredictor._hash_pair.
-                            value = bor_value & c_hmask
-                            fi = k0
-                            for sh in c_set_shifts:
-                                fi ^= value >> sh
-                            ftag = 0
-                            for sh in c_tag_shifts:
-                                ftag ^= value >> sh
-                            ft2 = 0
-                            if c_tag_shifts:
-                                rotated = (
-                                    (bor_value >> 1) | ((bor_value & 1) << c_rot)
-                                ) & c_hmask
-                                for sh in c_tag_shifts:
-                                    ft2 ^= rotated >> sh
-                            tg = (fe[6] ^ ftag ^ (ft2 << 1)) & c_tag_mask
-                            si = fi & c_set_mask
-                        f_lookups += 1
-                        way = f_maps[si].get(tg)
-                        if way is not None:
-                            f_hits += 1
-                            order = f_lru[si]
-                            if order[-1] != way:
-                                order.remove(way)
-                                order.append(way)
-                            if ckind == _CR_TAGGED:
-                                final = c_counters[si * c_ways + way] > 1
+                        if ckind == _CR_PLAIN:
+                            # Unfiltered critic: an opinion on every branch,
+                            # no filter (its packed state rides in ``si``).
+                            if cp_rows is None:
+                                final, si = c_predict(fe[0], bor_value)
                             else:
-                                final = int(np_dot(
-                                    fp_w[k0 % fp_n].astype(np_int32),
-                                    fp_inputs(bor_value),
+                                si = cp_inputs(bor_value)
+                                final = sum(map(
+                                    mul, cp_rows[(fe[0] >> 2) % cp_n], si
                                 )) >= 0
-                            r_cq[s] = (final, True, final, si, tg, bor_value)
+                            r_cq[s] = (final, True, final, si, 0, bor_value)
                         else:
-                            final = ppred
-                            r_cq[s] = (ppred, False, None, si, tg, bor_value)
+                            if fst is not None:
+                                w = bor_value & vmask
+                                si = (k0 ^ fst[w]) & c_set_mask
+                                tg = (fe[6] ^ ftt[w]) & c_tag_mask
+                            else:
+                                # Inline TaggedGsharePredictor._hash_pair.
+                                value = bor_value & c_hmask
+                                fi = k0
+                                for sh in c_set_shifts:
+                                    fi ^= value >> sh
+                                ftag = 0
+                                for sh in c_tag_shifts:
+                                    ftag ^= value >> sh
+                                ft2 = 0
+                                if c_tag_shifts:
+                                    rotated = (
+                                        (bor_value >> 1) | ((bor_value & 1) << c_rot)
+                                    ) & c_hmask
+                                    for sh in c_tag_shifts:
+                                        ft2 ^= rotated >> sh
+                                tg = (fe[6] ^ ftag ^ (ft2 << 1)) & c_tag_mask
+                                si = fi & c_set_mask
+                            f_lookups += 1
+                            way = f_maps[si].get(tg)
+                            if way is not None:
+                                f_hits += 1
+                                order = f_lru[si]
+                                if order[-1] != way:
+                                    order.remove(way)
+                                    order.append(way)
+                                if ckind == _CR_TAGGED:
+                                    final = c_counters[si * c_ways + way] > 1
+                                else:
+                                    final = sum(map(
+                                        mul, fp_rows[k0 % fp_n], fp_inputs(bor_value)
+                                    )) >= 0
+                                r_cq[s] = (final, True, final, si, tg, bor_value)
+                            else:
+                                final = ppred
+                                r_cq[s] = (ppred, False, None, si, tg, bor_value)
                         critiqued += 1
                         if final != ppred:
                             # Critic override: FTQ-confined flush +
@@ -1203,9 +1344,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                                 pred = ga_raw[state] > ga_mid
                             elif kind == _PERC:
                                 state = pp_inputs(bhr_val)
-                                pred = int(
-                                    np_dot(pp_w[c].astype(np_int32), state)
-                                ) >= 0
+                                pred = sum(map(mul, pp_rows[c], state)) >= 0
                             else:
                                 state = c
                                 pred = bm_raw[state] > bm_mid
@@ -1306,9 +1445,8 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                                         ((bhr_val & ga_hmask) << ga_sb) | fs[8]
                                     ] > ga_mid
                                 elif kind == _PERC:
-                                    pred = int(np_dot(
-                                        pp_w[fs[8]].astype(np_int32),
-                                        pp_inputs(bhr_val),
+                                    pred = sum(map(
+                                        mul, pp_rows[fs[8]], pp_inputs(bhr_val)
                                     )) >= 0
                                 else:
                                     pred = bm_raw[fs[8]] > bm_mid
@@ -1400,9 +1538,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                                 pred = ga_raw[state] > ga_mid
                             elif kind == _PERC:
                                 state = pp_inputs(bhr_val)
-                                pred = int(
-                                    np_dot(pp_w[fs[8]].astype(np_int32), state)
-                                ) >= 0
+                                pred = sum(map(mul, pp_rows[fs[8]], state)) >= 0
                             else:
                                 state = fs[8]
                                 pred = bm_raw[state] > bm_mid
@@ -1445,48 +1581,60 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                             k0 = fe[5]
                             ppred = fe[10]
                             bor_value = bor_val if use_live_bor else fe[2]
-                            if fst is not None:
-                                w = bor_value & vmask
-                                si = (k0 ^ fst[w]) & c_set_mask
-                                tg = (fe[6] ^ ftt[w]) & c_tag_mask
-                            else:
-                                # Inline TaggedGsharePredictor._hash_pair.
-                                value = bor_value & c_hmask
-                                fi = k0
-                                for sh in c_set_shifts:
-                                    fi ^= value >> sh
-                                ftag = 0
-                                for sh in c_tag_shifts:
-                                    ftag ^= value >> sh
-                                ft2 = 0
-                                if c_tag_shifts:
-                                    rotated = (
-                                        (bor_value >> 1)
-                                        | ((bor_value & 1) << c_rot)
-                                    ) & c_hmask
-                                    for sh in c_tag_shifts:
-                                        ft2 ^= rotated >> sh
-                                tg = (fe[6] ^ ftag ^ (ft2 << 1)) & c_tag_mask
-                                si = fi & c_set_mask
-                            f_lookups += 1
-                            way = f_maps[si].get(tg)
-                            if way is not None:
-                                f_hits += 1
-                                order = f_lru[si]
-                                if order[-1] != way:
-                                    order.remove(way)
-                                    order.append(way)
-                                if ckind == _CR_TAGGED:
-                                    final = c_counters[si * c_ways + way] > 1
+                            if ckind == _CR_PLAIN:
+                                # Unfiltered critic: an opinion on every branch,
+                                # no filter (its packed state rides in ``si``).
+                                if cp_rows is None:
+                                    final, si = c_predict(fe[0], bor_value)
                                 else:
-                                    final = int(np_dot(
-                                        fp_w[k0 % fp_n].astype(np_int32),
-                                        fp_inputs(bor_value),
+                                    si = cp_inputs(bor_value)
+                                    final = sum(map(
+                                        mul, cp_rows[(fe[0] >> 2) % cp_n], si
                                     )) >= 0
-                                r_cq[s] = (final, True, final, si, tg, bor_value)
+                                r_cq[s] = (final, True, final, si, 0, bor_value)
                             else:
-                                final = ppred
-                                r_cq[s] = (ppred, False, None, si, tg, bor_value)
+                                if fst is not None:
+                                    w = bor_value & vmask
+                                    si = (k0 ^ fst[w]) & c_set_mask
+                                    tg = (fe[6] ^ ftt[w]) & c_tag_mask
+                                else:
+                                    # Inline TaggedGsharePredictor._hash_pair.
+                                    value = bor_value & c_hmask
+                                    fi = k0
+                                    for sh in c_set_shifts:
+                                        fi ^= value >> sh
+                                    ftag = 0
+                                    for sh in c_tag_shifts:
+                                        ftag ^= value >> sh
+                                    ft2 = 0
+                                    if c_tag_shifts:
+                                        rotated = (
+                                            (bor_value >> 1)
+                                            | ((bor_value & 1) << c_rot)
+                                        ) & c_hmask
+                                        for sh in c_tag_shifts:
+                                            ft2 ^= rotated >> sh
+                                    tg = (fe[6] ^ ftag ^ (ft2 << 1)) & c_tag_mask
+                                    si = fi & c_set_mask
+                                f_lookups += 1
+                                way = f_maps[si].get(tg)
+                                if way is not None:
+                                    f_hits += 1
+                                    order = f_lru[si]
+                                    if order[-1] != way:
+                                        order.remove(way)
+                                        order.append(way)
+                                    if ckind == _CR_TAGGED:
+                                        final = c_counters[si * c_ways + way] > 1
+                                    else:
+                                        final = sum(map(
+                                            mul, fp_rows[k0 % fp_n],
+                                            fp_inputs(bor_value),
+                                        )) >= 0
+                                    r_cq[s] = (final, True, final, si, tg, bor_value)
+                                else:
+                                    final = ppred
+                                    r_cq[s] = (ppred, False, None, si, tg, bor_value)
                             critiqued += 1
                             if final != ppred:
                                 # Critic override: FTQ-confined flush +
@@ -1651,10 +1799,10 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                         # Inlined TwoBcGskewPredictor.update_packed —
                         # ``state`` carries the four bank indices
                         # unpacked, so no shift/mask decode here.
-                        if gk_stats_on:
-                            gk_sn += 1
+                        if p_stats_on:
+                            p_sn += 1
                             if ppred == taken:
-                                gk_sc += 1
+                                p_sc += 1
                         bi, g0i, g1i, mi = state
                         bv = gk_bim[bi]
                         g0v = gk_g0[g0i]
@@ -1708,12 +1856,18 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                                     gk_meta[mi] = mv + 1
                             elif mv > 0:
                                 gk_meta[mi] = mv - 1
+                    elif kind == _PERC:
+                        if p_stats_on:
+                            p_sn += 1
+                            if ppred == taken:
+                                p_sc += 1
+                        pp_train((pc >> 2) % pp_n, state, taken)
                     else:
                         prophet_update(pc, bhrb, taken, ppred, state)
-                    # Critic training (critic-less: none). Inline
-                    # train_hashed: probe (no LRU/stats side effects),
-                    # train + touch on hit, insert on final-mispredict
-                    # miss.
+                    # Critic training (critic-less: none). Filtered
+                    # critics inline train_hashed: probe (no LRU/stats
+                    # side effects), train + touch on hit, insert on
+                    # final-mispredict miss.
                     fmt = (final != taken) if insert_final else (ppred != taken)
                     if ckind == _CR_TAGGED:
                         way = f_maps[si].get(tg)
@@ -1757,24 +1911,13 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                         # between, so one dot is bit-identical.
                         way = f_maps[si].get(tg)
                         if way is not None:
-                            x = fp_inputs(borc)
-                            wi = k0 % fp_n
-                            wrow = fp_w[wi]
-                            y = int(np_dot(wrow.astype(np_int32), x))
-                            predicted = y >= 0
+                            y = fp_train(k0 % fp_n, fp_inputs(borc), taken)
                             if c_stats_on:
                                 c_sn += 1
-                                if predicted == taken:
-                                    c_sc += 1
-                            if fp_stats_on:
                                 fp_sn += 1
-                                if predicted == taken:
+                                if (y >= 0) == taken:
+                                    c_sc += 1
                                     fp_sc += 1
-                            if predicted != taken or abs(y) <= fp_thresh:
-                                t = 1 if taken else -1
-                                updated = wrow + t * x
-                                np_clip(updated, fp_wmin, fp_wmax, out=updated)
-                                fp_w[wi] = updated
                             order = f_lru[si]
                             if order[-1] != way:
                                 order.remove(way)
@@ -1797,19 +1940,23 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                             if order[-1] != way:
                                 order.remove(way)
                                 order.append(way)
-                            x = fp_inputs(borc)
-                            wi = k0 % fp_n
-                            wrow = fp_w[wi]
-                            y = int(np_dot(wrow.astype(np_int32), x))
-                            if fp_stats_on:
+                            y = fp_train(k0 % fp_n, fp_inputs(borc), taken)
+                            if c_stats_on:
                                 fp_sn += 1
                                 if (y >= 0) == taken:
                                     fp_sc += 1
-                            if (y >= 0) != taken or abs(y) <= fp_thresh:
-                                t = 1 if taken else -1
-                                updated = wrow + t * x
-                                np_clip(updated, fp_wmin, fp_wmax, out=updated)
-                                fp_w[wi] = updated
+                    elif ckind == _CR_PLAIN:
+                        # Unfiltered critic: trains on every dynamic
+                        # branch with the BOR and packed state from its
+                        # critique (the state rides in the ``si`` slot).
+                        if cp_rows is None:
+                            c_update(pc, borc, taken, cpred, si)
+                        else:
+                            if c_stats_on:
+                                c_sn += 1
+                                if cpred == taken:
+                                    c_sc += 1
+                            cp_train((pc >> 2) % cp_n, si, taken)
                     mispredicted = final != taken
                 head += 1
                 resolved += 1
@@ -1838,22 +1985,25 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
     finally:
         if not config.collect_predictor_stats:
             system.set_stats_enabled(True)
+        for ops in perc_ops:
+            ops.write_back()
         bhr._value = bhr_val
-        if gk_sn:
+        if p_sn:
             pstats = prophet.stats
-            pstats.predictions += gk_sn
-            pstats.correct += gk_sc
+            pstats.predictions += p_sn
+            pstats.correct += p_sc
         if ckind:
             bor._value = bor_val
+        if c_sn:
+            cstats = critic.stats
+            cstats.predictions += c_sn
+            cstats.correct += c_sc
+        if filtered:
             fstats = filt.stats
             fstats.lookups += f_lookups
             fstats.hits += f_hits
             fstats.inserts += f_ins
             fstats.evictions += f_evc
-            if c_sn:
-                cstats = critic.stats
-                cstats.predictions += c_sn
-                cstats.correct += c_sc
             if fp_sn:
                 fpstats = fp.stats
                 fpstats.predictions += fp_sn

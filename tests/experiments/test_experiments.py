@@ -134,3 +134,66 @@ class TestRegistry:
     def test_ablation_insert_policy_plumbing(self):
         result = run_experiment("ablation-insert-policy", scale=TINY, bench_name="swim")
         assert {row[0] for row in result.rows} == {"final", "prophet"}
+
+
+class _GridReached(Exception):
+    """Raised by the patched grid runners: the specs are recorded, the
+    cells never run."""
+
+
+class TestNoSilentScalarFallback:
+    """Every accuracy-grid system of every paper experiment runs on the
+    batched kernel unless its prophet kind is a declared scalar fallback
+    (``sim.batched.SCALAR_FALLBACK_KINDS``)."""
+
+    def _collect_specs(self, monkeypatch):
+        from types import ModuleType
+
+        from repro.experiments import runner
+
+        specs = {}
+
+        def record_grid(systems, *args, **kwargs):
+            specs.update((spec, label) for label, spec in systems.items())
+            raise _GridReached
+
+        def skip_timed_grid(*args, **kwargs):
+            raise _GridReached
+
+        for module in vars(runner).values():
+            if not isinstance(module, ModuleType):
+                continue
+            if hasattr(module, "run_grid"):
+                monkeypatch.setattr(module, "run_grid", record_grid)
+            if hasattr(module, "run_timed_grid"):
+                monkeypatch.setattr(module, "run_timed_grid", skip_timed_grid)
+        for experiment_id in EXPERIMENTS:
+            try:
+                run_experiment(experiment_id, scale=TINY)
+            except _GridReached:
+                pass
+        return specs
+
+    def test_batched_accepts_every_paper_system(self, monkeypatch):
+        pytest.importorskip("numpy")
+        from dataclasses import replace
+
+        from repro.sim import batched
+        from repro.sim.driver import SimulationConfig
+        from repro.workloads.generator import generate_program
+        from repro.workloads.suites import BENCHMARKS
+
+        specs = self._collect_specs(monkeypatch)
+        assert any(spec.critic is not None for spec in specs)
+        program = generate_program(replace(
+            BENCHMARKS["gcc"], name="fallback-census",
+            static_branch_target=60, n_functions=3,
+        ))
+        config = SimulationConfig(n_branches=200, warmup=0, backend="batched")
+        declined = [
+            label
+            for spec, label in specs.items()
+            if spec.prophet.kind not in batched.SCALAR_FALLBACK_KINDS
+            and batched.simulate_batched(program, spec.build(), config) is None
+        ]
+        assert declined == []

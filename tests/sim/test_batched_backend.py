@@ -364,6 +364,41 @@ class TestBatchHelpers:
             assert (sets[i], tags[i]) == (set_index, tag), i
 
 
+class TestPerceptronOps:
+    """The batched kernel's integer perceptron ops against the numpy
+    predictor: inputs, dot sign and training steps (saturation included,
+    from weights seeded at and next to both bounds), across the 8-bit
+    chunk edges of the history."""
+
+    @pytest.mark.parametrize("history_length", [1, 7, 8, 9, 16, 24, 28, 33, 40, 47])
+    def test_matches_numpy_perceptron(self, history_length):
+        from operator import mul
+
+        from repro.predictors.perceptron import PerceptronPredictor
+
+        rng = np.random.default_rng(history_length)
+        oracle = PerceptronPredictor(5, history_length)
+        oracle.weights[:] = rng.choice(
+            [-128, -127, -1, 0, 126, 127], size=oracle.weights.shape
+        )
+        mirrored = PerceptronPredictor(5, history_length)
+        mirrored.weights[:] = oracle.weights
+        ops = batched._PerceptronOps(mirrored)
+        for _ in range(300):
+            pc = int(rng.integers(0, 1 << 20)) << 2
+            history = int(rng.integers(0, 1 << 62))  # wider than any h here
+            taken = bool(rng.integers(0, 2))
+            pred, x = oracle.predict_packed(pc, history)
+            ours = ops.inputs(history)
+            assert ours == tuple(x.tolist())
+            row = (pc >> 2) % ops.n
+            assert (sum(map(mul, ops.rows[row], ours)) >= 0) == pred
+            oracle.update_packed(pc, history, taken, pred, x)
+            ops.train(row, ours, taken)
+        ops.write_back()
+        assert mirrored.weights.tobytes() == oracle.weights.tobytes()
+
+
 class TestBackendDispatch:
     def test_unknown_backend_rejected(self):
         program = _program("gcc", 21)
@@ -394,6 +429,28 @@ class TestBackendDispatch:
             _program("swim", 23), spec.build(), replace(_CONFIG, backend="scalar")
         )
         _assert_identical(batch, fresh)
+
+
+class TestPredictorStatsSwitch:
+    """``collect_predictor_stats=False`` silences every predictor, the
+    filtered critic's inner perceptron included, on both backends."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "batched"])
+    def test_filtered_perceptron_inner_stats(self, backend):
+        program = _program("gcc", 24)
+        spec = SystemSpec.hybrid(
+            "2bc-gskew", 2, "filtered-perceptron", 2, future_bits=4
+        )
+        quiet = spec.build()
+        config = replace(_CONFIG, backend=backend, collect_predictor_stats=False)
+        simulate(program, quiet, config)
+        assert quiet.critic.stats.predictions == 0
+        assert quiet.critic.perceptron.stats.predictions == 0
+        assert quiet.critic.perceptron.stats_enabled  # switched back on
+
+        loud = spec.build()
+        simulate(program, loud, replace(config, collect_predictor_stats=True))
+        assert loud.critic.perceptron.stats.predictions > 0
 
 
 class TestContentHashStability:

@@ -172,7 +172,8 @@ class TestFusedMultiSystemReplay:
     trace columns (one :class:`FusedReplayContext`) must each stay
     bit-identical to the frozen reference — the same standard as a lone
     run. Covers the hybrid/critic matrix plus singles, mixed geometries
-    in one context, and the unsupported-shape fallback."""
+    in one context, unfiltered critics, and the unsupported-shape
+    fallback."""
 
     def _runs(self):
         specs = [
@@ -182,6 +183,11 @@ class TestFusedMultiSystemReplay:
             SystemSpec.hybrid("gshare", 2, "tagged-gshare", 4, future_bits=8),
             SystemSpec.single("2bc-gskew", 2),
             SystemSpec.single("gshare", 4),
+            # Figure 6a: unfiltered perceptron critic.
+            SystemSpec.hybrid("2bc-gskew", 4, "perceptron", 8, future_bits=4),
+            SystemSpec.hybrid("2bc-gskew", 4, "perceptron", 8, future_bits=12),
+            # ablation-filtering: plain gshare critic.
+            SystemSpec.hybrid("2bc-gskew", 8, "gshare", 8, future_bits=8),
         ]
         return [spec.build for spec in specs]
 
@@ -211,23 +217,28 @@ class TestFusedMultiSystemReplay:
 
         program = _program("MM", 52)
         supported = SystemSpec.single("2bc-gskew", 2)
-        unsupported = SystemSpec.single("tage", 2)  # no batched kernel
-        # An unfiltered plain-predictor critic has no batched path either.
-        unfiltered = ProphetCriticSystem(
-            make_prophet("2bc-gskew", 2), make_prophet("gshare", 2), future_bits=4
-        )
+        unsupported = SystemSpec.single("tage", 2)  # no batched prophet arm
+
+        # An unfiltered plain-predictor critic runs batched.
+        def unfiltered():
+            return ProphetCriticSystem(
+                make_prophet("2bc-gskew", 2), make_prophet("gshare", 2), future_bits=4
+            )
+
         results = fused_replay(
             program,
             [
                 (supported.build(), _CONFIG),
                 (unsupported.build(), _CONFIG),
-                (unfiltered, _CONFIG),
+                (unfiltered(), _CONFIG),
                 (supported.build(), _CONFIG),
             ],
         )
-        assert results[1] is None and results[2] is None
-        assert results[0] is not None and results[3] is not None
+        assert results[1] is None
+        assert all(results[i] is not None for i in (0, 2, 3))
         assert_bit_identical(results[3], results[0])
+        ref = reference_simulate(_program("MM", 52), unfiltered(), _CONFIG)
+        assert_bit_identical(results[2], ref)
 
 
 class TestDifferentialEdges:

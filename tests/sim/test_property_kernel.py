@@ -3,11 +3,13 @@
 The kernel matrices in ``test_differential_kernel.py`` and
 ``test_batched_backend.py`` are hand-picked. Here hypothesis draws the
 cell: every batched prophet kind at sampled geometries, alone (the
-critic-less shape of the replay loop) or behind either fused critic,
+critic-less shape of the replay loop), behind either fused filtered
+critic, or behind any critic-capable kind as an unfiltered critic,
 under sampled BTB geometries, window depths and warmups, over a few
 archetype programs. Each drawn cell must give the same ``RunStats`` —
 every counter, the critique census and the per-site rows — and the same
-predictor telemetry from both backends.
+predictor telemetry and learned end state (perceptron weight bytes,
+counter and tag tables) from both backends.
 
 The profile is derandomized, so tier-1 replays the same examples on
 every run.
@@ -23,13 +25,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ProphetCriticSystem, SinglePredictorSystem
+from repro.predictors.base import PredictorStats
 from repro.predictors.registry import ROLE_CRITIC, build_predictor
 from repro.sim import batched
 from repro.sim.driver import SimulationConfig, simulate
 from repro.workloads.generator import generate_program
 from repro.workloads.suites import BENCHMARKS
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
 _FIELDS = (
     "branches",
@@ -80,25 +83,37 @@ def _gshare_params(bits: int):
     })
 
 
+#: Perceptron history lengths on both sides of the batched kernel's
+#: 8-bit input chunks: a lone partial chunk, whole chunks, and a partial
+#: fifth chunk.
+_PERCEPTRON_HISTORY = st.one_of(
+    st.integers(1, 7), st.sampled_from((8, 16, 24)), st.integers(33, 40)
+)
+
+_GSKEW = st.tuples(st.just("2bc-gskew"), st.fixed_dictionaries({
+    "entries_per_table": _pow2(4, 12),
+    "history_length": st.one_of(st.none(), st.integers(1, 24)),
+}))
+_GSHARE = st.tuples(st.just("gshare"), st.integers(4, 14).flatmap(_gshare_params))
+_GAS = st.tuples(st.just("gas"), st.fixed_dictionaries({
+    "history_length": st.integers(1, 12),
+    "set_bits": st.integers(0, 6),
+    "counter_bits": st.integers(1, 3),
+}))
+_PERCEPTRON = st.tuples(st.just("perceptron"), st.fixed_dictionaries({
+    "n_perceptrons": st.integers(1, 300),
+    "history_length": _PERCEPTRON_HISTORY,
+}))
+
 _PROPHETS = st.one_of(
-    st.tuples(st.just("2bc-gskew"), st.fixed_dictionaries({
-        "entries_per_table": _pow2(4, 12),
-        "history_length": st.one_of(st.none(), st.integers(1, 24)),
-    })),
-    st.tuples(st.just("gshare"), st.integers(4, 14).flatmap(_gshare_params)),
-    st.tuples(st.just("gas"), st.fixed_dictionaries({
-        "history_length": st.integers(1, 12),
-        "set_bits": st.integers(0, 6),
-        "counter_bits": st.integers(1, 3),
-    })),
+    _GSKEW,
+    _GSHARE,
+    _GAS,
     st.tuples(st.just("bimodal"), st.fixed_dictionaries({
         "entries": _pow2(2, 13),
         "counter_bits": st.integers(1, 3),
     })),
-    st.tuples(st.just("perceptron"), st.fixed_dictionaries({
-        "n_perceptrons": st.integers(1, 300),
-        "history_length": st.integers(1, 40),
-    })),
+    _PERCEPTRON,
 )
 
 _CRITICS = st.one_of(
@@ -110,10 +125,29 @@ _CRITICS = st.one_of(
     })),
     st.tuples(st.just("filtered-perceptron"), st.fixed_dictionaries({
         "n_perceptrons": st.integers(1, 200),
-        "history_length": st.integers(1, 30),
+        "history_length": _PERCEPTRON_HISTORY,
         "filter_sets": _pow2(4, 9),
         "filter_ways": st.integers(1, 4),
         "filter_history_length": st.integers(4, 20),
+        "tag_bits": st.integers(4, 10),
+    })),
+    # Unfiltered critics: every other critic-capable kind.
+    _GSHARE,
+    _PERCEPTRON,
+    _GSKEW,
+    _GAS,
+    st.tuples(st.just("tage"), st.fixed_dictionaries({
+        "n_components": st.integers(1, 4),
+        "base_entries": _pow2(4, 10),
+        "component_entries": _pow2(4, 8),
+        "min_history": st.integers(1, 6),
+        "max_history": st.integers(8, 40),
+        "tag_bits": st.integers(4, 10),
+    })),
+    st.tuples(st.just("yags"), st.fixed_dictionaries({
+        "choice_entries": _pow2(4, 10),
+        "cache_entries": _pow2(4, 8),
+        "history_length": st.integers(1, 12),
         "tag_bits": st.integers(4, 10),
     })),
 )
@@ -138,6 +172,29 @@ def _configs(draw) -> SimulationConfig:
     )
 
 
+def _end_state(value):
+    """Comparable snapshot of a predictor's learned state: counter and
+    tag tables, perceptron weights as bytes, stats. Attributes ending in
+    ``_np`` are constant tables the batched kernel caches; bound methods
+    are skipped."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return [_end_state(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _end_state(v) for k, v in value.items()}
+    if value is None or isinstance(value, (bool, int, float, str, PredictorStats)):
+        return value
+    if callable(value):
+        return None
+    slots = getattr(type(value), "__slots__", ())
+    fields = dict(getattr(value, "__dict__", {}))
+    fields.update((name, getattr(value, name)) for name in slots if hasattr(value, name))
+    return (type(value).__name__, {
+        k: _end_state(v) for k, v in fields.items() if not k.endswith("_np")
+    })
+
+
 def _assert_backends_agree(program, build, config):
     scalar_system = build()
     batched_system = build()
@@ -154,9 +211,13 @@ def _assert_backends_agree(program, build, config):
         if ours is not None:
             theirs = getattr(scalar_system, attr)
             assert ours.stats == theirs.stats, attr
+            assert _end_state(ours) == _end_state(theirs), attr
     if isinstance(batched_system, ProphetCriticSystem):
         assert batched_system.bor.value == scalar_system.bor.value
-        assert batched_system.critic.filter.stats == scalar_system.critic.filter.stats
+        if hasattr(batched_system.critic, "filter"):
+            assert (
+                batched_system.critic.filter.stats == scalar_system.critic.filter.stats
+            )
 
 
 @given(
@@ -181,7 +242,7 @@ def test_single_predictor_cells(prophet, config, benchmark):
     config=_configs(),
     benchmark=st.sampled_from(_ARCHETYPES),
 )
-@settings(_PROFILE, max_examples=50)
+@settings(_PROFILE, max_examples=100)
 def test_prophet_critic_cells(prophet, critic, future_bits, config, benchmark):
     (kind, params), (ckind, cparams) = prophet, critic
 

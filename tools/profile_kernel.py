@@ -82,6 +82,23 @@ CELLS: list[dict] = [
         "quick": True,
         "headline": True,
     },
+    # Perceptron cells: the perceptron as prophet (figure 5) and as an
+    # unfiltered critic (figure 6a), both on the batched kernel's
+    # integer perceptron ops.
+    {
+        "id": "gcc/perceptron-8+tagged-8",
+        "benchmark": "gcc",
+        "system": SystemSpec.hybrid("perceptron", 8, "tagged-gshare", 8, future_bits=8),
+        "quick": True,
+        "headline": False,
+    },
+    {
+        "id": "gcc/2bc-gskew-8+perceptron-8",
+        "benchmark": "gcc",
+        "system": SystemSpec.hybrid("2bc-gskew", 8, "perceptron", 8, future_bits=8),
+        "quick": True,
+        "headline": False,
+    },
     {
         "id": "facerec/hybrid-8+8",
         "benchmark": "facerec",
@@ -225,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="headline cells only, at a CI-sized branch count",
+        help="the quick cells (headline and perceptron cells) at a CI-sized branch count",
     )
     parser.add_argument(
         "--branches", type=int, default=None,
