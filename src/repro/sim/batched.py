@@ -35,7 +35,11 @@ perceptron ops). It returns None for anything else (including when
 numpy is unavailable), telling the driver to fall back to the scalar
 loop. Both system shapes run through one replay loop, :func:`_replay`:
 a single predictor is the prophet/critic machine with no critic,
-exactly as in the scalar driver.
+exactly as in the scalar driver. The loop has one fetch step for
+aligned and wrong-path fetches and one critique drain, which runs the
+scalar loop's critique arm at the only points where it can fire: when a
+fetch gives the oldest uncritiqued branch its future bits, and when a
+full window forces a critique (see the replay-loop section comment).
 
 Two amortization layers sit on top of the loop:
 
@@ -121,14 +125,12 @@ SCALAR_FALLBACK_KINDS = frozenset({
 })
 
 
-# -- structure-of-arrays predictor helpers ----------------------------------
+# -- numpy constant tables ----------------------------------------------------
 #
-# Each batch helper evaluates one predictor over parallel (pc, history)
-# arrays, reading the predictor's live counter lists. Index math runs in
-# numpy; counter gathers go through listcomp/fromiter on the raw Python
-# lists (converting a whole table to an array per call would cost more
-# than the batch saves). Constant hash tables are cached on the
-# predictor as numpy arrays on first use.
+# ``_prophet_columns`` gathers each trace pc's prophet constants through
+# the predictor's constant hash tables in one vectorized pass; those
+# tables are cached on the predictor as numpy arrays on first use (and
+# dropped when the predictor is pickled).
 
 
 def _np_table(predictor, attr: str, values) -> "np.ndarray":
@@ -138,176 +140,6 @@ def _np_table(predictor, attr: str, values) -> "np.ndarray":
         cached = np.asarray(values, dtype=np.int64)
         setattr(predictor, attr, cached)
     return cached
-
-
-def batch_predict_gskew(predictor, pcs, histories):
-    """Vectorized ``TwoBcGskewPredictor.predict_packed``.
-
-    Returns ``(preds, packed)``: a bool ndarray of predictions and the
-    list of packed bank-index states (Python ints — the packed word can
-    exceed 63 bits at large geometries).
-    """
-    n = predictor._index_bits
-    imask = predictor._index_mask
-    h_np = _np_table(predictor, "_h_np", predictor._h_table)
-    hinv_np = _np_table(predictor, "_hinv_np", predictor._hinv_table)
-    v1 = (pcs >> 2) & imask
-    v2 = ((histories & predictor._history_mask) ^ (pcs >> predictor._pc_high_shift)) & imask
-    hv1 = h_np[v1]
-    hinv_v2 = hinv_np[v2]
-    g0_idx = hv1 ^ hinv_v2 ^ v2
-    g1_idx = hv1 ^ hinv_v2 ^ v1
-    meta_idx = hinv_np[v1] ^ h_np[v2] ^ v2
-    v1_l = v1.tolist()
-    g0_l = g0_idx.tolist()
-    g1_l = g1_idx.tolist()
-    meta_l = meta_idx.tolist()
-    count = len(v1_l)
-    bim_raw = predictor._bim_raw
-    g0_raw = predictor._g0_raw
-    g1_raw = predictor._g1_raw
-    meta_raw = predictor._meta_raw
-    bim_t = np.fromiter((bim_raw[i] for i in v1_l), dtype=np.int64, count=count) > 1
-    g0_t = np.fromiter((g0_raw[i] for i in g0_l), dtype=np.int64, count=count) > 1
-    g1_t = np.fromiter((g1_raw[i] for i in g1_l), dtype=np.int64, count=count) > 1
-    meta_t = np.fromiter((meta_raw[i] for i in meta_l), dtype=np.int64, count=count) > 1
-    majority = (bim_t.astype(np.int64) + g0_t + g1_t) >= 2
-    preds = np.where(meta_t, majority, bim_t)
-    n2 = 2 * n
-    n3 = 3 * n
-    packed = [
-        v1_l[i] | (g0_l[i] << n) | (g1_l[i] << n2) | (meta_l[i] << n3)
-        for i in range(count)
-    ]
-    return preds, packed
-
-
-def batch_predict_gshare(predictor, pcs, histories):
-    """Vectorized ``GsharePredictor.predict_packed`` → (preds, indices)."""
-    idx = ((pcs >> 2) ^ (histories & predictor._history_mask)) & predictor._index_mask
-    idx_l = idx.tolist()
-    raw = predictor._raw
-    mid = predictor._midpoint
-    preds = np.fromiter((raw[i] for i in idx_l), dtype=np.int64, count=len(idx_l)) > mid
-    return preds, idx_l
-
-
-def batch_predict_gas(predictor, pcs, histories):
-    """Vectorized ``GAsPredictor.predict_packed`` → (preds, indices)."""
-    hmask = (1 << predictor.history_length) - 1
-    smask = (1 << predictor.set_bits) - 1
-    idx = ((histories & hmask) << predictor.set_bits) | ((pcs >> 2) & smask)
-    idx_l = idx.tolist()
-    raw = predictor.table.raw
-    mid = predictor.table.midpoint
-    preds = np.fromiter((raw[i] for i in idx_l), dtype=np.int64, count=len(idx_l)) > mid
-    return preds, idx_l
-
-
-def batch_predict_bimodal(predictor, pcs, histories):
-    """Vectorized ``BimodalPredictor.predict_packed`` → (preds, indices)."""
-    idx = (pcs >> 2) & ((1 << predictor._index_bits) - 1)
-    idx_l = idx.tolist()
-    raw = predictor.table.raw
-    mid = predictor.table.midpoint
-    preds = np.fromiter((raw[i] for i in idx_l), dtype=np.int64, count=len(idx_l)) > mid
-    return preds, idx_l
-
-
-def batch_predict_perceptron(predictor, pcs, histories):
-    """Vectorized ``PerceptronPredictor.predict_packed``.
-
-    Returns ``(preds, states)``: a bool ndarray of predictions and the
-    list of ±1 input vectors (the packed state ``update_packed``
-    expects). Histories wider than 62 bits fall back to the scalar
-    ``_inputs`` per element (the int64 shift table would overflow).
-    """
-    h = predictor.history_length
-    rows = ((pcs >> 2) % predictor.n_perceptrons).tolist()
-    count = len(rows)
-    if h < 63:
-        bits = (histories[:, None] >> np.arange(h, dtype=np.int64)) & 1
-        x = np.empty((count, h + 1), dtype=np.int16)
-        x[:, 0] = 1
-        x[:, 1:] = bits.astype(np.int16) * 2 - 1
-        states = list(x)
-    else:
-        inputs = predictor._inputs
-        states = [inputs(int(histories[i])) for i in range(count)]
-        x = np.stack(states) if count else np.zeros((0, h + 1), np.int16)
-    weights = predictor.weights
-    y = (
-        np.stack([weights[r] for r in rows]).astype(np.int32)
-        * x.astype(np.int32)
-    ).sum(axis=1) if count else np.zeros(0, np.int32)
-    return y >= 0, states
-
-
-_BATCH_PREDICT = {
-    _GSKEW: batch_predict_gskew,
-    _GSHARE: batch_predict_gshare,
-    _GAS: batch_predict_gas,
-    _BIMODAL: batch_predict_bimodal,
-    _PERC: batch_predict_perceptron,
-}
-
-
-def batch_hash_tagged_gshare(critic, pcs, histories):
-    """Vectorized ``TaggedGsharePredictor._hash_pair``.
-
-    Returns ``(set_indices, tags)`` as Python int lists. The rotated tag
-    fold reads the *raw* history (before masking), exactly like the
-    scalar hash.
-    """
-    values = histories & critic._history_mask
-    fi = pcs >> 2
-    for shift in critic._set_fold_shifts:
-        fi = fi ^ (values >> shift)
-    ftag = np.zeros_like(pcs)
-    for shift in critic._tag_fold_shifts:
-        ftag = ftag ^ (values >> shift)
-    ft2 = np.zeros_like(pcs)
-    if critic._tag_fold_shifts:
-        rotated = ((histories >> 1) | ((histories & 1) << critic._rotate_shift)) & critic._history_mask
-        for shift in critic._tag_fold_shifts:
-            ft2 = ft2 ^ (rotated >> shift)
-    tags = (
-        (pcs >> 5) ^ (pcs >> (5 + critic.tag_bits)) ^ ftag ^ (ft2 << 1)
-    ) & critic._tag_mask
-    sets = fi & critic._set_mask
-    return sets.tolist(), tags.tolist()
-
-
-def batch_hash_filtered_perceptron(critic, pcs, histories):
-    """Vectorized filter hashes of ``FilteredPerceptronPredictor``.
-
-    Mirrors ``_set_index``/``_tag`` (``index_hash``/``tag_hash`` over the
-    ``filter_history_length`` slice of the BOR) with the same fold
-    structure as the tagged-gshare hash. Returns ``(set_indices, tags)``
-    as Python int lists.
-    """
-    fhl = critic.filter_history_length
-    set_bits = critic.filter.set_bits
-    tag_bits = critic.tag_bits
-    hmask = (1 << fhl) - 1 if fhl > 0 else 0
-    tag_shifts = range(0, fhl, max(tag_bits, 1))
-    values = histories & hmask
-    fi = pcs >> 2
-    for shift in range(0, fhl, max(set_bits, 1)):
-        fi = fi ^ (values >> shift)
-    ftag = np.zeros_like(pcs)
-    for shift in tag_shifts:
-        ftag = ftag ^ (values >> shift)
-    ft2 = np.zeros_like(pcs)
-    if fhl > 0:
-        rotated = ((histories >> 1) | ((histories & 1) << (fhl - 1))) & hmask
-        for shift in tag_shifts:
-            ft2 = ft2 ^ (rotated >> shift)
-    tags = (
-        (pcs >> 5) ^ (pcs >> (5 + tag_bits)) ^ ftag ^ (ft2 << 1)
-    ) & ((1 << tag_bits) - 1)
-    sets = fi & ((1 << set_bits) - 1)
-    return sets.tolist(), tags.tolist()
 
 
 # -- flat CFG segments ------------------------------------------------------
@@ -784,27 +616,53 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 
 # -- the replay loop --------------------------------------------------------
 #
-# One loop runs both system shapes. It keeps the scalar driver's full
-# three-arm event loop (critique / fetch burst / resolve burst) verbatim
-# — future bits make the arm interleaving data-dependent — but fuses
-# every operation the arms perform: walker traversal, BTB, prophet
-# predict, the critic's fold hash + tag filter + counter train, and both
-# history registers as plain local ints.
+# One loop runs both system shapes. It keeps the scalar driver's event
+# order exactly -- future bits make the interleaving of critiques,
+# fetches and resolves data-dependent -- but fuses every operation:
+# walker traversal, BTB, prophet predict, the critic's fold hash + tag
+# filter + counter train, and both history registers as plain local
+# ints. Each outer iteration is two bursts:
+#
+# * fetch/critique burst -- one fetch step serves aligned and wrong-path
+#   fetches alike: it fills the same locals (pc, uops, BTB set/tag, both
+#   successors, RAS snapshot, critic pc columns, prophet pc constants)
+#   from the fused trace row or from the flat CFG entry, then runs one
+#   BTB probe, one per-kind prophet predict, one ring store and one check
+#   for leaving the trace. After each fetch, the one critique drain runs
+#   when the oldest uncritiqued entry has its future bits, or when the
+#   window is at hard_cap with nothing critiqued (a forced critique,
+#   §5). The drain critiques every consecutively-eligible entry. That is
+#   scalar order: the scalar loop's critique arm runs before its fetch
+#   and its resolve, and a critique changes no other entry's
+#   eligibility. A critic override flushes every uncritiqued entry, so
+#   it ends the drain. The burst then resolves if the window is at
+#   depth + 1, and otherwise fetches on under that bound -- where the
+#   scalar fetch guard stands once something is critiqued.
+# * resolve burst -- the scalar resolve arm, repeated while the window
+#   stays deep and nothing flushes.
+#
+# No separate critique arm is needed: every exit from the fetch burst
+# leaves no eligible or forced critique and the scalar fetch guard shut,
+# and a resolve burst only flushes or shrinks the window, which makes no
+# critique eligible and reopens the guard.
 #
 # A SinglePredictorSystem is the prophet/critic machine with no critic
 # (``ckind == _CR_NONE``): 0 required future bits, no BOR. Every
 # critique is then eligible the moment its branch is fetched and never
 # redirects (final == prophet), so the critic-less shape is exact with
-# three arms swapped, each marked "critic-less" below:
+# three parts swapped, each marked "critic-less" below:
 #
-# * critique — a pass-through: ``critiqued`` advances with ``tail``, no
+# * critique -- a pass-through: ``critiqued`` advances with ``tail``, no
 #   critique record is written;
-# * wrong-path fill — entries past a divergence are flushed by the
+# * wrong-path fill -- entries past a divergence are flushed by the
 #   divergent branch's own resolve before any of them reaches the head,
 #   so the fill stores nothing in the ring and keeps only the side
 #   effects: fetched uops, BTB LRU refreshes and the speculative BHR bits
-#   that steer further wrong-path predictions;
-# * resolve — no critic training and no filter stats.
+#   that steer further wrong-path predictions. It stays an arm of its
+#   own rather than going through the shared fetch step, which would
+#   build ring records nothing reads: folding it in slowed table-
+#   predictor single cells by 34-39 % (docs/PERFORMANCE.md);
+# * resolve -- no critic training and no filter stats.
 #
 # An unfiltered critic (``ckind == _CR_PLAIN``, §7.2) keeps the hybrid
 # event loop and swaps only the critic's two calls, made in the same
@@ -812,7 +670,10 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 # ``_critic_predict_packed(pc, bor)`` gives the final prediction (every
 # dynamic branch is a "hit"); at resolve, after the prophet's update,
 # ``_critic_update_packed(pc, bor_at_critique, taken, pred, state)``
-# trains it. No filter, fold tables or tag columns are involved.
+# trains it. No filter, fold tables or tag columns are involved. The
+# two filtered critics share the critique's hash and filter probe and
+# the resolve's probe, allocate and LRU touch; only the opinion and
+# training bodies depend on the critic kind.
 
 
 def _replay(program, system, config, kind: int, ckind: int, shared=None):
@@ -1096,42 +957,277 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
     depth1 = depth + 1
     try:
         while resolved < n_branches:
-            pending = tail - head
-            # 1) Critique arm (ordinary or forced, same eligibility logic
-            #    as the scalar driver). Critic-less: never taken, the
-            #    fetch burst critiques every entry as it fetches it.
-            if critiqued < pending:
-                s = (head + critiqued) & cmask
-                fe = r_fe[s]
-                go = fe[9] or next_seq - fe[8] >= required_bits
-                if not go and pending >= hard_cap and not (
-                    critiqued > 0 and pending > depth
-                ):
-                    go = True
+            # 1) Fetch/critique burst (see the section comment).
+            head_depth1 = head + depth1
+            if critiqued < tail - head:
+                have_candidate = True
+                target_seq = r_fe[(head + critiqued) & cmask][8] + required_bits
+            else:
+                have_candidate = False
+            # ``head`` is constant for the whole burst (only the resolve
+            # burst advances it), so the scalar loop's two fetch-exit
+            # conditions (pending >= hard_cap; critiqued > 0 and pending
+            # > depth) collapse into one precomputed tail bound per
+            # critiqued-regime: ONE compare per fetch. Critic-less, every
+            # fetch is critiqued on the spot, so the bound is depth + 1
+            # from the first fetch on.
+            fetch_limit = head_depth1 if critiqued or not ckind else head + hard_cap
+            while True:
+                # -- fetch one entry ------------------------------------
+                if fe_aligned:
+                    i = resolved + tail - head
+                    if i >= n_branches:
+                        # Trace exhausted mid-window: keep fetching
+                        # speculatively past the last committed branch,
+                        # following its committed direction (an
+                        # override-repaired entry's pred may disagree
+                        # with the direction the front end actually
+                        # took, so read the trace column).
+                        fe_aligned = False
+                        n_aligned = tail - head
+                        fe = r_fe[(tail - 1) & cmask]
+                        snap = fe[7]
+                        ras_c, ras_n = snap
+                        ras_ver += 1
+                        ras_snap = snap
+                        snap_ver = ras_ver
+                        w_block = fe[3] if t_tk[i - 1] else fe[4]
+                if fe_aligned:
+                    # Aligned: one fused trace row -- no CFG walk, no RAS
+                    # maintenance, and the RAS snapshot comes free out of
+                    # the trace column.
+                    if kind == _GSKEW:
+                        (uops, taken, si, btag, pc, tkb, ftb, snap,
+                         k0, k1, v1, pch, h1, hi1) = f_rows[i]
+                    else:
+                        (uops, taken, si, btag, pc, tkb, ftb, snap,
+                         k0, k1, c) = f_rows[i]
+                elif ckind:
+                    # Wrong-path (or post-trace): one flat CFG entry.
+                    try:
+                        fs = flat[w_block]
+                    except KeyError:
+                        fs = flatten(w_block)
+                    if fs[2] is not None and fs[1] is None:
+                        # Common case: the collapsed chain ends at a
+                        # conditional branch with no RAS traffic.
+                        uops = fs[0]
+                    else:
+                        uops = 0
+                        while True:
+                            uops += fs[0]
+                            ops = fs[1]
+                            if ops is not None:
+                                for op in ops:
+                                    if op >= 0:
+                                        ras_c = (op, ras_c)
+                                        if ras_n < _RAS_CAPACITY:
+                                            ras_n += 1
+                                    else:
+                                        ras_c = ras_c[1]
+                                        ras_n -= 1
+                                ras_ver += 1
+                            if fs[2] is not None:
+                                break
+                            if ras_n:
+                                bid, ras_c = ras_c
+                                ras_n -= 1
+                                ras_ver += 1
+                            else:
+                                bid = entry
+                            try:
+                                fs = flat[bid]
+                            except KeyError:
+                                fs = flatten(bid)
+                    if snap_ver != ras_ver:
+                        ras_snap = (ras_c, ras_n)
+                        snap_ver = ras_ver
+                    snap = ras_snap
+                    if kind == _GSKEW:
+                        (_, _, pc, tkb, ftb, _, si, btag,
+                         v1, pch, h1, hi1, k0, k1) = fs
+                    else:
+                        (_, _, pc, tkb, ftb, _, si, btag,
+                         c, _, _, _, k0, k1) = fs
+                else:
+                    # Critic-less wrong-path fill: walk the flat CFG up
+                    # to the window bound in one go, storing nothing in
+                    # the ring (see the section comment).
+                    while tail < fetch_limit:
+                        bid = w_block
+                        uops = 0
+                        while True:
+                            try:
+                                fs = flat[bid]
+                            except KeyError:
+                                fs = flatten(bid)
+                            uops += fs[0]
+                            ops = fs[1]
+                            if ops is not None:
+                                for op in ops:
+                                    if op >= 0:
+                                        ras_c = (op, ras_c)
+                                        if ras_n < _RAS_CAPACITY:
+                                            ras_n += 1
+                                    else:
+                                        ras_c = ras_c[1]
+                                        ras_n -= 1
+                            if fs[2] is not None:
+                                break
+                            if ras_n:
+                                bid, ras_c = ras_c
+                                ras_n -= 1
+                            else:
+                                bid = entry
+                        fetched_uops += uops
+                        tail += 1
+                        if use_btb:
+                            row = b_sets[fs[6]]
+                            t = fs[7]
+                            if row and row[-1] == t:
+                                dyn = True
+                            elif t in row:
+                                row.remove(t)
+                                row.append(t)
+                                dyn = True
+                            else:
+                                dyn = False
+                        else:
+                            dyn = True
+                        if dyn:
+                            if kind == _GSKEW:
+                                v1 = fs[8]
+                                v2 = ((bhr_val & gk_hmask) ^ fs[9]) & gk_imask
+                                bim = gk_bim[v1] > 1
+                                if gk_meta[fs[11] ^ gk_hv[v2]] > 1:
+                                    g0 = fs[10] ^ gk_hx[v2]
+                                    pred = (
+                                        bim + (gk_g0[g0] > 1)
+                                        + (gk_g1[g0 ^ v2 ^ v1] > 1)
+                                    ) >= 2
+                                else:
+                                    pred = bim
+                            elif kind == _GSHARE:
+                                pred = gs_raw[
+                                    (fs[8] ^ (bhr_val & gs_hmask)) & gs_imask
+                                ] > gs_mid
+                            elif kind == _GAS:
+                                pred = ga_raw[
+                                    ((bhr_val & ga_hmask) << ga_sb) | fs[8]
+                                ] > ga_mid
+                            elif kind == _PERC:
+                                pred = sum(map(
+                                    mul, pp_rows[fs[8]], pp_inputs(bhr_val)
+                                )) >= 0
+                            else:
+                                pred = bm_raw[fs[8]] > bm_mid
+                            bhr_val = ((bhr_val << 1) | pred) & bhr_mask
+                            w_block = fs[3] if pred else fs[4]
+                        else:
+                            w_block = fs[4]
+                    break
+                fetched_uops += uops
+                s = tail & cmask
+                tail += 1
+                if use_btb:
+                    brow = b_sets[si]
+                    if brow and brow[-1] == btag:
+                        dyn = True
+                    elif btag in brow:
+                        brow.remove(btag)
+                        brow.append(btag)
+                        dyn = True
+                    else:
+                        dyn = False
+                else:
+                    dyn = True
+                if dyn:
+                    if kind == _GSKEW:
+                        v2 = ((bhr_val & gk_hmask) ^ pch) & gk_imask
+                        g0 = h1 ^ gk_hx[v2]
+                        g1 = g0 ^ v2 ^ v1
+                        meta = hi1 ^ gk_hv[v2]
+                        state = (v1, g0, g1, meta)
+                        bim = gk_bim[v1] > 1
+                        if gk_meta[meta] > 1:
+                            pred = (bim + (gk_g0[g0] > 1) + (gk_g1[g1] > 1)) >= 2
+                        else:
+                            pred = bim
+                    elif kind == _GSHARE:
+                        state = (c ^ (bhr_val & gs_hmask)) & gs_imask
+                        pred = gs_raw[state] > gs_mid
+                    elif kind == _GAS:
+                        state = ((bhr_val & ga_hmask) << ga_sb) | c
+                        pred = ga_raw[state] > ga_mid
+                    elif kind == _PERC:
+                        state = pp_inputs(bhr_val)
+                        pred = sum(map(mul, pp_rows[c], state)) >= 0
+                    else:
+                        state = c
+                        pred = bm_raw[state] > bm_mid
+                    r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, k0, k1,
+                               snap, next_seq, False, pred, state)
+                    bhr_val = ((bhr_val << 1) | pred) & bhr_mask
+                    bor_val = ((bor_val << 1) | pred) & bor_mask
+                    next_seq += 1
+                else:
+                    # BTB miss: static not-taken, and no BOR bit, so seq
+                    # is stored without incrementing next_seq.
+                    pred = False
+                    r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, k0, k1,
+                               snap, next_seq, True, False, 0)
+                if not fe_aligned:
+                    w_block = tkb if pred else ftb
+                elif pred != taken:
+                    # Divergence (a static taken branch included): leave
+                    # the trace; the walker picks up at the predicted
+                    # target.
+                    fe_aligned = False
+                    n_aligned = tail - head
+                    ras_c, ras_n = snap
+                    ras_ver += 1
+                    ras_snap = snap
+                    snap_ver = ras_ver
+                    w_block = tkb if pred else ftb
+                # -- burst exit checks. A candidate that has just gone
+                #    bits-ready is critiqued before the window bound is
+                #    checked: the scalar critique arm runs before its fetch
+                #    guard.
+                if not ckind:
+                    if tail < fetch_limit:
+                        continue
+                    break
+                if not have_candidate:
+                    have_candidate = True
+                    if dyn:
+                        target_seq = next_seq - 1 + required_bits
+                    else:
+                        target_seq = next_seq  # static: eligible now
+                if next_seq < target_seq:
+                    if tail < fetch_limit:
+                        continue
+                    if critiqued:
+                        break  # window at depth + 1: resolve
+                    # Window at hard_cap with nothing critiqued and the
+                    # candidate's bits still missing: forced critique
+                    # with the bits available (§5).
                     if resolved >= warmup:
                         st_forced += 1
-            else:
-                go = False
-            if go:
-                # Drain every consecutively-eligible critique in one
-                # visit. Between back-to-back eligible critiques the
-                # scalar loop does nothing else -- the fetch guard stays
-                # blocked (pending unchanged, and a forced critique
-                # can't follow an ordinary one in the same window) and
-                # the resolve arm is never reached -- so draining here is
-                # order-identical to one critique per outer iteration.
+                # -- critique drain: every consecutively-eligible entry
+                s = (head + critiqued) & cmask
+                fe = r_fe[s]
                 while True:
                     if fe[9]:
                         # Static: no critic consult, nothing the resolve
-                        # arm reads back.
+                        # burst reads back.
                         critiqued += 1
                     else:
-                        k0 = fe[5]
                         ppred = fe[10]
                         bor_value = bor_val if use_live_bor else fe[2]
                         if ckind == _CR_PLAIN:
-                            # Unfiltered critic: an opinion on every branch,
-                            # no filter (its packed state rides in ``si``).
+                            # Unfiltered critic: an opinion on every
+                            # branch, no filter (its packed state rides
+                            # in ``si``).
                             if cp_rows is None:
                                 final, si = c_predict(fe[0], bor_value)
                             else:
@@ -1141,6 +1237,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                                 )) >= 0
                             r_cq[s] = (final, True, final, si, 0, bor_value)
                         else:
+                            k0 = fe[5]
                             if fst is not None:
                                 w = bor_value & vmask
                                 si = (k0 ^ fst[w]) & c_set_mask
@@ -1184,540 +1281,49 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                         critiqued += 1
                         if final != ppred:
                             # Critic override: FTQ-confined flush +
-                            # redirect.
-                            bhrb = fe[1]
-                            borb = fe[2]
-                            tkb = fe[3]
-                            ftb = fe[4]
-                            snap = fe[7]
-                            seq = fe[8]
+                            # redirect. No uncritiqued entry survives it,
+                            # so the drain ends below.
                             tail = head + critiqued
-                            bhr_val = ((bhrb << 1) | final) & bhr_mask
-                            bor_val = ((borb << 1) | final) & bor_mask
-                            next_seq = seq + 1
+                            bhr_val = ((fe[1] << 1) | final) & bhr_mask
+                            bor_val = ((fe[2] << 1) | final) & bor_mask
+                            next_seq = fe[8] + 1
                             if resolved >= warmup:
                                 st_credir += 1
-                            # Re-point the front end. While it tracks the
-                            # trace the walker is dormant: a redirect
-                            # whose corrected direction lands back on the
-                            # committed outcome keeps (or repairs)
-                            # alignment and costs nothing; only a
-                            # redirect onto the wrong path materialises
-                            # walker state -- from the ring, where aligned
-                            # entries carry the free trace-column RAS
-                            # snapshot.
+                            # Re-point the front end. A redirect inside
+                            # the trace-correspondent prefix keeps (or
+                            # repairs) alignment exactly when it lands on
+                            # the committed outcome; only a redirect onto
+                            # the wrong path materialises walker state --
+                            # from the ring, where aligned entries carry
+                            # the free trace-column RAS snapshot.
                             off = critiqued - 1
-                            if fe_aligned:
-                                if final != t_tk[resolved + off]:
-                                    fe_aligned = False
-                                    n_aligned = critiqued
-                                    ras_c, ras_n = snap
-                                    ras_ver += 1
-                                    ras_snap = snap
-                                    snap_ver = ras_ver
-                                    w_block = tkb if final else ftb
-                            elif off < n_aligned:
+                            if fe_aligned or off < n_aligned:
                                 n_aligned = critiqued
-                                if final == t_tk[resolved + off]:
-                                    # The override undoes the divergence:
-                                    # the surviving window prefix is
-                                    # exactly the trace again, so
-                                    # re-align instead of restoring the
-                                    # walker.
-                                    fe_aligned = True
-                                else:
-                                    ras_c, ras_n = snap
-                                    ras_ver += 1
-                                    ras_snap = snap
-                                    snap_ver = ras_ver
-                                    w_block = tkb if final else ftb
-                            else:
-                                ras_c, ras_n = snap
-                                ras_ver += 1
-                                ras_snap = snap
-                                snap_ver = ras_ver
-                                w_block = tkb if final else ftb
-                            break
-                    if critiqued >= tail - head:
-                        break
-                    s = (head + critiqued) & cmask
-                    fe = r_fe[s]
-                    if not (fe[9] or next_seq - fe[8] >= required_bits):
-                        break
-                continue
-
-            # 3) Fused fetch/critique burst. The scalar driver alternates
-            #    one-entry fetch bursts with critique dispatches through
-            #    its outer loop; here the critique runs inline the moment
-            #    its candidate goes bits-ready, so the outer loop is only
-            #    re-entered for forced critiques, redirects, and resolve
-            #    bursts. The operation ORDER is identical to the scalar
-            #    loop's -- fetch until the candidate is eligible, critique,
-            #    resume fetching -- which is what keeps the replay
-            #    bit-identical.
-            if pending < hard_cap and not (critiqued > 0 and pending > depth):
-                if critiqued < pending:
-                    have_candidate = True
-                    target_seq = r_fe[(head + critiqued) & cmask][8] + required_bits
-                else:
-                    have_candidate = False
-                    target_seq = 0
-                # ``head`` is constant for the whole burst (only the
-                # resolve arm advances it), so the scalar loop's two
-                # fetch-exit conditions (pending >= hard_cap; critiqued
-                # > 0 and pending > depth) collapse into one precomputed
-                # tail bound per critiqued-regime: ONE compare per fetch.
-                # Critic-less, every fetch is critiqued on the spot, so
-                # the bound is depth + 1 from the first fetch on.
-                head_cap = head + hard_cap
-                head_depth1 = head + depth1
-                fetch_limit = head_depth1 if critiqued or not ckind else head_cap
-                burst_done = False
-                while True:
-                    # -- fetch one entry --------------------------------
-                    if fe_aligned:
-                        i = resolved + tail - head
-                        if i >= n_branches:
-                            # Trace exhausted mid-window: keep fetching
-                            # speculatively past the last committed
-                            # branch, following its committed direction
-                            # (an override-repaired entry's pred may
-                            # disagree with the direction the front end
-                            # actually took, so read the trace column).
-                            fe_aligned = False
-                            n_aligned = tail - head
-                            fe = r_fe[(tail - 1) & cmask]
-                            snap = fe[7]
-                            ras_c, ras_n = snap
-                            ras_ver += 1
-                            ras_snap = snap
-                            snap_ver = ras_ver
-                            w_block = fe[3] if t_tk[i - 1] else fe[4]
-                    if fe_aligned:
-                        # Aligned fetch: the front end provably sits on
-                        # the committed path, so this is pure column
-                        # reads plus one BTB probe -- no CFG walk, no RAS
-                        # maintenance, and the ring's RAS snapshot comes
-                        # free out of the trace column. The walker below
-                        # only runs between a divergence (or an override
-                        # onto the wrong path) and its flush.
-                        if kind == _GSKEW:
-                            (uops, taken, si, btag, pc, tkb, ftb, snap,
-                             k0, k1, v1, pch, h1, hi1) = f_rows[i]
-                        else:
-                            (uops, taken, si, btag, pc, tkb, ftb, snap,
-                             k0, k1, c) = f_rows[i]
-                        fetched_uops += uops
-                        s = tail & cmask
-                        tail += 1
-                        if use_btb:
-                            brow = b_sets[si]
-                            if brow and brow[-1] == btag:
-                                dyn = True
-                            elif btag in brow:
-                                brow.remove(btag)
-                                brow.append(btag)
-                                dyn = True
-                            else:
-                                dyn = False
-                        else:
-                            dyn = True
-                        if dyn:
-                            if kind == _GSKEW:
-                                v2 = ((bhr_val & gk_hmask) ^ pch) & gk_imask
-                                g0 = h1 ^ gk_hx[v2]
-                                g1 = g0 ^ v2 ^ v1
-                                meta = hi1 ^ gk_hv[v2]
-                                state = (v1, g0, g1, meta)
-                                bim = gk_bim[v1] > 1
-                                if gk_meta[meta] > 1:
-                                    pred = (
-                                        bim + (gk_g0[g0] > 1) + (gk_g1[g1] > 1)
-                                    ) >= 2
-                                else:
-                                    pred = bim
-                            elif kind == _GSHARE:
-                                state = (c ^ (bhr_val & gs_hmask)) & gs_imask
-                                pred = gs_raw[state] > gs_mid
-                            elif kind == _GAS:
-                                state = ((bhr_val & ga_hmask) << ga_sb) | c
-                                pred = ga_raw[state] > ga_mid
-                            elif kind == _PERC:
-                                state = pp_inputs(bhr_val)
-                                pred = sum(map(mul, pp_rows[c], state)) >= 0
-                            else:
-                                state = c
-                                pred = bm_raw[state] > bm_mid
-                            r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, k0, k1,
-                                       snap, next_seq, False, pred, state)
-                            bhr_val = ((bhr_val << 1) | pred) & bhr_mask
-                            bor_val = ((bor_val << 1) | pred) & bor_mask
-                            next_seq += 1
-                            if pred != taken:
-                                # Divergence: leave the trace; the walker
-                                # picks up at the predicted target.
-                                fe_aligned = False
-                                n_aligned = tail - head
-                                ras_c, ras_n = snap
-                                ras_ver += 1
-                                ras_snap = snap
-                                snap_ver = ras_ver
-                                w_block = tkb if pred else ftb
-                        else:
-                            # No BOR bit for statics: seq stored without
-                            # incrementing next_seq.
-                            r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, k0, k1,
-                                       snap, next_seq, True, False, 0)
-                            if taken:
-                                # Static taken: the walker falls off-path
-                                # at the fallthrough.
-                                fe_aligned = False
-                                n_aligned = tail - head
-                                ras_c, ras_n = snap
-                                ras_ver += 1
-                                ras_snap = snap
-                                snap_ver = ras_ver
-                                w_block = ftb
-                    elif not ckind:
-                        # Critic-less wrong-path fill: walk the flat CFG
-                        # up to the window bound in one go, storing
-                        # nothing in the ring (see the section comment).
-                        while tail < fetch_limit:
-                            bid = w_block
-                            uops = 0
-                            while True:
-                                try:
-                                    fs = flat[bid]
-                                except KeyError:
-                                    fs = flatten(bid)
-                                uops += fs[0]
-                                ops = fs[1]
-                                if ops is not None:
-                                    for op in ops:
-                                        if op >= 0:
-                                            ras_c = (op, ras_c)
-                                            if ras_n < _RAS_CAPACITY:
-                                                ras_n += 1
-                                        else:
-                                            ras_c = ras_c[1]
-                                            ras_n -= 1
-                                if fs[2] is not None:
-                                    break
-                                if ras_n:
-                                    bid, ras_c = ras_c
-                                    ras_n -= 1
-                                else:
-                                    bid = entry
-                            fetched_uops += uops
-                            tail += 1
-                            if use_btb:
-                                row = b_sets[fs[6]]
-                                t = fs[7]
-                                if row and row[-1] == t:
-                                    dyn = True
-                                elif t in row:
-                                    row.remove(t)
-                                    row.append(t)
-                                    dyn = True
-                                else:
-                                    dyn = False
-                            else:
-                                dyn = True
-                            if dyn:
-                                if kind == _GSKEW:
-                                    v1 = fs[8]
-                                    v2 = ((bhr_val & gk_hmask) ^ fs[9]) & gk_imask
-                                    bim = gk_bim[v1] > 1
-                                    if gk_meta[fs[11] ^ gk_hv[v2]] > 1:
-                                        g0 = fs[10] ^ gk_hx[v2]
-                                        pred = (
-                                            bim + (gk_g0[g0] > 1)
-                                            + (gk_g1[g0 ^ v2 ^ v1] > 1)
-                                        ) >= 2
-                                    else:
-                                        pred = bim
-                                elif kind == _GSHARE:
-                                    pred = gs_raw[
-                                        (fs[8] ^ (bhr_val & gs_hmask)) & gs_imask
-                                    ] > gs_mid
-                                elif kind == _GAS:
-                                    pred = ga_raw[
-                                        ((bhr_val & ga_hmask) << ga_sb) | fs[8]
-                                    ] > ga_mid
-                                elif kind == _PERC:
-                                    pred = sum(map(
-                                        mul, pp_rows[fs[8]], pp_inputs(bhr_val)
-                                    )) >= 0
-                                else:
-                                    pred = bm_raw[fs[8]] > bm_mid
-                                bhr_val = ((bhr_val << 1) | pred) & bhr_mask
-                                w_block = fs[3] if pred else fs[4]
-                            else:
-                                w_block = fs[4]
-                    else:
-                        # Wrong-path (or post-trace) fill: walk the flat
-                        # CFG one fetch at a time.
-                        try:
-                            fs = flat[w_block]
-                        except KeyError:
-                            fs = flatten(w_block)
-                        pc = fs[2]
-                        if pc is not None and fs[1] is None:
-                            # Common case: the collapsed chain ends at a
-                            # conditional branch with no RAS traffic.
-                            uops = fs[0]
-                        else:
-                            uops = 0
-                            while True:
-                                uops += fs[0]
-                                ops = fs[1]
-                                if ops is not None:
-                                    for op in ops:
-                                        if op >= 0:
-                                            ras_c = (op, ras_c)
-                                            if ras_n < _RAS_CAPACITY:
-                                                ras_n += 1
-                                        else:
-                                            ras_c = ras_c[1]
-                                            ras_n -= 1
-                                    ras_ver += 1
-                                pc = fs[2]
-                                if pc is not None:
-                                    break
-                                if ras_n:
-                                    bid, ras_c = ras_c
-                                    ras_n -= 1
-                                    ras_ver += 1
-                                else:
-                                    bid = entry
-                                try:
-                                    fs = flat[bid]
-                                except KeyError:
-                                    fs = flatten(bid)
-                        fetched_uops += uops
-                        s = tail & cmask
-                        tail += 1
-                        if use_btb:
-                            row = b_sets[fs[6]]
-                            t = fs[7]
-                            if row and row[-1] == t:
-                                dyn = True
-                            elif t in row:
-                                row.remove(t)
-                                row.append(t)
-                                dyn = True
-                            else:
-                                dyn = False
-                        else:
-                            dyn = True
-                        tkb = fs[3]
-                        ftb = fs[4]
-                        if snap_ver != ras_ver:
-                            ras_snap = (ras_c, ras_n)
-                            snap_ver = ras_ver
-                        if dyn:
-                            if kind == _GSKEW:
-                                v1 = fs[8]
-                                v2 = ((bhr_val & gk_hmask) ^ fs[9]) & gk_imask
-                                g0 = fs[10] ^ gk_hx[v2]
-                                g1 = g0 ^ v2 ^ v1
-                                meta = fs[11] ^ gk_hv[v2]
-                                state = (v1, g0, g1, meta)
-                                bim = gk_bim[v1] > 1
-                                if gk_meta[meta] > 1:
-                                    pred = (
-                                        bim + (gk_g0[g0] > 1) + (gk_g1[g1] > 1)
-                                    ) >= 2
-                                else:
-                                    pred = bim
-                            elif kind == _GSHARE:
-                                state = (fs[8] ^ (bhr_val & gs_hmask)) & gs_imask
-                                pred = gs_raw[state] > gs_mid
-                            elif kind == _GAS:
-                                state = ((bhr_val & ga_hmask) << ga_sb) | fs[8]
-                                pred = ga_raw[state] > ga_mid
-                            elif kind == _PERC:
-                                state = pp_inputs(bhr_val)
-                                pred = sum(map(mul, pp_rows[fs[8]], state)) >= 0
-                            else:
-                                state = fs[8]
-                                pred = bm_raw[state] > bm_mid
-                            r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, fs[12],
-                                       fs[13], ras_snap, next_seq, False, pred,
-                                       state)
-                            bhr_val = ((bhr_val << 1) | pred) & bhr_mask
-                            bor_val = ((bor_val << 1) | pred) & bor_mask
-                            next_seq += 1
-                        else:
-                            pred = False
-                            # No BOR bit for statics: seq stored without
-                            # incrementing next_seq.
-                            r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, fs[12],
-                                       fs[13], ras_snap, next_seq, True, False,
-                                       0)
-                        w_block = tkb if pred else ftb
-                    # -- burst exit checks (same order as scalar) -------
-                    if tail >= fetch_limit:
-                        break
-                    if not ckind:
-                        continue
-                    if not have_candidate:
-                        have_candidate = True
-                        if dyn:
-                            target_seq = next_seq - 1 + required_bits
-                        else:
-                            target_seq = next_seq  # static: eligible now
-                    if next_seq < target_seq:
-                        continue
-                    # -- candidate went bits-ready: drain every critique
-                    #    that is now eligible, then resume fetching ------
-                    s = (head + critiqued) & cmask
-                    fe = r_fe[s]
-                    fetch_limit = head_depth1
-                    while True:
-                        if fe[9]:
-                            critiqued += 1
-                        else:
-                            k0 = fe[5]
-                            ppred = fe[10]
-                            bor_value = bor_val if use_live_bor else fe[2]
-                            if ckind == _CR_PLAIN:
-                                # Unfiltered critic: an opinion on every branch,
-                                # no filter (its packed state rides in ``si``).
-                                if cp_rows is None:
-                                    final, si = c_predict(fe[0], bor_value)
-                                else:
-                                    si = cp_inputs(bor_value)
-                                    final = sum(map(
-                                        mul, cp_rows[(fe[0] >> 2) % cp_n], si
-                                    )) >= 0
-                                r_cq[s] = (final, True, final, si, 0, bor_value)
-                            else:
-                                if fst is not None:
-                                    w = bor_value & vmask
-                                    si = (k0 ^ fst[w]) & c_set_mask
-                                    tg = (fe[6] ^ ftt[w]) & c_tag_mask
-                                else:
-                                    # Inline TaggedGsharePredictor._hash_pair.
-                                    value = bor_value & c_hmask
-                                    fi = k0
-                                    for sh in c_set_shifts:
-                                        fi ^= value >> sh
-                                    ftag = 0
-                                    for sh in c_tag_shifts:
-                                        ftag ^= value >> sh
-                                    ft2 = 0
-                                    if c_tag_shifts:
-                                        rotated = (
-                                            (bor_value >> 1)
-                                            | ((bor_value & 1) << c_rot)
-                                        ) & c_hmask
-                                        for sh in c_tag_shifts:
-                                            ft2 ^= rotated >> sh
-                                    tg = (fe[6] ^ ftag ^ (ft2 << 1)) & c_tag_mask
-                                    si = fi & c_set_mask
-                                f_lookups += 1
-                                way = f_maps[si].get(tg)
-                                if way is not None:
-                                    f_hits += 1
-                                    order = f_lru[si]
-                                    if order[-1] != way:
-                                        order.remove(way)
-                                        order.append(way)
-                                    if ckind == _CR_TAGGED:
-                                        final = c_counters[si * c_ways + way] > 1
-                                    else:
-                                        final = sum(map(
-                                            mul, fp_rows[k0 % fp_n],
-                                            fp_inputs(bor_value),
-                                        )) >= 0
-                                    r_cq[s] = (final, True, final, si, tg, bor_value)
-                                else:
-                                    final = ppred
-                                    r_cq[s] = (ppred, False, None, si, tg, bor_value)
-                            critiqued += 1
-                            if final != ppred:
-                                # Critic override: FTQ-confined flush +
-                                # redirect, then re-dispatch through the
-                                # outer loop.
-                                bhrb = fe[1]
-                                borb = fe[2]
-                                tkb = fe[3]
-                                ftb = fe[4]
+                                fe_aligned = final == t_tk[resolved + off]
+                            if not fe_aligned:
                                 snap = fe[7]
-                                seq = fe[8]
-                                tail = head + critiqued
-                                bhr_val = ((bhrb << 1) | final) & bhr_mask
-                                bor_val = ((borb << 1) | final) & bor_mask
-                                next_seq = seq + 1
-                                if resolved >= warmup:
-                                    st_credir += 1
-                                off = critiqued - 1
-                                if fe_aligned:
-                                    if final != t_tk[resolved + off]:
-                                        fe_aligned = False
-                                        n_aligned = critiqued
-                                        ras_c, ras_n = snap
-                                        ras_ver += 1
-                                        ras_snap = snap
-                                        snap_ver = ras_ver
-                                        w_block = tkb if final else ftb
-                                elif off < n_aligned:
-                                    n_aligned = critiqued
-                                    if final == t_tk[resolved + off]:
-                                        # The override undoes the
-                                        # divergence: the surviving
-                                        # window prefix is exactly the
-                                        # trace again, so re-align
-                                        # instead of restoring the
-                                        # walker.
-                                        fe_aligned = True
-                                    else:
-                                        ras_c, ras_n = snap
-                                        ras_ver += 1
-                                        ras_snap = snap
-                                        snap_ver = ras_ver
-                                        w_block = tkb if final else ftb
-                                else:
-                                    ras_c, ras_n = snap
-                                    ras_ver += 1
-                                    ras_snap = snap
-                                    snap_ver = ras_ver
-                                    w_block = tkb if final else ftb
-                                burst_done = True
-                                break
-                        if tail >= head_depth1:
-                            burst_done = 2
-                            break
-                        if critiqued >= tail - head:
-                            have_candidate = False
-                            break
-                        s = (head + critiqued) & cmask
-                        fe = r_fe[s]
-                        if fe[9]:
-                            continue
-                        target_seq = fe[8] + required_bits
-                        if next_seq < target_seq:
-                            break
-                    if burst_done:
+                                ras_c, ras_n = snap
+                                ras_ver += 1
+                                ras_snap = snap
+                                snap_ver = ras_ver
+                                w_block = fe[3] if final else fe[4]
+                    if critiqued >= tail - head:
+                        have_candidate = False
                         break
-                if not ckind:
-                    # Critic-less critique: a pass-through for every
-                    # entry just fetched; the window is now depth + 1
-                    # deep, so the scalar loop's next action is a resolve.
-                    critiqued = tail - head
-                elif burst_done != 2:
-                    continue
-                # Depth-full exit: the scalar loop's next action is a
-                # resolve unless the arm has an eligible candidate (a
-                # forced critique needs pending >= hard_cap, impossible
-                # at depth + 1), so fall straight through to the resolve
-                # burst instead of re-dispatching through the outer loop.
-                elif critiqued < tail - head:
-                    fe = r_fe[(head + critiqued) & cmask]
-                    if fe[9] or next_seq - fe[8] >= required_bits:
+                    s = (head + critiqued) & cmask
+                    fe = r_fe[s]
+                    if fe[9]:
                         continue
-
+                    target_seq = fe[8] + required_bits
+                    if next_seq < target_seq:
+                        break
+                if tail >= head_depth1:
+                    break  # window at depth + 1: resolve
+                fetch_limit = head_depth1
+            if not ckind:
+                # Critic-less critique: a pass-through for every entry
+                # just fetched.
+                critiqued = tail - head
             # 2) Resolve burst.
             while True:
                 s = head & cmask
@@ -1864,87 +1470,62 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                         pp_train((pc >> 2) % pp_n, state, taken)
                     else:
                         prophet_update(pc, bhrb, taken, ppred, state)
-                    # Critic training (critic-less: none). Filtered
+                    # Critic training (critic-less: none). The filtered
                     # critics inline train_hashed: probe (no LRU/stats
-                    # side effects), train + touch on hit, insert on
-                    # final-mispredict miss.
-                    fmt = (final != taken) if insert_final else (ppred != taken)
-                    if ckind == _CR_TAGGED:
+                    # side effects); on a hit, train and touch; on a miss
+                    # with a mispredict under the insertion policy,
+                    # allocate, touch and prime. Only the training body
+                    # depends on the critic kind.
+                    if filtered:
                         way = f_maps[si].get(tg)
-                        if way is not None:
-                            idx = si * c_ways + way
-                            if c_stats_on:
-                                c_sn += 1
-                                if (c_counters[idx] > 1) == taken:
-                                    c_sc += 1
-                            v = c_counters[idx]
-                            if taken:
-                                if v < 3:
-                                    c_counters[idx] = v + 1
-                            elif v > 0:
-                                c_counters[idx] = v - 1
+                        hit = way is not None
+                        if hit or (final if insert_final else ppred) != taken:
+                            if not hit:
+                                fmap = f_maps[si]
+                                frow = f_tags[si]
+                                if len(fmap) < f_ways:
+                                    way = frow.index(None)
+                                else:
+                                    way = f_lru[si][0]
+                                    del fmap[frow[way]]
+                                    f_evc += 1
+                                frow[way] = tg
+                                fmap[tg] = way
+                                f_ins += 1
                             order = f_lru[si]
                             if order[-1] != way:
                                 order.remove(way)
                                 order.append(way)
-                        elif fmt:
-                            fmap = f_maps[si]
-                            frow = f_tags[si]
-                            if len(fmap) < f_ways:
-                                way = frow.index(None)
+                            if ckind == _CR_TAGGED:
+                                idx = si * c_ways + way
+                                if hit:
+                                    v = c_counters[idx]
+                                    if c_stats_on:
+                                        c_sn += 1
+                                        if (v > 1) == taken:
+                                            c_sc += 1
+                                    if taken:
+                                        if v < 3:
+                                            c_counters[idx] = v + 1
+                                    elif v > 0:
+                                        c_counters[idx] = v - 1
+                                else:
+                                    c_counters[idx] = 2 if taken else 1
                             else:
-                                way = f_lru[si][0]
-                                del fmap[frow[way]]
-                                f_evc += 1
-                            frow[way] = tg
-                            fmap[tg] = way
-                            f_ins += 1
-                            order = f_lru[si]
-                            if order[-1] != way:
-                                order.remove(way)
-                                order.append(way)
-                            c_counters[si * c_ways + way] = 2 if taken else 1
-                    elif ckind == _CR_FPERC:
-                        # Filtered perceptron. The scalar path dots the
-                        # weight row twice (predict, then update's
-                        # recompute) against weights nothing mutates in
-                        # between, so one dot is bit-identical.
-                        way = f_maps[si].get(tg)
-                        if way is not None:
-                            y = fp_train(k0 % fp_n, fp_inputs(borc), taken)
-                            if c_stats_on:
-                                c_sn += 1
-                                fp_sn += 1
-                                if (y >= 0) == taken:
-                                    c_sc += 1
-                                    fp_sc += 1
-                            order = f_lru[si]
-                            if order[-1] != way:
-                                order.remove(way)
-                                order.append(way)
-                        elif fmt:
-                            # Allocate, then prime the perceptron toward
-                            # the outcome (no critic stats, no touch).
-                            fmap = f_maps[si]
-                            frow = f_tags[si]
-                            if len(fmap) < f_ways:
-                                way = frow.index(None)
-                            else:
-                                way = f_lru[si][0]
-                                del fmap[frow[way]]
-                                f_evc += 1
-                            frow[way] = tg
-                            fmap[tg] = way
-                            f_ins += 1
-                            order = f_lru[si]
-                            if order[-1] != way:
-                                order.remove(way)
-                                order.append(way)
-                            y = fp_train(k0 % fp_n, fp_inputs(borc), taken)
-                            if c_stats_on:
-                                fp_sn += 1
-                                if (y >= 0) == taken:
-                                    fp_sc += 1
+                                # Filtered perceptron: a hit trains it, an
+                                # allocate primes it toward the outcome
+                                # (critic stats count hits only). The
+                                # scalar path dots the weight row twice
+                                # (predict, then update's recompute)
+                                # against weights nothing mutates in
+                                # between, so one dot is bit-identical.
+                                y = fp_train(k0 % fp_n, fp_inputs(borc), taken)
+                                if c_stats_on:
+                                    fp_sn += 1
+                                    c_sn += hit
+                                    if (y >= 0) == taken:
+                                        fp_sc += 1
+                                        c_sc += hit
                     elif ckind == _CR_PLAIN:
                         # Unfiltered critic: trains on every dynamic
                         # branch with the BOR and packed state from its

@@ -10,6 +10,13 @@ simulation backends via the ``kernel_backend`` fixture, which by default
 runs every case under both ``"scalar"`` and ``"batched"``. Pass
 ``--backend scalar`` (or ``batched``) to restrict the matrix to one
 backend — useful for bisecting a divergence, or for CI shards.
+
+Hypothesis profiles: tier-1 runs under ``tier1`` (derandomized, so every
+run replays the same examples; tests pin their own example counts or
+take hypothesis's 100). ``--hypothesis-profile=deep`` selects ``deep``:
+randomized, 1 000 examples for every test that does not pin its own
+count (the kernel property tests in ``tests/sim/test_property_kernel.py``
+do not), for a separate long-running CI job.
 """
 
 from __future__ import annotations
@@ -18,10 +25,17 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 _BACKENDS = ("scalar", "batched")
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("deep", max_examples=1000)
+# The hypothesis plugin loads ``--hypothesis-profile`` after this module
+# is imported, so an explicit profile overrides this default.
+settings.load_profile("tier1")
 
 
 def pytest_addoption(parser):

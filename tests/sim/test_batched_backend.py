@@ -1,4 +1,4 @@
-"""The batched structure-of-arrays backend: identity, memoization, helpers.
+"""The batched structure-of-arrays backend: identity, memoization, ops.
 
 The batched kernel (:mod:`repro.sim.batched`) is admissible only because
 it is bit-for-bit identical to the scalar loop and to the frozen
@@ -10,8 +10,10 @@ not:
 * deep windows (long aligned run-ahead, the batched fast path);
 * the memoized architectural trace: repeat runs, prefix reuse, and
   scalar runs staying oblivious to the cache;
-* the vectorized batch-predict helpers against each predictor's scalar
-  ``predict_packed``, and the tagged-gshare hash against ``_hash_pair``;
+* the per-pc prophet constants from the trace gather and the flat CFG
+  extractor against each other, and the critic's fold-image hash
+  against ``_hash_pair``;
+* the integer perceptron ops against the numpy perceptron;
 * backend dispatch: unknown names, the scalar fallback for unsupported
   predictors, and the numpy-missing gate;
 * the hash-stability constraint: ``backend`` is an execution detail and
@@ -338,30 +340,54 @@ def _random_inputs(rng, count=256):
 
 
 class TestBatchHelpers:
-    """Vectorized predict/hash helpers vs the scalar methods they mirror."""
+    """The per-pc constants the shared fetch step reads, and the critic
+    hash the critique drain builds from them, against their scalar
+    counterparts. An aligned fetch reads them from the fused trace row
+    (vectorized ``_prophet_columns``), a wrong-path fetch from the flat
+    CFG entry (``_make_pc_consts``); the two must agree slot for slot."""
 
     @pytest.mark.parametrize("kind", ["2bc-gskew", "gshare", "gas", "bimodal"])
     def test_batch_predict_matches_scalar(self, kind):
         predictor = _single_builders()[kind]().predictor
-        fn = batched._BATCH_PREDICT[batched._PROPHET_KINDS[type(predictor)]]
+        code = batched._PROPHET_KINDS[type(predictor)]
         rng = np.random.default_rng(zlib.crc32(kind.encode()))
-        pcs, hists = _random_inputs(rng)
-        preds, states = fn(predictor, pcs, hists)
+        pcs, _ = _random_inputs(rng)
+        columns = batched._prophet_columns(predictor, code, pcs)
+        pc_consts = batched._make_pc_consts(predictor, code, None)
+        assert 1 <= len(columns) <= 4
         for i in range(len(pcs)):
-            pred, state = predictor.predict_packed(int(pcs[i]), int(hists[i]))
-            assert bool(preds[i]) == pred, i
-            assert states[i] == state, i
+            pc = int(pcs[i])
+            consts = pc_consts(pc)
+            assert tuple(col[i] for col in columns) == consts[: len(columns)], i
+            assert consts[len(columns) : 4] == (0,) * (4 - len(columns)), i
+            assert consts[4] == pc >> 2, i
 
     def test_batch_hash_matches_scalar(self):
         from repro.predictors.budget import make_critic
 
         critic = make_critic("tagged-gshare", 2)
+        prophet = SystemSpec.single("gshare", 2).build().predictor
+        hmask = critic._history_mask
+        assert 0 < hmask.bit_length() <= 19
+        fst, ftt = batched._critic_fold_tables(
+            hmask,
+            critic._rotate_shift,
+            critic._set_fold_shifts,
+            critic._tag_fold_shifts,
+        )
+        vmask = (hmask << 1) | 1
+        pc_consts = batched._make_pc_consts(
+            prophet, batched._PROPHET_KINDS[type(prophet)], critic
+        )
         rng = np.random.default_rng(99)
         pcs, hists = _random_inputs(rng)
-        sets, tags = batched.batch_hash_tagged_gshare(critic, pcs, hists)
         for i in range(len(pcs)):
-            set_index, tag = critic._hash_pair(int(pcs[i]), int(hists[i]))
-            assert (sets[i], tags[i]) == (set_index, tag), i
+            pc, hist = int(pcs[i]), int(hists[i])
+            k0, k1 = pc_consts(pc)[4:]
+            w = hist & vmask
+            set_index = (k0 ^ fst[w]) & critic._set_mask
+            tag = (k1 ^ ftt[w]) & critic._tag_mask
+            assert (set_index, tag) == critic._hash_pair(pc, hist), i
 
 
 class TestPerceptronOps:

@@ -150,6 +150,22 @@ class TestDifferentialCriticShapes:
         ref = reference_simulate(program, build(), _CONFIG)
         assert_bit_identical(new, ref)
 
+    @pytest.mark.parametrize("critic", ["tagged-gshare", "filtered-perceptron"])
+    def test_filtered_critic_insert_on_prophet(self, critic, kernel_backend):
+        """ablation-insert-policy's shape: a filtered critic with
+        ``insert_on="prophet"``, through the allocate path both filtered
+        critics share. The two policies give equal results by
+        construction: the allocate reads the policy only on a filter
+        miss at resolve, and final and prophet predictions differ only
+        after a hit at critique, which stays a hit until resolve."""
+        program = _program("INT00", 24)
+        spec = SystemSpec.hybrid(
+            "2bc-gskew", 8, critic, 8, future_bits=8, insert_on="prophet"
+        )
+        new = _simulate(program, spec.build(), _CONFIG, kernel_backend)
+        ref = reference_simulate(program, spec.build(), _CONFIG)
+        assert_bit_identical(new, ref)
+
     def test_zero_future_bits_conventional_hybrid(self, kernel_backend):
         program = _program("FP00", 23)
         spec = SystemSpec.hybrid("gshare", 2, "tagged-gshare", 2, future_bits=0)

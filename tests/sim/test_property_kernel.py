@@ -4,15 +4,18 @@ The kernel matrices in ``test_differential_kernel.py`` and
 ``test_batched_backend.py`` are hand-picked. Here hypothesis draws the
 cell: every batched prophet kind at sampled geometries, alone (the
 critic-less shape of the replay loop), behind either fused filtered
-critic, or behind any critic-capable kind as an unfiltered critic,
-under sampled BTB geometries, window depths and warmups, over a few
-archetype programs. Each drawn cell must give the same ``RunStats`` —
-every counter, the critique census and the per-site rows — and the same
-predictor telemetry and learned end state (perceptron weight bytes,
-counter and tag tables) from both backends.
+critic under either filter insertion policy, or behind any
+critic-capable kind as an unfiltered critic, under sampled BTB
+geometries, window depths and warmups, over a few archetype programs.
+Each drawn cell must give the same ``RunStats`` — every counter, the
+critique census and the per-site rows — and the same predictor
+telemetry and learned end state (perceptron weight bytes, counter and
+tag tables) from both backends.
 
-The profile is derandomized, so tier-1 replays the same examples on
-every run.
+The loaded hypothesis profile governs the example count and seed: the
+tier-1 default replays the same 100 examples per test on every run, and
+``--hypothesis-profile=deep`` draws 1 000 fresh ones (see
+``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -50,12 +53,8 @@ _FIELDS = (
 #: server (SERV) and multimedia (MM).
 _ARCHETYPES = ("gcc", "swim", "tpcc", "flash")
 
-_PROFILE = settings(
-    derandomize=True,
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+#: No example count or seed here: the loaded profile supplies them.
+_PROFILE = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @lru_cache(maxsize=None)
@@ -239,11 +238,14 @@ def test_single_predictor_cells(prophet, config, benchmark):
     prophet=_PROPHETS,
     critic=_CRITICS,
     future_bits=st.integers(0, 12),
+    insert_on=st.sampled_from(("final", "prophet")),
     config=_configs(),
     benchmark=st.sampled_from(_ARCHETYPES),
 )
-@settings(_PROFILE, max_examples=100)
-def test_prophet_critic_cells(prophet, critic, future_bits, config, benchmark):
+@_PROFILE
+def test_prophet_critic_cells(
+    prophet, critic, future_bits, insert_on, config, benchmark
+):
     (kind, params), (ckind, cparams) = prophet, critic
 
     def build():
@@ -251,6 +253,7 @@ def test_prophet_critic_cells(prophet, critic, future_bits, config, benchmark):
             build_predictor(kind, params),
             build_predictor(ckind, cparams, role=ROLE_CRITIC),
             future_bits=future_bits,
+            insert_on=insert_on,
         )
 
     _assert_backends_agree(_program(benchmark), build, config)
