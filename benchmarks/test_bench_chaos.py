@@ -3,91 +3,19 @@
 The live harness — three canonical fault plans differentially verified
 against fault-free references — lives in ``tools/profile_chaos.py``
 (gated against ``benchmarks/BENCH_chaos_floor.json`` in CI's
-chaos-smoke job). These tests pin the gate's halves without running a
-sweep: the floor-check logic, the committed snapshot's agreement with
-the committed floor, and the example plans' validity.
+chaos-smoke job; ``test_bench_floors.py`` pins that gate). These tests
+pin the scenarios' inputs without running a sweep: the example plans'
+validity and the profiler's references to them.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 sys.path.insert(0, str(REPO / "src"))
-
-
-def _ok_rows():
-    return [
-        {"scenario": "crash/worker-kill", "identical": True, "quarantined": 0,
-         "faults_injected": 2, "recovery_overhead": 1.4},
-        {"scenario": "corrupt/cache-flip", "identical": True, "quarantined": 0,
-         "faults_injected": 3, "recovery_overhead": 1.1},
-        {"scenario": "dead-hub/blackhole", "identical": True, "quarantined": 0,
-         "faults_injected": 8, "recovery_overhead": 1.0},
-    ]
-
-
-def _floor(tmp_path):
-    path = tmp_path / "floor.json"
-    path.write_text(json.dumps({
-        "tolerance": 0.75,
-        "max_quarantined": 0,
-        "max_recovery_overhead": {
-            "crash/worker-kill": 2.5,
-            "corrupt/cache-flip": 1.5,
-            "dead-hub/blackhole": 1.5,
-        },
-    }))
-    return path
-
-
-def test_floor_check_logic_flags_regressions(tmp_path):
-    from profile_chaos import check_floor
-
-    floor_path = _floor(tmp_path)
-    assert check_floor(_ok_rows(), floor_path) == []
-
-    # A mismatch is an outright failure: NO tolerance on correctness.
-    broken = _ok_rows()
-    broken[0]["identical"] = False
-    failures = check_floor(broken, floor_path)
-    assert len(failures) == 1 and "NOT bit-identical" in failures[0]
-
-    # Overhead gets the band: ceiling 1.5 / 0.75 = 2.0x allowed.
-    slow = _ok_rows()
-    slow[1]["recovery_overhead"] = 1.9
-    assert check_floor(slow, floor_path) == []
-    slower = _ok_rows()
-    slower[1]["recovery_overhead"] = 2.1
-    failures = check_floor(slower, floor_path)
-    assert len(failures) == 1 and "overhead" in failures[0]
-
-    # A scenario that injected nothing proved nothing.
-    dud = _ok_rows()
-    dud[2]["faults_injected"] = 0
-    failures = check_floor(dud, floor_path)
-    assert len(failures) == 1 and "no faults were injected" in failures[0]
-
-    # Quarantined cells breach the cap with no tolerance.
-    poisoned = _ok_rows()
-    poisoned[0]["quarantined"] = 1
-    failures = check_floor(poisoned, floor_path)
-    assert len(failures) == 1 and "quarantined" in failures[0]
-
-    # A floor naming an unmeasured scenario is a failure, not a skip.
-    failures = check_floor(_ok_rows()[:2], floor_path)
-    assert any("not measured" in f for f in failures)
-
-
-def test_committed_snapshot_satisfies_committed_floor():
-    from profile_chaos import check_floor
-
-    snapshot = json.loads((REPO / "benchmarks" / "BENCH_chaos.json").read_text())
-    floor_path = REPO / "benchmarks" / "BENCH_chaos_floor.json"
-    assert check_floor(snapshot["scenarios"], floor_path) == []
 
 
 def test_example_plans_are_valid_and_deterministic():

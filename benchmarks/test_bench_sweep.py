@@ -6,8 +6,9 @@ persistent pool, per-worker memoized builds and streaming scheduling
 that every grid runs through. The full canonical panel, the frozen
 pre-overhaul comparison and the CI floor live in
 ``tools/profile_sweep.py`` (gated against
-``benchmarks/BENCH_sweep_floor.json``); this bench keeps a small
-steady-state cell in the pytest-benchmark trajectory.
+``benchmarks/BENCH_sweep_floor.json``, whose gate
+``test_bench_floors.py`` pins); this bench keeps a small steady-state
+cell in the pytest-benchmark trajectory.
 
 ``REPRO_SCALE`` scales the per-cell branch count as in every other
 bench.
@@ -45,38 +46,3 @@ def test_bench_sweep_steady_state(benchmark, scale):
     assert len(results) == len(cells)
     assert all(r.branches == n_branches - config.warmup for r in results)
 
-
-def test_floor_check_logic_flags_regressions(tmp_path):
-    """The --check-floor gate fires on >25% drops and only then."""
-    import json
-    import sys
-    from pathlib import Path
-
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-    from profile_sweep import check_floor
-
-    floor_path = tmp_path / "floor.json"
-    floor_path.write_text(
-        json.dumps({"tolerance": 0.75, "min_speedup_vs_reference": {"steady/12x4": 2.0}})
-    )
-    ok = [{"grid": "steady/12x4", "speedup_vs_reference": 1.6}]
-    bad = [{"grid": "steady/12x4", "speedup_vs_reference": 1.4}]
-    missing = [{"grid": "steady/12x4"}]
-    assert check_floor(ok, floor_path) == []
-    assert len(check_floor(bad, floor_path)) == 1
-    assert "floor set but --compare-reference not run" in check_floor(missing, floor_path)[0]
-
-
-def test_committed_snapshot_satisfies_committed_floor():
-    """The repo's own BENCH_sweep.json must pass the repo's own floor."""
-    import json
-    import sys
-    from pathlib import Path
-
-    repo = Path(__file__).resolve().parent.parent
-    sys.path.insert(0, str(repo / "tools"))
-    from profile_sweep import check_floor
-
-    snapshot = json.loads((repo / "benchmarks" / "BENCH_sweep.json").read_text())
-    failures = check_floor(snapshot["grids"], repo / "benchmarks" / "BENCH_sweep_floor.json")
-    assert failures == []

@@ -8,8 +8,9 @@ reference, then under a canonical fault plan from ``examples/faults/``
 — and records the recovery-overhead ratio (chaos wall-clock over
 reference wall-clock). Ratios travel across machines; absolute seconds
 do not, so the floor (``benchmarks/BENCH_chaos_floor.json``) bounds the
-ratios and gates correctness (``identical``/``quarantined``) with *no*
-tolerance.
+ratios and caps ``quarantined`` with *no* tolerance. A scenario whose
+results are not bit-identical to the reference, or that injected no
+fault, stops the run before any floor is checked.
 
 Scenarios:
 
@@ -31,21 +32,13 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from pathlib import Path
+import profiling
+from repro.faults.chaos import ChaosReport, run_chaos_sweep
+from repro.faults.plan import load_plan
+from repro.sim import SimulationConfig
+from repro.sim.specs import ProgramSpec, SweepCell, SystemSpec
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.faults.chaos import run_chaos_sweep  # noqa: E402
-from repro.faults.plan import load_plan  # noqa: E402
-from repro.sim import SimulationConfig  # noqa: E402
-from repro.sim.specs import ProgramSpec, SweepCell, SystemSpec  # noqa: E402
-
-PLAN_DIR = REPO_ROOT / "examples" / "faults"
+PLAN_DIR = profiling.REPO_ROOT / "examples" / "faults"
 
 #: scenario name -> (plan file, worker jobs for the chaos pass)
 SCENARIOS = {
@@ -55,6 +48,10 @@ SCENARIOS = {
 }
 BRANCHES = 4000
 WARMUP = 800
+
+KEY = "scenario"
+#: The quarantine cap gates recovery correctness: no tolerance.
+EXACT = ("quarantined",)
 
 
 def _grid() -> list[SweepCell]:
@@ -71,105 +68,50 @@ def _grid() -> list[SweepCell]:
     ]
 
 
-def run_scenarios(progress: bool = False) -> list[dict]:
-    rows: list[dict] = []
-    for scenario, (plan_name, jobs) in SCENARIOS.items():
-        plan = load_plan(PLAN_DIR / plan_name)
-        report = run_chaos_sweep(_grid(), plan, jobs=jobs)
-        if progress:
-            print(f"  {scenario}: {report.summary()}", file=sys.stderr)
-        counts = (report.injections or {}).get("counts", {})
-        rows.append({
-            "scenario": scenario,
-            "plan": plan_name,
-            "jobs": jobs,
-            "cells": report.cells,
-            "identical": report.identical,
-            "quarantined": len(report.quarantined),
-            "faults_injected": sum(counts.values()) + report.crashes_injected,
-            "reference_seconds": round(report.reference_seconds, 4),
-            "chaos_seconds": round(report.chaos_seconds, 4),
-            "recovery_overhead": round(report.recovery_overhead, 4),
-        })
-    return rows
+def scenario_row(scenario: str, plan_name: str, jobs: int, report: ChaosReport) -> dict:
+    """One BENCH_chaos.json row; raises when the run proved nothing.
 
-
-def check_floor(rows: list[dict], floor_path: Path) -> list[str]:
-    """Failure messages against the committed floor.
-
-    ``identical`` and ``max_quarantined`` gate the recovery path's
-    correctness and carry NO tolerance; ``max_recovery_overhead`` is a
-    wall-clock ratio widened by the usual band (``tolerance`` < 1
-    divides the ceiling up, mirroring how the other floors scale their
-    minima down).
+    Both checks gate correctness, not speed, so neither has a band: the
+    survivors must be bit-identical to the fault-free reference, and at
+    least one fault must have been injected.
     """
-    floors = json.loads(floor_path.read_text())
-    tolerance = floors.get("tolerance", 0.75)
-    by_scenario = {entry["scenario"]: entry for entry in rows}
-    failures: list[str] = []
-
-    for scenario, ceiling in floors.get("max_recovery_overhead", {}).items():
-        entry = by_scenario.get(scenario)
-        if entry is None:
-            failures.append(f"{scenario}: floor set but scenario not measured")
-            continue
-        if not entry["identical"]:
-            failures.append(
-                f"{scenario}: chaos results are NOT bit-identical to the "
-                "fault-free reference (no tolerance — this gates recovery "
-                "correctness, not machine speed)"
-            )
-        allowed = ceiling / tolerance
-        if entry["recovery_overhead"] > allowed:
-            failures.append(
-                f"{scenario}: recovery overhead {entry['recovery_overhead']:.2f}x "
-                f"exceeds {allowed:.2f}x (ceiling {ceiling:.2f}x, "
-                f"tolerance {tolerance:.0%})"
-            )
-        if entry["faults_injected"] < 1:
-            failures.append(
-                f"{scenario}: no faults were injected — the scenario "
-                "proved nothing (plan/seed drift?)"
-            )
-        quarantine_cap = floors.get("max_quarantined", 0)
-        if entry["quarantined"] > quarantine_cap:
-            failures.append(
-                f"{scenario}: {entry['quarantined']} cells quarantined, "
-                f"cap is {quarantine_cap} (no tolerance)"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", type=Path, default=REPO_ROOT / "benchmarks" / "BENCH_chaos.json"
-    )
-    parser.add_argument("--check-floor", type=Path, default=None)
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-
-    print("profiling chaos recovery…", file=sys.stderr)
-    rows = run_scenarios(progress=not args.quiet)
-    document = {
-        "schema": "bench-chaos/1",
-        "branches_per_cell": BRANCHES,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "scenarios": rows,
+    if not report.identical:
+        raise AssertionError(
+            f"{scenario}: chaos results are NOT bit-identical to the fault-free "
+            f"reference ({report.mismatches}) — run tests/faults/test_chaos.py"
+        )
+    counts = (report.injections or {}).get("counts", {})
+    faults = sum(counts.values()) + report.crashes_injected
+    if faults < 1:
+        raise AssertionError(
+            f"{scenario}: no faults were injected — the scenario proved "
+            "nothing (plan/seed drift?)"
+        )
+    return {
+        "scenario": scenario,
+        "plan": plan_name,
+        "jobs": jobs,
+        "cells": report.cells,
+        "quarantined": len(report.quarantined),
+        "faults_injected": faults,
+        "reference_seconds": round(report.reference_seconds, 4),
+        "chaos_seconds": round(report.chaos_seconds, 4),
+        "recovery_overhead": round(report.recovery_overhead, 4),
     }
-    args.out.write_text(json.dumps(document, indent=1) + "\n")
-    print(f"wrote {args.out}", file=sys.stderr)
 
-    if args.check_floor is not None:
-        failures = check_floor(rows, args.check_floor)
-        for failure in failures:
-            print(f"FLOOR FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("floor check: all scenarios within bounds", file=sys.stderr)
-    return 0
+
+def measure(args) -> tuple[dict, list[dict]]:
+    rows = []
+    for scenario, (plan_name, jobs) in SCENARIOS.items():
+        report = run_chaos_sweep(_grid(), load_plan(PLAN_DIR / plan_name), jobs=jobs)
+        rows.append(scenario_row(scenario, plan_name, jobs, report))
+        profiling.show(
+            rows[-1], KEY, "faults_injected", "quarantined", "recovery_overhead"
+        )
+    return {"branches_per_cell": BRANCHES}, rows
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(profiling.main(
+        "chaos", __doc__, measure, schema="bench-chaos/2", key=KEY, exact=EXACT
+    ))

@@ -18,8 +18,9 @@ cells — small enough that the service layer, not the kernel, dominates):
   round trip. The job's results are verified bit-identical to a local
   :func:`~repro.sim.sweep.run_sweep` before timing is trusted.
 * ``warm-cache/1-client`` — the same job resubmitted: every cell is
-  served from the cache. The warm/cold speedup is the floor's headline
-  ratio (ratios travel across machines; absolute jobs/sec does not).
+  served from the cache. Its ``warm_speedup_vs_cold`` is the floor's
+  headline ratio (ratios travel across machines; absolute jobs/sec
+  does not).
 * ``dup-heavy/8-client`` — eight clients in eight threads submit the
   *identical* job concurrently against a fresh panel. The daemon's
   single runner serializes them through one engine + cache, so exactly
@@ -37,24 +38,20 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import statistics
-import sys
 import tempfile
 import threading
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import profiling
+from repro.serve import ServeConfig, SweepClient, start_daemon
+from repro.sim import SimulationConfig
+from repro.sim.specs import SystemSpec
+from repro.sim.sweep import run_sweep
 
-from repro.serve import ServeConfig, SweepClient, start_daemon  # noqa: E402
-from repro.sim import SimulationConfig  # noqa: E402
-from repro.sim.cache import encode_result  # noqa: E402
-from repro.sim.specs import SystemSpec  # noqa: E402
-from repro.sim.sweep import run_sweep  # noqa: E402
+KEY = "scenario"
+#: The dedup fractions gate the dedup path's correctness, which does not
+#: vary with machine speed, so they carry no tolerance.
+EXACT = ("cache_served_fraction",)
 
 #: The canonical service panel: small grid, service-bound cells.
 SYSTEMS = {
@@ -107,23 +104,20 @@ def _verify_bit_identity(client: SweepClient, job: str, branches: int) -> None:
     config = SimulationConfig(n_branches=branches, warmup=branches // 5)
     local = run_sweep(specs, {name: name for name in BENCH_NAMES}, config=config)
     remote = client.sweep_result(job)
-    for label in specs:
-        for bench in BENCH_NAMES:
-            if encode_result(remote.get(label, bench)) != encode_result(
-                local.get(label, bench)
-            ):
-                raise AssertionError(
-                    f"{label} × {bench}: HTTP result differs from local "
-                    "run_sweep — run tests/serve/test_service_e2e.py"
-                )
+    pairs = [(label, bench) for label in specs for bench in BENCH_NAMES]
+    profiling.assert_identical(
+        "HTTP result vs local run_sweep", [remote.get(*pair) for pair in pairs],
+        [local.get(*pair) for pair in pairs], "tests/serve/test_service_e2e.py",
+    )
 
 
-def measure_scenarios(branches: int, clients: int) -> list[dict]:
+def measure(args) -> tuple[dict, list[dict]]:
     """Run all three scenarios against one freshly booted daemon."""
+    branches, clients = args.branches, args.clients
     rows: list[dict] = []
 
-    def row(scenario: str, jobs: int, seconds: float,
-            latencies: list[float], stats_before: dict, stats_after: dict) -> dict:
+    def row(scenario: str, jobs: int, seconds: float, latencies: list[float],
+            stats_before: dict, stats_after: dict, **extra: float) -> dict:
         executed = stats_after["cells_executed"] - stats_before["cells_executed"]
         cached = stats_after["cells_from_cache"] - stats_before["cells_from_cache"]
         total = executed + cached
@@ -139,6 +133,11 @@ def measure_scenarios(branches: int, clients: int) -> list[dict]:
         if latencies:
             entry["cell_latency_p50_ms"] = round(_percentile(latencies, 0.50), 3)
             entry["cell_latency_p95_ms"] = round(_percentile(latencies, 0.95), 3)
+        entry.update(extra)
+        profiling.show(
+            entry, KEY, "jobs_per_sec", "cache_served_fraction",
+            "warm_speedup_vs_cold", "cell_latency_p50_ms", "cell_latency_p95_ms",
+        )
         return entry
 
     with tempfile.TemporaryDirectory(prefix="bench-serve-") as cache_dir:
@@ -150,8 +149,8 @@ def measure_scenarios(branches: int, clients: int) -> list[dict]:
 
             # cold: empty cache, every cell simulates.
             before = client.stats()
-            job, elapsed, latencies = _submit_and_stream(client, branches)
-            rows.append(row("cold/1-client", 1, elapsed, latencies,
+            job, cold_elapsed, latencies = _submit_and_stream(client, branches)
+            rows.append(row("cold/1-client", 1, cold_elapsed, latencies,
                             before, client.stats()))
             _verify_bit_identity(client, job, branches)
 
@@ -159,7 +158,8 @@ def measure_scenarios(branches: int, clients: int) -> list[dict]:
             before = client.stats()
             _, elapsed, latencies = _submit_and_stream(client, branches)
             rows.append(row("warm-cache/1-client", 1, elapsed, latencies,
-                            before, client.stats()))
+                            before, client.stats(),
+                            warm_speedup_vs_cold=round(cold_elapsed / elapsed, 3)))
 
             # dup-heavy: N clients race the identical *fresh* panel
             # (branches + 1 so the cold/warm cache entries don't apply);
@@ -192,55 +192,10 @@ def measure_scenarios(branches: int, clients: int) -> list[dict]:
                             all_latencies, before, client.stats()))
         finally:
             handle.stop()
-    return rows
+    return {"branches_per_cell": branches, "clients": clients}, rows
 
 
-def check_floor(rows: list[dict], floor_path: Path) -> list[str]:
-    """Failure messages against the committed floor.
-
-    ``min_cache_served_fraction`` floors are exact (they gate the dedup
-    path's correctness, which does not vary with machine speed);
-    ``min_warm_speedup_vs_cold`` is a ratio floor with the usual
-    tolerance band.
-    """
-    floors = json.loads(floor_path.read_text())
-    tolerance = floors.get("tolerance", 0.75)
-    by_scenario = {entry["scenario"]: entry for entry in rows}
-    failures: list[str] = []
-
-    for scenario, floor in floors.get("min_cache_served_fraction", {}).items():
-        entry = by_scenario.get(scenario)
-        if entry is None:
-            failures.append(f"{scenario}: floor set but scenario not measured")
-            continue
-        measured = entry["cache_served_fraction"]
-        if measured < floor:
-            failures.append(
-                f"{scenario}: cache served {measured:.1%} of cells, "
-                f"floor requires {floor:.1%} (no tolerance — this gates "
-                "the dedup path, not machine speed)"
-            )
-
-    speedup_floor = floors.get("min_warm_speedup_vs_cold")
-    if speedup_floor is not None:
-        cold = by_scenario.get("cold/1-client")
-        warm = by_scenario.get("warm-cache/1-client")
-        if cold is None or warm is None:
-            failures.append("warm-speedup floor set but scenarios not measured")
-        else:
-            measured = cold["seconds"] / warm["seconds"]
-            threshold = speedup_floor * tolerance
-            if measured < threshold:
-                failures.append(
-                    f"warm-cache speedup {measured:.2f}x fell below "
-                    f"{threshold:.2f}x (floor {speedup_floor:.2f}x, "
-                    f"tolerance {tolerance:.0%})"
-                )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def _options(parser) -> None:
     parser.add_argument(
         "--branches", type=int, default=1_000,
         help="branches per cell (default 1000: short cells keep the "
@@ -250,49 +205,10 @@ def main(argv: list[str] | None = None) -> int:
         "--clients", type=int, default=8,
         help="concurrent clients in the dup-heavy scenario (default 8)",
     )
-    parser.add_argument(
-        "--check-floor", type=Path, default=None,
-        help="floor JSON; exit 1 when a scenario falls below it",
-    )
-    parser.add_argument(
-        "--json", type=Path, default=Path("BENCH_serve.json"),
-        help="output path for the machine-readable result (default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
-
-    rows = measure_scenarios(args.branches, args.clients)
-    for entry in rows:
-        line = (
-            f"{entry['scenario']:22s} {entry['jobs_per_sec']:>7.2f} jobs/s"
-            f"  cache {entry['cache_served_fraction']:>6.1%}"
-        )
-        if "cell_latency_p50_ms" in entry:
-            line += (
-                f"  cell p50 {entry['cell_latency_p50_ms']:>7.1f}ms"
-                f" p95 {entry['cell_latency_p95_ms']:>7.1f}ms"
-            )
-        print(line)
-
-    payload = {
-        "schema": "bench-serve/1",
-        "branches_per_cell": args.branches,
-        "clients": args.clients,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "scenarios": rows,
-    }
-    args.json.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.json}")
-
-    if args.check_floor is not None:
-        failures = check_floor(rows, args.check_floor)
-        if failures:
-            for failure in failures:
-                print(f"FLOOR REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"floor check passed ({args.check_floor})")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(profiling.main(
+        "serve", __doc__, measure, schema="bench-serve/2", key=KEY,
+        options=_options, exact=EXACT,
+    ))

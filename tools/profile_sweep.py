@@ -30,7 +30,7 @@ interaction matters.
 * ``fused/8x1`` — every batched-supported system replayed over one gcc
   build through :func:`repro.sim.batched.fused_replay` (shared trace
   columns and per-program precompute) against the same panel through
-  the scalar loop, at longer cells where fusion matters; result
+  the scalar loop, at longer cells where fusion matters; whole-result
   identity asserted per cell.
 
 ``--compare-reference`` runs the frozen pre-overhaul engine
@@ -49,32 +49,17 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import copy
-import json
-import platform
-import sys
 import tempfile
-import time
-from pathlib import Path
+from dataclasses import replace
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "tests"))  # frozen reference engine
+import profiling
+from repro.sim.cache import ResultCache, clone_result
+from repro.sim.driver import SimulationConfig
+from repro.sim.execution import ProcessPoolExecutor, SweepEngine, run_cell
+from repro.sim.specs import PredictorSpec, ProgramSpec, SweepCell, SystemSpec
 
-from repro.sim.cache import ResultCache, clone_result  # noqa: E402
-from repro.sim.driver import SimulationConfig  # noqa: E402
-from repro.sim.execution import (  # noqa: E402
-    ProcessPoolExecutor,
-    SweepEngine,
-    run_cell,
-)
-from repro.sim.specs import (  # noqa: E402
-    PredictorSpec,
-    ProgramSpec,
-    SweepCell,
-    SystemSpec,
-)
+KEY = "grid"
 
 #: Build-heavy benchmark panel: large CFGs across integer, web-server
 #: and Windows-application behaviour mixes, so the build-vs-simulate
@@ -120,18 +105,6 @@ def duplicate_cells(branches: int) -> list[SweepCell]:
     ]
 
 
-def _timed_run(engine, cells, repeats: int = 1) -> tuple[float, list]:
-    """Best-of-``repeats`` wall clock (sub-100ms paths are jitter-bound)."""
-    best = None
-    results = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        results = engine.run_cells(cells)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, results
-
-
 def _reference_engine(jobs: int, cache: ResultCache | None = None):
     from reference_engine import (
         ReferenceProcessPoolExecutor,
@@ -145,87 +118,69 @@ def _reference_engine(jobs: int, cache: ResultCache | None = None):
     return ReferenceSweepEngine(executor=executor, cache=cache)
 
 
-def _verify_identical(a: list, b: list, what: str) -> None:
-    from repro.sim.cache import encode_result
-
-    for x, y in zip(a, b):
-        if encode_result(x) != encode_result(y):
-            raise AssertionError(
-                f"{what}: engine and reference disagree on a cell result — "
-                "run the differential tests (tests/sim/test_execution.py)"
-            )
+def _grid_row(grid: str, cells: list, engine, reference, times: int) -> dict:
+    """Time ``engine`` (and ``reference``, when given) on ``cells``."""
+    runs = {"engine": lambda: engine.run_cells(cells)}
+    if reference is not None:
+        runs["reference"] = lambda: reference.run_cells(cells)
+    timing, results = profiling.repeat(runs, times)
+    elapsed = timing["engine"]["best"]
+    row = {
+        "grid": grid,
+        "cells": len(cells),
+        "seconds": round(elapsed, 4),
+        "cells_per_sec": round(len(cells) / elapsed, 2),
+    }
+    if reference is not None:
+        profiling.assert_identical(
+            f"{grid} engine vs reference", results["engine"], results["reference"],
+            "tests/sim/test_execution.py",
+        )
+        ref_elapsed = timing["reference"]["best"]
+        row["reference_cells_per_sec"] = round(len(cells) / ref_elapsed, 2)
+        row["speedup_vs_reference"] = round(ref_elapsed / elapsed, 3)
+    profiling.show(row, KEY, "cells_per_sec", "speedup_vs_reference")
+    return row
 
 
 def measure_grids(jobs: int, branches: int, compare_reference: bool) -> list[dict]:
-    """Measure every canonical grid; returns BENCH_sweep.json rows."""
-    rows: list[dict] = []
+    """Measure every canonical grid; returns BENCH_sweep.json rows.
 
-    def row(grid_id: str, cells, elapsed: float, ref_elapsed: float | None) -> dict:
-        entry = {
-            "grid": grid_id,
-            "cells": len(cells),
-            "seconds": round(elapsed, 4),
-            "cells_per_sec": round(len(cells) / elapsed, 2),
-        }
-        if ref_elapsed is not None:
-            entry["reference_cells_per_sec"] = round(len(cells) / ref_elapsed, 2)
-            entry["speedup_vs_reference"] = round(ref_elapsed / elapsed, 3)
-        return entry
-
+    Cold-start and steady are single runs (the first is cold by
+    definition); the short warm-cache and dup-heavy grids are
+    jitter-bound, so they report the best of 3.
+    """
+    cells = grid_cells(branches)
     engine = SweepEngine(executor=ProcessPoolExecutor(jobs))
+    reference = _reference_engine(jobs) if compare_reference else None
     try:
-        # cold start: first-ever grid on a fresh engine (spawn + builds).
-        cold_elapsed, cold_results = _timed_run(engine, grid_cells(branches))
-        ref_cold = ref_steady = None
-        if compare_reference:
-            reference = _reference_engine(jobs)
-            ref_cold, ref_results = _timed_run(reference, grid_cells(branches))
-            _verify_identical(cold_results, ref_results, "cold-start")
-        rows.append(row("cold-start/12x4", grid_cells(branches), cold_elapsed, ref_cold))
-
-        # steady state: the same grid on the now-warm engine; the result
-        # cache is off, so all cells are fully re-simulated.
-        steady_elapsed, steady_results = _timed_run(engine, grid_cells(branches))
-        if compare_reference:
-            ref_steady, ref_results = _timed_run(reference, grid_cells(branches))
-            _verify_identical(steady_results, ref_results, "steady")
-        rows.append(row("steady/12x4", grid_cells(branches), steady_elapsed, ref_steady))
+        # cold start: first-ever grid on a fresh engine (spawn + builds);
+        # steady state: the same grid on the now-warm engine, with the
+        # result cache off, so all cells are fully re-simulated.
+        rows = [
+            _grid_row("cold-start/12x4", cells, engine, reference, 1),
+            _grid_row("steady/12x4", cells, engine, reference, 1),
+        ]
 
         # warm result cache: every cell served from disk.
-        with tempfile.TemporaryDirectory(prefix="bench-sweep-") as cache_dir:
-            cached_engine = SweepEngine(
-                executor=engine.executor, cache=ResultCache(cache_dir)
-            )
-            cached_engine.run_cells(grid_cells(branches))  # untimed fill
-            warm_elapsed, warm_results = _timed_run(
-                cached_engine, grid_cells(branches), repeats=3
-            )
-            ref_warm = None
+        with (
+            tempfile.TemporaryDirectory(prefix="bench-sweep-") as cache_dir,
+            tempfile.TemporaryDirectory(prefix="bench-sweep-ref-") as ref_dir,
+        ):
+            cached = SweepEngine(executor=engine.executor, cache=ResultCache(cache_dir))
+            cached.run_cells(cells)  # untimed fill
+            ref_cached = None
             if compare_reference:
-                with tempfile.TemporaryDirectory(prefix="bench-sweep-ref-") as ref_dir:
-                    ref_cached = _reference_engine(jobs, cache=ResultCache(ref_dir))
-                    ref_cached.run_cells(grid_cells(branches))
-                    ref_warm, ref_results = _timed_run(
-                        ref_cached, grid_cells(branches), repeats=3
-                    )
-                _verify_identical(warm_results, ref_results, "warm-cache")
-            rows.append(
-                row("warm-cache/12x4", grid_cells(branches), warm_elapsed, ref_warm)
-            )
+                ref_cached = _reference_engine(jobs, cache=ResultCache(ref_dir))
+                ref_cached.run_cells(cells)
+            rows.append(_grid_row("warm-cache/12x4", cells, cached, ref_cached, 3))
 
         # duplicate-heavy: 4 unique cells, 44 clones (serial executor —
         # the point is the stamping path, not the pool).
-        dup_engine = SweepEngine()
-        dup_elapsed, dup_results = _timed_run(
-            dup_engine, duplicate_cells(branches), repeats=3
-        )
-        ref_dup = None
-        if compare_reference:
-            ref_dup, ref_results = _timed_run(
-                _reference_engine(1), duplicate_cells(branches), repeats=3
-            )
-            _verify_identical(dup_results, ref_results, "dup-heavy")
-        rows.append(row("dup-heavy/4x12", duplicate_cells(branches), dup_elapsed, ref_dup))
+        rows.append(_grid_row(
+            "dup-heavy/4x12", duplicate_cells(branches), SweepEngine(),
+            _reference_engine(1) if compare_reference else None, 3,
+        ))
     finally:
         engine.close()
     return rows
@@ -253,9 +208,10 @@ def measure_fused(branches: int) -> dict:
     through :func:`repro.sim.batched.fused_replay` (per-program
     precompute — trace columns, flat CFG, pc-derived rows — paid once
     for the whole panel) and compares against the same panel run
-    cell-by-cell through the scalar loop. Result identity is asserted
-    per cell; longer cells than the grid scenarios are used because
-    fusion amortizes per-program cost that short cells under-weight.
+    cell-by-cell through the scalar loop. Whole-result identity is
+    asserted per cell; longer cells than the grid scenarios are used
+    because fusion amortizes per-program cost that short cells
+    under-weight.
     """
     from repro.sim.batched import FusedReplayContext, fused_replay, np as _np
     from repro.sim.driver import simulate
@@ -266,6 +222,7 @@ def measure_fused(branches: int) -> dict:
     config = SimulationConfig(
         n_branches=n, warmup=n // 5, collect_predictor_stats=False
     )
+    scalar_config = replace(config, backend="scalar")
     program = ProgramSpec(benchmark="gcc").build()
     shared = FusedReplayContext()
     # Untimed warm-up run: builds the architectural trace and the shared
@@ -274,37 +231,20 @@ def measure_fused(branches: int) -> dict:
     fused_replay(program, [(s.build(), config) for s in FUSED_SYSTEMS[:1]], shared)
     simulate(program, FUSED_SYSTEMS[0].build(), config)
 
-    start = time.perf_counter()
-    fused_results = fused_replay(
-        program, [(s.build(), config) for s in FUSED_SYSTEMS], shared
+    timing, results = profiling.repeat({
+        "fused": lambda: fused_replay(
+            program, [(s.build(), config) for s in FUSED_SYSTEMS], shared
+        ),
+        "scalar": lambda: [
+            simulate(program, s.build(), scalar_config) for s in FUSED_SYSTEMS
+        ],
+    }, times=1)
+    profiling.assert_identical(
+        "fused/8x1 fused vs scalar", results["fused"], results["scalar"],
+        "tests/sim/test_differential_kernel.py",
     )
-    fused_elapsed = time.perf_counter() - start
-
-    scalar_config = SimulationConfig(
-        n_branches=n, warmup=n // 5,
-        collect_predictor_stats=False, backend="scalar",
-    )
-    start = time.perf_counter()
-    scalar_results = [
-        simulate(program, s.build(), scalar_config) for s in FUSED_SYSTEMS
-    ]
-    scalar_elapsed = time.perf_counter() - start
-
-    for fused_stats, scalar_stats in zip(fused_results, scalar_results):
-        if fused_stats is None or (
-            fused_stats.mispredicts,
-            fused_stats.committed_uops,
-            fused_stats.fetched_uops,
-        ) != (
-            scalar_stats.mispredicts,
-            scalar_stats.committed_uops,
-            scalar_stats.fetched_uops,
-        ):
-            raise AssertionError(
-                "fused replay and scalar loop disagree — run the "
-                "differential tests (tests/sim/test_differential_kernel.py)"
-            )
-    return {
+    fused_elapsed, scalar_elapsed = timing["fused"]["best"], timing["scalar"]["best"]
+    row = {
         "grid": "fused/8x1",
         "cells": len(FUSED_SYSTEMS),
         "branches_per_cell": n,
@@ -313,52 +253,43 @@ def measure_fused(branches: int) -> dict:
         "scalar_cells_per_sec": round(len(FUSED_SYSTEMS) / scalar_elapsed, 2),
         "speedup_fused_vs_scalar": round(scalar_elapsed / fused_elapsed, 3),
     }
+    profiling.show(row, KEY, "cells_per_sec", "speedup_fused_vs_scalar")
+    return row
 
 
 def measure_duplicate_stamp(branches: int, iterations: int = 2_000) -> dict:
-    """Micro-benchmark the duplicate-stamping path: codec clone vs deepcopy."""
+    """Micro-benchmark the duplicate-stamping path: codec clone vs deepcopy.
+
+    Reports the median of ``iterations`` interleaved single copies.
+    """
     stats = run_cell(grid_cells(branches)[0])
-    start = time.perf_counter()
-    for _ in range(iterations):
-        clone_result(stats)
-    clone_us = (time.perf_counter() - start) / iterations * 1e6
-    start = time.perf_counter()
-    for _ in range(iterations):
-        copy.deepcopy(stats)
-    deepcopy_us = (time.perf_counter() - start) / iterations * 1e6
-    return {
+    timing, _ = profiling.repeat({
+        "clone": lambda: clone_result(stats),
+        "deepcopy": lambda: copy.deepcopy(stats),
+    }, times=iterations)
+    clone_us = timing["clone"]["median"] * 1e6
+    deepcopy_us = timing["deepcopy"]["median"] * 1e6
+    stamp = {
         "clone_us": round(clone_us, 2),
         "deepcopy_us": round(deepcopy_us, 2),
         "speedup_vs_deepcopy": round(deepcopy_us / clone_us, 2),
     }
+    print(f"duplicate stamp: {stamp}")
+    return stamp
 
 
-def check_floor(rows: list[dict], floor_path: Path) -> list[str]:
-    """Return failure messages for grids regressing >25% below the floor."""
-    floors = json.loads(floor_path.read_text())
-    tolerance = floors.get("tolerance", 0.75)
-    failures = []
-    for entry in rows:
-        floor = floors.get("min_speedup_vs_reference", {}).get(entry["grid"])
-        if floor is None:
-            continue
-        measured = entry.get("speedup_vs_reference")
-        if measured is None:
-            failures.append(
-                f"{entry['grid']}: floor set but --compare-reference not run"
-            )
-            continue
-        threshold = floor * tolerance
-        if measured < threshold:
-            failures.append(
-                f"{entry['grid']}: speedup {measured:.2f}x fell below "
-                f"{threshold:.2f}x (floor {floor:.2f}x, tolerance {tolerance:.0%})"
-            )
-    return failures
+def measure(args) -> tuple[dict, list[dict]]:
+    compare = args.compare_reference or args.check_floor is not None
+    rows = measure_grids(args.jobs, args.branches, compare)
+    return {
+        "jobs": args.jobs,
+        "branches_per_cell": args.branches,
+        "fused": measure_fused(args.branches),
+        "duplicate_stamp": measure_duplicate_stamp(args.branches),
+    }, rows
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def _options(parser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=4,
         help="worker processes for the pooled grids (default 4, the floor's "
@@ -373,61 +304,10 @@ def main(argv: list[str] | None = None) -> int:
         "--compare-reference", action="store_true",
         help="also run the frozen pre-overhaul engine and report speedups",
     )
-    parser.add_argument(
-        "--check-floor", type=Path, default=None,
-        help="floor JSON; exit 1 on >25%% regression vs min_speedup_vs_reference",
-    )
-    parser.add_argument(
-        "--json", type=Path, default=Path("BENCH_sweep.json"),
-        help="output path for the machine-readable result (default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
-    compare = args.compare_reference or args.check_floor is not None
-
-    rows = measure_grids(args.jobs, args.branches, compare)
-    for entry in rows:
-        line = f"{entry['grid']:20s} {entry['cells_per_sec']:>8.2f} cells/s"
-        if "speedup_vs_reference" in entry:
-            line += (
-                f"   (reference {entry['reference_cells_per_sec']:>8.2f} cells/s,"
-                f" {entry['speedup_vs_reference']:.2f}x)"
-            )
-        print(line)
-    fused = measure_fused(args.branches)
-    if "speedup_fused_vs_scalar" in fused:
-        print(
-            f"{fused['grid']:20s} {fused['cells_per_sec']:>8.2f} cells/s"
-            f"   (scalar {fused['scalar_cells_per_sec']:>8.2f} cells/s,"
-            f" {fused['speedup_fused_vs_scalar']:.2f}x)"
-        )
-    stamp = measure_duplicate_stamp(args.branches)
-    print(
-        f"duplicate stamp: clone {stamp['clone_us']:.1f}µs vs deepcopy "
-        f"{stamp['deepcopy_us']:.1f}µs ({stamp['speedup_vs_deepcopy']:.1f}x)"
-    )
-
-    payload = {
-        "schema": "bench-sweep/1",
-        "jobs": args.jobs,
-        "branches_per_cell": args.branches,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "grids": rows,
-        "fused": fused,
-        "duplicate_stamp": stamp,
-    }
-    args.json.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.json}")
-
-    if args.check_floor is not None:
-        failures = check_floor(rows, args.check_floor)
-        if failures:
-            for failure in failures:
-                print(f"FLOOR REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"floor check passed ({args.check_floor})")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(profiling.main(
+        "sweep", __doc__, measure, schema="bench-sweep/2", key=KEY,
+        options=_options,
+    ))
