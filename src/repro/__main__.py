@@ -46,10 +46,11 @@ cell, so they do not apply):
     live feedback even for long pooled sweeps.
 ``--backend {scalar,batched}``
     Kernel backend for every cell (``bench`` accepts it too). The
-    batched structure-of-arrays kernel is proven bit-identical to the
-    scalar loop and several times faster on supported system shapes
-    (unsupported shapes fall back to scalar automatically), so results
-    and cache keys are unchanged either way.
+    default, the batched structure-of-arrays kernel, is proven
+    bit-identical to the scalar loop and several times faster on
+    supported system shapes (unsupported shapes fall back to scalar
+    automatically), so results and cache keys are unchanged either way.
+    For ``serve`` it is the default of jobs that name no backend.
 
 With ``--jobs N`` the worker pool is persistent: it spawns once and is
 reused by every grid the invocation runs, and each worker memoizes
@@ -729,7 +730,7 @@ def _add_backend_option(parser: argparse.ArgumentParser, top_level: bool = False
     parser.add_argument(
         "--backend", choices=("scalar", "batched"),
         default=None if top_level else argparse.SUPPRESS,
-        help="kernel backend (default scalar; 'batched' is bit-identical "
+        help="kernel backend (default batched: bit-identical to 'scalar' "
              "and several times faster on supported system shapes)",
     )
 
@@ -981,7 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_parser.add_argument(
         "--backend", choices=("scalar", "batched"), default=None,
-        help="kernel backend for the job's cells (default scalar)",
+        help="kernel backend for the job's cells (default: the daemon's, "
+             "batched unless it runs with --backend scalar)",
     )
     submit_parser.add_argument(
         "--priority", type=int, default=0,

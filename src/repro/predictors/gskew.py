@@ -33,6 +33,31 @@ from repro.utils.bitops import mask
 from repro.utils.hashing import skew_h, skew_hinv
 
 
+_SKEW_TABLE_CACHE: dict = {}
+
+
+def _skew_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Precomputed H / H^-1 images over ``n``-bit values.
+
+    The skewing functions run on every predict and update, so table
+    lookups beat recomputing the bit-twiddling four times per branch.
+    Pure functions of the index width, so every predictor of one width
+    shares one read-only pair. Both are permutations of ``range(2 ** n)``,
+    so they also share one int object per value.
+    """
+    hit = _SKEW_TABLE_CACHE.get(n)
+    if hit is None:
+        values = range(1 << n)
+        ints = list(values)
+        if len(_SKEW_TABLE_CACHE) >= 8:
+            _SKEW_TABLE_CACHE.clear()
+        _SKEW_TABLE_CACHE[n] = hit = (
+            tuple([ints[skew_h(value, n)] for value in values]),
+            tuple([ints[skew_hinv(value, n)] for value in values]),
+        )
+    return hit
+
+
 class TwoBcGskewPredictor(DirectionPredictor):
     """2Bc-gskew: BIM + two skewed global banks + META chooser."""
 
@@ -51,12 +76,8 @@ class TwoBcGskewPredictor(DirectionPredictor):
         self.g0 = CounterTable(entries_per_table, bits=2)
         self.g1 = CounterTable(entries_per_table, bits=2)
         self.meta = CounterTable(entries_per_table, bits=2)
-        # Precomputed H / H^-1 images: the skewing functions run on every
-        # predict and update, so table lookups beat recomputing the
-        # bit-twiddling four times per branch.
         n = self._index_bits
-        self._h_table = [skew_h(value, n) for value in range(1 << n)]
-        self._hinv_table = [skew_hinv(value, n) for value in range(1 << n)]
+        self._h_table, self._hinv_table = _skew_tables(n)
         # Hot-path constants and raw table references (identity-stable
         # across reset(), see CounterTable.raw).
         self._index_mask = mask(n)

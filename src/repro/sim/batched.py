@@ -20,9 +20,16 @@ flat parallel arrays instead of pooled handle objects:
   reads plus one table probe — the CFG walk and RAS maintenance only
   run for wrong-path fetches between a divergence and its flush.
 
-Memory note: the trace columns make a batched run O(n_branches) in
-memory (a handful of machine words per branch) where the scalar loop is
-O(window). That is the deliberate trade for throughput.
+Memory note: a batched run holds its program's trace columns and the
+per-program precompute built from them, a handful of machine words per
+branch of the longest window the program has been replayed at, where
+the scalar loop is O(window). That is the deliberate trade for
+throughput, and it is bounded twice over: a program's precompute
+context (``program._replay_ctx``) has one set of entries however many
+windows it is replayed at, and only the last ``_LIVE_CTX_LIMIT``
+programs replayed in a process keep theirs. The critic hash images are
+split in two tables of about 2 ** ((h + 1) / 2) entries each, for a
+critic history of h bits.
 
 ``simulate_batched`` specializes the system shapes the sweeps actually
 run — :class:`SinglePredictorSystem` and :class:`ProphetCriticSystem`
@@ -55,6 +62,7 @@ Two amortization layers sit on top of the loop:
 
 from __future__ import annotations
 
+import weakref
 from itertools import repeat
 from operator import add, mul, sub
 
@@ -193,42 +201,80 @@ def _make_pc_consts(predictor, kind: int, critic):
 #
 # The critic fold hash and the gskew skewing functions are pure functions
 # of a bounded-width input, so their images are precomputed once per
-# geometry and the per-critique / per-fetch hash collapses to one table
-# lookup. Cached module-level, not per run: geometries repeat across a
-# sweep and the images are immutable.
+# geometry and the per-critique / per-fetch hash collapses to table
+# lookups (two for the critic's split images). Cached module-level, not
+# per run: geometries repeat across a sweep and the images are immutable.
 
 _FOLD_TBL_CACHE: dict = {}
 
 
-def _critic_fold_tables(c_hmask, c_rot, c_set_shifts, c_tag_shifts):
-    """Set/tag fold images over the (history_bits + 1)-wide BOR window.
+def _critic_fold_geometry(critic) -> tuple:
+    """A filtered critic's hash geometry: ``(history mask, rotate shift,
+    set fold shifts, tag fold shifts, set mask, tag mask)``. Both
+    filtered critics hash like ``TaggedGsharePredictor._hash_pair``."""
+    if type(critic) is TaggedGsharePredictor:
+        return (
+            critic._history_mask, critic._rotate_shift,
+            critic._set_fold_shifts, critic._tag_fold_shifts,
+            critic._set_mask, critic._tag_mask,
+        )
+    fhl = critic.filter_history_length
+    set_bits = critic.filter.set_bits
+    return (
+        (1 << fhl) - 1 if fhl > 0 else 0, fhl - 1,
+        tuple(range(0, fhl, max(set_bits, 1))),
+        tuple(range(0, fhl, max(critic.tag_bits, 1))),
+        (1 << set_bits) - 1, (1 << critic.tag_bits) - 1,
+    )
 
-    Indexed by ``bor & vmask`` where ``vmask = (c_hmask << 1) | 1``: the
-    rotated tag fold reads one bit above the history mask, so the image
-    tables carry that extra input bit. The tag image folds the plain and
-    rotated hashes together (``ftag ^ (ft2 << 1)``) so the critique's
-    whole tag computation is ``(k1 ^ ftt[w]) & c_tag_mask``.
+
+def _critic_fold_tables(geometry):
+    """Split set/tag fold images over the (history_bits + 1)-wide window.
+
+    The window is ``w = bor & vmask`` with ``vmask = (c_hmask << 1) | 1``:
+    the rotated tag fold reads one bit above the history mask. Each
+    image entry packs the masked set fold in its low ``set_bits`` bits
+    and the masked tag fold (plain and rotated hashes together,
+    ``ftag ^ (ft2 << 1)``) above them, and the image of ``w`` is
+
+        lo[w & kmask] ^ hi[((w >> k) << 1) | (w & 1)]
+
+    so each table has about 2 ** ((h + 1) / 2) entries instead of
+    2 ** (h + 1). The folds are xor-linear in ``w`` except where the
+    rotation ORs bit 0 into bit ``c_rot``, onto which the window's top
+    bit also shifts; that one AND term couples bit 0 with the high
+    chunk, so ``hi`` is keyed by bit 0 as well:
+    ``hi[j] = f(high | b0) ^ f(b0)``. Returns ``(lo, hi, k)``.
     """
-    key = (c_hmask, c_rot, c_set_shifts, c_tag_shifts)
-    hit = _FOLD_TBL_CACHE.get(key)
+    hit = _FOLD_TBL_CACHE.get(geometry)
     if hit is None:
-        w = np.arange((c_hmask << 1) + 2, dtype=np.int64)
-        value = w & c_hmask
-        fs_img = np.zeros(w.shape[0], dtype=np.int64)
-        for sh in c_set_shifts:
-            fs_img ^= value >> sh
-        ft_img = np.zeros_like(fs_img)
-        for sh in c_tag_shifts:
-            ft_img ^= value >> sh
-        if c_tag_shifts:
-            rotated = ((w >> 1) | ((w & 1) << c_rot)) & c_hmask
-            f2 = np.zeros_like(fs_img)
+        c_hmask, c_rot, c_set_shifts, c_tag_shifts, c_set_mask, c_tag_mask = geometry
+        set_bits = c_set_mask.bit_length()
+
+        def image(w):
+            value = w & c_hmask
+            fs = np.zeros(w.shape[0], dtype=np.int64)
+            for sh in c_set_shifts:
+                fs ^= value >> sh
+            ft = np.zeros_like(fs)
             for sh in c_tag_shifts:
-                f2 ^= rotated >> sh
-            ft_img ^= f2 << 1
-        if len(_FOLD_TBL_CACHE) >= 3:
+                ft ^= value >> sh
+            if c_tag_shifts:
+                rotated = ((w >> 1) | ((w & 1) << c_rot)) & c_hmask
+                f2 = np.zeros_like(fs)
+                for sh in c_tag_shifts:
+                    f2 ^= rotated >> sh
+                ft ^= f2 << 1
+            return (fs & c_set_mask) | ((ft & c_tag_mask) << set_bits)
+
+        width = c_hmask.bit_length() + 1
+        k = (width + 1) // 2
+        lo = image(np.arange(1 << k, dtype=np.int64))
+        j = np.arange(1 << (width - k + 1), dtype=np.int64)
+        hi = image(((j >> 1) << k) | (j & 1)) ^ image(j & 1)
+        if len(_FOLD_TBL_CACHE) >= 8:
             _FOLD_TBL_CACHE.clear()
-        _FOLD_TBL_CACHE[key] = hit = (fs_img.tolist(), ft_img.tolist())
+        _FOLD_TBL_CACHE[geometry] = hit = (lo.tolist(), hi.tolist(), k)
     return hit
 
 
@@ -240,15 +286,18 @@ def _gskew_xor_tables(prophet):
 
     With these, ``g0 = h1 ^ hx[v2]``, ``g1 = g0 ^ v2 ^ v1`` and
     ``meta = hi1 ^ hv[v2]`` — four xors instead of seven per prediction.
-    Pure functions of the index width, so keyed by it.
+    Pure functions of the index width, so keyed by it. Their values
+    reuse the skew images' int objects (``h`` is a permutation, so
+    ``sorted(h)[v]`` is the object for ``v``).
     """
     n = prophet._index_bits
     hit = _GSKEW_XOR_CACHE.get(n)
     if hit is None:
         h = prophet._h_table
         hinv = prophet._hinv_table
-        hx = [hinv[v] ^ v for v in range(len(hinv))]
-        hv = [h[v] ^ v for v in range(len(h))]
+        ints = sorted(h)
+        hx = [ints[hinv[v] ^ v] for v in range(len(hinv))]
+        hv = [ints[h[v] ^ v] for v in range(len(h))]
         if len(_GSKEW_XOR_CACHE) >= 8:
             _GSKEW_XOR_CACHE.clear()
         _GSKEW_XOR_CACHE[n] = hit = (hx, hv)
@@ -399,24 +448,37 @@ def _make_flattener(compiled, use_btb: bool, set_mask: int, set_bits: int, pc_co
 # pc-derived per-branch row are pure functions of (program, predictor
 # geometry, BTB geometry) — not of predictor *state* — so K same-program
 # cells can share them. The loop asks for each artifact through
-# `_ctx_get(shared, key, build)`: with no context the artifact is built
-# per run exactly as before; with a context the first run pays and the
-# rest reuse.
+# `_ctx_get(shared, key, build)`: the first run pays and the rest reuse.
+#
+# Every artifact is built over the program's whole memoized trace, not
+# over one run's window, so a program replayed at many windows keeps one
+# set of entries; the loop stops at its own ``n_branches``. A longer
+# trace memo invalidates them (``fit``).
 
 
 class FusedReplayContext:
     """Memoized per-program precompute shared across batched replays.
 
-    One context is valid for exactly one program (one ``build_key``);
-    the execution layer keeps a context per chunk of same-program cells.
-    Keys embed every geometry input the artifact depends on, so systems
-    with different predictor/BTB shapes coexist in one context.
+    One context is valid for exactly one program (one ``build_key``)
+    and one trace memo of it. ``simulate_batched`` keeps one on the program
+    (``program._replay_ctx``) for at most ``_LIVE_CTX_LIMIT`` programs per
+    process; ``fused_replay`` callers may pass their own. Keys embed
+    every geometry input the artifact depends on, so systems with
+    different predictor/BTB shapes coexist in one context.
     """
 
-    __slots__ = ("_store",)
+    __slots__ = ("_store", "_trace")
 
     def __init__(self) -> None:
         self._store: dict = {}
+        self._trace = None
+
+    def fit(self, trace) -> None:
+        """Drop every entry built over another trace memo (a longer one
+        replaces the columns, so growth always refits)."""
+        if trace is not self._trace:
+            self._store.clear()
+            self._trace = trace
 
     def get(self, key, build):
         store = self._store
@@ -430,8 +492,6 @@ class FusedReplayContext:
 
 
 def _ctx_get(shared, key, build):
-    if shared is None:
-        return build()
     return shared.get(key, build)
 
 
@@ -473,6 +533,30 @@ def get_trace_store():
 # -- dispatch ---------------------------------------------------------------
 
 
+#: Programs holding a live ``_replay_ctx`` in this process, least
+#: recently replayed first. A pool worker's build cache keeps several
+#: programs alive; only the last few keep their precompute.
+_LIVE_CTX_LIMIT = 2
+_live_ctx: list = []
+
+
+def _program_ctx(program) -> FusedReplayContext:
+    """The program's own replay context, created on first use."""
+    ctx = getattr(program, "_replay_ctx", None)
+    for i, ref in enumerate(_live_ctx):
+        if ref() is program:
+            del _live_ctx[i]
+            break
+    if ctx is None:
+        ctx = program._replay_ctx = FusedReplayContext()
+    _live_ctx.append(weakref.ref(program))
+    while len(_live_ctx) > _LIVE_CTX_LIMIT:
+        evicted = _live_ctx.pop(0)()
+        if evicted is not None:
+            vars(evicted).pop("_replay_ctx", None)
+    return ctx
+
+
 def simulate_batched(program, system, config, shared=None):
     """Run the batched kernel, or return None for unsupported shapes."""
     if np is None:
@@ -481,10 +565,7 @@ def simulate_batched(program, system, config, shared=None):
         # Sequential replays of one program reuse the same memoized
         # precompute the fused path shares across a chunk; every key
         # embeds the geometry it depends on, so mixed systems coexist.
-        shared = getattr(program, "_replay_ctx", None)
-        if shared is None:
-            shared = FusedReplayContext()
-            program._replay_ctx = shared
+        shared = _program_ctx(program)
     if type(system) is SinglePredictorSystem:
         kind = _PROPHET_KINDS.get(type(system.predictor))
         ckind = _CR_NONE
@@ -537,16 +618,17 @@ def fused_replay(program, runs, shared=None):
 
 
 def _architectural_trace(program, n: int):
-    """Columns of the first ``n`` committed branches, memoized.
+    """Columns of at least the first ``n`` committed branches, memoized.
 
     The architectural stream never observes the front end, so the trace
     is a pure function of the (deterministic) program — independent of
     predictor, BTB, and window configuration — and prefix-stable in
     ``n``. The longest trace built so far is cached on the program
-    object and shorter requests are served as slices, so sweeping many
-    systems over one program pays for the executor walk once. Memory is
-    O(n) per program; ``Program.reset()`` leaves the cache intact (the
-    replay is deterministic from reset state by construction).
+    object and returned whole to shorter requests (callers stop at their
+    own ``n``), so sweeping many systems over one program pays for the
+    executor walk once. Memory is O(longest n) per program;
+    ``Program.reset()`` leaves the cache intact (the replay is
+    deterministic from reset state by construction).
 
     Returns ``(t_pc, t_tk, t_uops, t_tt, t_ft, t_snap)``: per-branch pc,
     outcome, uop count, taken target, fallthrough, and post-resolve RAS
@@ -554,19 +636,14 @@ def _architectural_trace(program, n: int):
     """
     cached = getattr(program, "_trace_cache", None)
     if cached is not None and cached[0] >= n:
-        if cached[0] == n:
-            return cached[1]
-        return tuple(col[:n] for col in cached[1])
+        return cached[1]
     store = _trace_store
     build_key = getattr(program, "_build_key", None)
     if store is not None and build_key is not None:
         hit = store.get(build_key, n)
         if hit is not None:
-            stored_n, cols = hit
-            program._trace_cache = (stored_n, cols)
-            if stored_n == n:
-                return cols
-            return tuple(col[:n] for col in cols)
+            program._trace_cache = hit
+            return hit[1]
     program.reset()
     executor = ArchitecturalExecutor(program)
     t_pc = [0] * n
@@ -676,17 +753,19 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 # training bodies depend on the critic kind.
 
 
-def _replay(program, system, config, kind: int, ckind: int, shared=None):
+def _replay(program, system, config, kind: int, ckind: int, shared):
     program.reset()
     compiled = program.compiled(pair_limit=_RAS_CAPACITY)
     entry = program.entry
     n_branches = config.n_branches
 
     # Architectural trace, resolved up front (the executor never observes
-    # the front end): exactly n_branches resolve_next() calls, memoized.
+    # the front end): at least n_branches resolve_next() calls, memoized.
+    # The per-program precompute below spans the whole memo.
     t_pc, t_tk, t_uops, t_tt, t_ft, t_snap = _architectural_trace(
         program, n_branches
     )
+    shared.fit(t_pc)
 
     use_btb = config.use_btb
     if use_btb:
@@ -718,12 +797,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
     )
 
     # ---- vectorized precompute over the trace pcs ----------------------
-    def _build_pcs():
-        if n_branches:
-            return np.fromiter(t_pc, dtype=np.int64, count=n_branches)
-        return np.zeros(0, dtype=np.int64)
-
-    pcs = _ctx_get(shared, ("pcs", n_branches), _build_pcs)
+    pcs = _ctx_get(shared, ("pcs",), lambda: np.array(t_pc, dtype=np.int64))
     if use_btb:
 
         def _build_btb_cols():
@@ -731,15 +805,15 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
             return (words & b_set_mask).tolist(), (words >> b_set_bits).tolist()
 
         a_si, a_tag = _ctx_get(
-            shared, ("btb", n_branches, b_set_mask, b_set_bits), _build_btb_cols
+            shared, ("btb", b_set_mask, b_set_bits), _build_btb_cols
         )
     else:
-        a_si = a_tag = [0] * n_branches
+        a_si = a_tag = repeat(0)
 
     if filtered:
         a_k0, a_k1 = _ctx_get(
             shared,
-            ("critic-pc", n_branches, tb5),
+            ("critic-pc", tb5),
             lambda: ((pcs >> 2).tolist(), ((pcs >> 5) ^ (pcs >> tb5)).tolist()),
         )
     else:
@@ -763,14 +837,14 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
             ap(c)
         return out
 
-    t_snap_c = _ctx_get(shared, ("snapc", n_branches), _build_snapc)
+    t_snap_c = _ctx_get(shared, ("snapc",), _build_snapc)
 
     # Fused per-branch rows: one tuple unpack per aligned fetch instead
     # of a dozen list indexings. Rows without a filtered critic carry
     # zero critic columns, so they key apart from the filtered rows.
     f_rows = _ctx_get(
         shared,
-        ("frows", kind, geom, n_branches, use_btb,
+        ("frows", kind, geom, use_btb,
          b_set_mask or 0, b_set_bits or 0, tb5 if filtered else None),
         lambda: list(zip(
             t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
@@ -852,23 +926,14 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                 if _t is not None:
                     _m[_t] = _w
             f_maps.append(_m)
+    if filtered:
+        c_geometry = _critic_fold_geometry(critic)
+        (c_hmask, c_rot, c_set_shifts, c_tag_shifts,
+         c_set_mask, c_tag_mask) = c_geometry
     if ckind == _CR_TAGGED:
         c_ways = critic.ways
-        c_set_mask = critic._set_mask
-        c_tag_mask = critic._tag_mask
-        c_hmask = critic._history_mask
-        c_rot = critic._rotate_shift
-        c_set_shifts = critic._set_fold_shifts
-        c_tag_shifts = critic._tag_fold_shifts
         c_counters = critic._counters_raw
     elif ckind == _CR_FPERC:
-        fhl = critic.filter_history_length
-        c_set_mask = (1 << filt.set_bits) - 1
-        c_tag_mask = (1 << critic.tag_bits) - 1
-        c_hmask = (1 << fhl) - 1 if fhl > 0 else 0
-        c_rot = fhl - 1
-        c_set_shifts = tuple(range(0, fhl, max(filt.set_bits, 1)))
-        c_tag_shifts = tuple(range(0, fhl, max(critic.tag_bits, 1)))
         fp = critic.perceptron
         fp_ops = _perc_ops(fp)
         fp_rows = fp_ops.rows
@@ -876,15 +941,17 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
         fp_train = fp_ops.train
         fp_n = fp_ops.n
 
-    # Fold-image tables for the critique hash (both critics share the
-    # fold structure). Gated by width: the image spans one bit above the
-    # history mask, and degenerate zero-history shapes keep the loop path.
+    # Split fold images for the critique hash (both critics share the
+    # fold structure). Gated by width, so no image exceeds 2 ** 11
+    # entries; wider and degenerate zero-history shapes keep the loop
+    # path.
     if filtered and 0 < c_hmask.bit_length() <= 19:
-        fst, ftt = _critic_fold_tables(c_hmask, c_rot, c_set_shifts, c_tag_shifts)
+        f_lo, f_hi, f_k = _critic_fold_tables(c_geometry)
+        f_kmask = (1 << f_k) - 1
+        f_sb = c_set_mask.bit_length()
         vmask = (c_hmask << 1) | 1
     else:
-        fst = ftt = None
-        vmask = 0
+        f_lo = None
 
     stats = RunStats(benchmark=program.name, system=type(system).__name__)
     required_bits = max(system.future_bits, 0)
@@ -1238,10 +1305,13 @@ def _replay(program, system, config, kind: int, ckind: int, shared=None):
                             r_cq[s] = (final, True, final, si, 0, bor_value)
                         else:
                             k0 = fe[5]
-                            if fst is not None:
+                            if f_lo is not None:
                                 w = bor_value & vmask
-                                si = (k0 ^ fst[w]) & c_set_mask
-                                tg = (fe[6] ^ ftt[w]) & c_tag_mask
+                                x = f_lo[w & f_kmask] ^ f_hi[
+                                    ((w >> f_k) << 1) | (w & 1)
+                                ]
+                                si = (k0 ^ x) & c_set_mask
+                                tg = (fe[6] ^ (x >> f_sb)) & c_tag_mask
                             else:
                                 # Inline TaggedGsharePredictor._hash_pair.
                                 value = bor_value & c_hmask

@@ -69,10 +69,12 @@ class SimulationDesyncError(RuntimeError):
 
 #: Process-wide default kernel backend. Configs that don't name a
 #: backend explicitly pick this up at construction time, which is how
-#: one CLI ``--backend batched`` flag reaches every SimulationConfig an
+#: one CLI ``--backend scalar`` flag reaches every SimulationConfig an
 #: experiment builds internally without threading a parameter through
-#: each signature (mirrors execution.get_default_engine).
-_DEFAULT_BACKEND = "scalar"
+#: each signature (mirrors execution.get_default_engine). The batched
+#: kernel is bit-identical and returns None (the scalar loop runs) for
+#: shapes it does not specialize, or when numpy is missing.
+_DEFAULT_BACKEND = "batched"
 
 _KNOWN_BACKENDS = ("scalar", "batched")
 

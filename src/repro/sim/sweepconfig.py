@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from typing import Any, Mapping, Sequence
 
-from repro.sim.driver import SimulationConfig
+from repro.sim.driver import SimulationConfig, get_default_backend
 from repro.sim.specs import ProgramSpec, SweepCell, SystemSpec
 from repro.workloads import benchmark_names
 from repro.workloads.trace_io import TraceFormatError, read_trace_header
@@ -221,7 +221,7 @@ def cells_from_job(payload: Any) -> tuple[list[SweepCell], dict]:
                 f"job payload needs {required!r}", section=required
             )
     branches, warmup = window_from_config(payload)
-    backend = payload.get("backend", "scalar")
+    backend = payload.get("backend", get_default_backend())
     if backend not in KNOWN_BACKENDS:
         raise SweepConfigError(
             f"unknown backend {backend!r}; known: {list(KNOWN_BACKENDS)}",

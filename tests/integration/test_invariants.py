@@ -9,6 +9,10 @@ through the simulator; these properties must hold for any of them:
 * census totals and mispredict counters are mutually consistent;
 * the prophet-alone accuracy of a system is independent of the critic
   attached to it (critics never perturb the prophet's tables).
+
+They run the scalar loop (``backend="scalar"``), whose walker/executor
+cross-check is the desync oracle; the property suite holds the batched
+kernel equal to it.
 """
 
 from hypothesis import given, settings
@@ -24,7 +28,7 @@ FUTURE_BITS = st.sampled_from([0, 1, 3, 8])
 
 
 def tiny_config(**kw) -> SimulationConfig:
-    defaults = dict(n_branches=1200, warmup=200)
+    defaults = dict(n_branches=1200, warmup=200, backend="scalar")
     defaults.update(kw)
     return SimulationConfig(**defaults)
 

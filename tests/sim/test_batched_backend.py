@@ -11,8 +11,10 @@ not:
 * the memoized architectural trace: repeat runs, prefix reuse, and
   scalar runs staying oblivious to the cache;
 * the per-pc prophet constants from the trace gather and the flat CFG
-  extractor against each other, and the critic's fold-image hash
-  against ``_hash_pair``;
+  extractor against each other, and the critic's split fold images
+  against the critic's own hash over every window value;
+* what the kernel keeps alive between replays: precompute entries per
+  program, live contexts per process, and the fold images' size;
 * the integer perceptron ops against the numpy perceptron;
 * backend dispatch: unknown names, the scalar fallback for unsupported
   predictors, and the numpy-missing gate;
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from reference_kernel import reference_simulate
+from repro.predictors.budget import BUDGETS_KB, make_critic
 from repro.sim import batched
 from repro.sim.driver import SimulationConfig, simulate
 from repro.sim.specs import ProgramSpec, SweepCell, SystemSpec
@@ -362,32 +366,74 @@ class TestBatchHelpers:
             assert consts[len(columns) : 4] == (0,) * (4 - len(columns)), i
             assert consts[4] == pc >> 2, i
 
-    def test_batch_hash_matches_scalar(self):
-        from repro.predictors.budget import make_critic
-
-        critic = make_critic("tagged-gshare", 2)
+    @pytest.mark.parametrize("budget", BUDGETS_KB)
+    @pytest.mark.parametrize("kind", ["tagged-gshare", "filtered-perceptron"])
+    def test_batch_hash_matches_scalar(self, kind, budget):
+        """The split fold images against the critic's own hash over every
+        window value, so every ``w`` with bit 0 and the top bit both set
+        is covered: there the tag rotation's OR is not linear."""
+        critic = make_critic(kind, budget)
+        geometry = batched._critic_fold_geometry(critic)
+        hmask, _, _, _, set_mask, tag_mask = geometry
+        assert 0 < hmask.bit_length() <= 19  # the loop uses the images
+        lo, hi, k = batched._critic_fold_tables(geometry)
         prophet = SystemSpec.single("gshare", 2).build().predictor
-        hmask = critic._history_mask
-        assert 0 < hmask.bit_length() <= 19
-        fst, ftt = batched._critic_fold_tables(
-            hmask,
-            critic._rotate_shift,
-            critic._set_fold_shifts,
-            critic._tag_fold_shifts,
-        )
-        vmask = (hmask << 1) | 1
         pc_consts = batched._make_pc_consts(
             prophet, batched._PROPHET_KINDS[type(prophet)], critic
         )
-        rng = np.random.default_rng(99)
-        pcs, hists = _random_inputs(rng)
-        for i in range(len(pcs)):
-            pc, hist = int(pcs[i]), int(hists[i])
-            k0, k1 = pc_consts(pc)[4:]
-            w = hist & vmask
-            set_index = (k0 ^ fst[w]) & critic._set_mask
-            tag = (k1 ^ ftt[w]) & critic._tag_mask
-            assert (set_index, tag) == critic._hash_pair(pc, hist), i
+        pc = 0x41F3C
+        k0, k1 = pc_consts(pc)[4:]
+        kmask = (1 << k) - 1
+        set_bits = set_mask.bit_length()
+        windows = range((hmask << 1) + 2)
+        got = []
+        for w in windows:
+            x = lo[w & kmask] ^ hi[((w >> k) << 1) | (w & 1)]
+            got.append(((k0 ^ x) & set_mask, (k1 ^ (x >> set_bits)) & tag_mask))
+        if kind == "tagged-gshare":
+            expected = list(map(partial(critic._hash_pair, pc), windows))
+        else:
+            expected = list(zip(
+                map(partial(critic._set_index, pc), windows),
+                map(partial(critic._tag, pc), windows),
+            ))
+        assert got == expected
+
+
+class TestReplayMemory:
+    """What the batched kernel keeps alive between replays: one set of
+    precompute entries per program whatever its windows, a bounded
+    number of programs holding them, and critic hash images of about
+    the square root of the window's size."""
+
+    _SPEC = SystemSpec.hybrid("2bc-gskew", 2, "tagged-gshare", 2, future_bits=4)
+
+    def test_context_entries_independent_of_window(self):
+        many = _program("gcc", 61)
+        for n in range(1000, 2001, 100):
+            config = replace(_CONFIG, n_branches=n, warmup=n // 5, backend="batched")
+            last = simulate(many, self._SPEC.build(), config)
+        single = _program("gcc", 61)
+        alone = simulate(single, self._SPEC.build(), config)
+        assert len(many._replay_ctx) == len(single._replay_ctx) > 0
+        _assert_identical(last, alone)
+
+    def test_live_contexts_bounded(self):
+        limit = batched._LIVE_CTX_LIMIT
+        programs = [_program("swim", 70 + i) for i in range(limit + 2)]
+        config = replace(_CONFIG, n_branches=1000, warmup=200, backend="batched")
+        for program in programs:
+            simulate(program, self._SPEC.build(), config)
+        live = [getattr(p, "_replay_ctx", None) is not None for p in programs]
+        assert live == [False] * 2 + [True] * limit
+
+    def test_fold_images_are_split(self):
+        for kind in ("tagged-gshare", "filtered-perceptron"):
+            for budget in BUDGETS_KB:
+                geometry = batched._critic_fold_geometry(make_critic(kind, budget))
+                h = geometry[0].bit_length()
+                lo, hi, _ = batched._critic_fold_tables(geometry)
+                assert max(len(lo), len(hi)) <= 2 ** ((h + 3) // 2), (kind, budget)
 
 
 class TestPerceptronOps:

@@ -7,6 +7,10 @@ identical ``RunStats`` across independent runs, across a ``reset()`` of
 the system, and regardless of unrelated simulations in between.
 """
 
+from dataclasses import replace
+
+import pytest
+
 from repro.sim import RunStats, SimulationConfig, simulate
 from repro.sim.specs import SystemSpec
 from repro.workloads.suites import benchmark
@@ -35,31 +39,38 @@ def assert_identical(a: RunStats, b: RunStats) -> None:
 
 
 class TestSimulateDeterminism:
-    def test_two_fresh_runs_are_identical(self):
-        first = simulate(benchmark("flash"), GSHARE_HYBRID.build(), CONFIG)
-        second = simulate(benchmark("flash"), GSHARE_HYBRID.build(), CONFIG)
+    """Under both kernels: the batched one memoizes the trace and its
+    precompute on the program, which these reruns reuse."""
+
+    @pytest.fixture
+    def config(self, kernel_backend):
+        return replace(CONFIG, backend=kernel_backend)
+
+    def test_two_fresh_runs_are_identical(self, config):
+        first = simulate(benchmark("flash"), GSHARE_HYBRID.build(), config)
+        second = simulate(benchmark("flash"), GSHARE_HYBRID.build(), config)
         assert first.mispredicts > 0  # a trivial run would prove nothing
         assert_identical(first, second)
 
-    def test_rerun_after_system_reset_is_identical(self):
+    def test_rerun_after_system_reset_is_identical(self, config):
         program = benchmark("swim")
         system = SystemSpec.hybrid("2bc-gskew", 2, "tagged-gshare", 2, 4).build()
-        first = simulate(program, system, CONFIG)
+        first = simulate(program, system, config)
         system.reset()
-        second = simulate(program, system, CONFIG)  # simulate() resets the program
+        second = simulate(program, system, config)  # simulate() resets the program
         assert_identical(first, second)
 
-    def test_single_system_reset_is_identical(self):
+    def test_single_system_reset_is_identical(self, config):
         program = benchmark("ammp")
         system = SystemSpec.single("gshare", 2).build()
-        first = simulate(program, system, CONFIG)
+        first = simulate(program, system, config)
         system.reset()
-        second = simulate(program, system, CONFIG)
+        second = simulate(program, system, config)
         assert_identical(first, second)
 
-    def test_interleaved_unrelated_run_does_not_perturb(self):
+    def test_interleaved_unrelated_run_does_not_perturb(self, config):
         """No hidden global state couples independent simulations."""
-        first = simulate(benchmark("flash"), GSHARE_HYBRID.build(), CONFIG)
-        simulate(benchmark("tpcc"), SystemSpec.single("perceptron", 2).build(), CONFIG)
-        second = simulate(benchmark("flash"), GSHARE_HYBRID.build(), CONFIG)
+        first = simulate(benchmark("flash"), GSHARE_HYBRID.build(), config)
+        simulate(benchmark("tpcc"), SystemSpec.single("perceptron", 2).build(), config)
+        second = simulate(benchmark("flash"), GSHARE_HYBRID.build(), config)
         assert_identical(first, second)

@@ -1,4 +1,9 @@
-"""Tests for the functional accuracy driver."""
+"""Tests for the functional accuracy driver.
+
+They cover the scalar loop in ``sim/driver.py``, so every config here
+pins ``backend="scalar"``; the batched kernel is held equal to it by
+the differential and property suites.
+"""
 
 from dataclasses import replace
 
@@ -24,7 +29,7 @@ def pattern_program(pattern="TTN") -> Program:
 
 
 def small_config(**kw) -> SimulationConfig:
-    defaults = dict(n_branches=3000, warmup=500)
+    defaults = dict(n_branches=3000, warmup=500, backend="scalar")
     defaults.update(kw)
     return SimulationConfig(**defaults)
 
@@ -50,7 +55,7 @@ class TestDriverBasics:
             simulate(
                 pattern_program(),
                 SinglePredictorSystem(BimodalPredictor(64)),
-                SimulationConfig(n_branches=100, warmup=100),
+                SimulationConfig(n_branches=100, warmup=100, backend="scalar"),
             )
 
     def test_deterministic(self):
@@ -78,7 +83,7 @@ class TestDriverBasics:
         stats = simulate(
             program,
             SinglePredictorSystem(GsharePredictor(256, 8)),
-            SimulationConfig(n_branches=2000, warmup=10),
+            SimulationConfig(n_branches=2000, warmup=10, backend="scalar"),
         )
         # Early cold misses land inside the (tiny) measurement window.
         assert stats.static_branches >= 0  # accounted, never negative
@@ -215,7 +220,7 @@ class TestGeneratedProgramIntegrity:
                 TaggedGsharePredictor(sets=64, ways=4),
                 future_bits=4,
             ),
-            SimulationConfig(n_branches=4000, warmup=400),
+            SimulationConfig(n_branches=4000, warmup=400, backend="scalar"),
         )
         assert stats.branches == 3600
 

@@ -34,7 +34,9 @@ from repro.sim import (
     SystemSpec,
     run_sweep,
 )
+from repro.sim import driver
 from repro.sim.cache import stats_to_dict
+from repro.sim.sweepconfig import cells_from_job
 from repro.workloads.generator import WorkloadProfile
 
 #: One non-default geometry per registered kind (the "geometry sample"
@@ -233,6 +235,29 @@ class TestProgramAndCellRoundTrips:
         restored = SweepCell.from_config(json_round_trip(cell.to_config()))
         assert restored.content_hash() == cell.content_hash()
         assert restored.system_label == cell.system_label
+
+
+class TestJobBackendDefault:
+    """A job payload that names no backend runs with the process default
+    (batched unless the daemon was started with ``--backend scalar``)."""
+
+    PAYLOAD: ClassVar[dict] = {
+        "systems": {"g": {"kind": "single", "prophet": "gshare"}},
+        "benchmarks": "swim",
+        "branches": 1000,
+    }
+
+    def test_default_is_batched(self):
+        cells, meta = cells_from_job(self.PAYLOAD)
+        assert meta["backend"] == "batched"
+        assert {cell.config.backend for cell in cells} == {"batched"}
+
+    def test_follows_the_process_default(self, monkeypatch):
+        monkeypatch.setattr(driver, "_DEFAULT_BACKEND", "scalar")
+        _, meta = cells_from_job(self.PAYLOAD)
+        assert meta["backend"] == "scalar"
+        _, meta = cells_from_job({**self.PAYLOAD, "backend": "batched"})
+        assert meta["backend"] == "batched"
 
 
 class TestRedesignDifferential:

@@ -142,6 +142,7 @@ def measure_cell(
         n_branches=n_branches,
         warmup=warmup_branches,
         collect_predictor_stats=False,
+        backend="scalar",
     )
     program = ProgramSpec(benchmark=cell["benchmark"]).build()
 
@@ -150,6 +151,7 @@ def measure_cell(
         n_branches=max(2_000, n_branches // 10),
         warmup=200,
         collect_predictor_stats=False,
+        backend="scalar",
     )
     simulate(program, cell["system"].build(), warm_cfg)
 

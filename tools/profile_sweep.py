@@ -229,7 +229,7 @@ def measure_fused(branches: int) -> dict:
     # per-program columns (steady-state sweep regime, as in the kernel
     # bench), plus CFG compilation for the scalar side.
     fused_replay(program, [(s.build(), config) for s in FUSED_SYSTEMS[:1]], shared)
-    simulate(program, FUSED_SYSTEMS[0].build(), config)
+    simulate(program, FUSED_SYSTEMS[0].build(), scalar_config)
 
     timing, results = profiling.repeat({
         "fused": lambda: fused_replay(
