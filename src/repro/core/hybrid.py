@@ -76,7 +76,8 @@ class InflightBranch:
     critic_tag: int = 0
     #: Unfiltered-critic fast-path state (pure, from critique time).
     critic_state: object = None
-    #: uops fetched with this branch's block (timing model bookkeeping).
+    #: uops fetched with this branch's block (the frozen timing loop in
+    #: tests/reference_timing.py keeps it; TimedMachine has no handles).
     uops_hint: int = 1
 
     def critique_kind(self, taken: bool) -> CritiqueKind:

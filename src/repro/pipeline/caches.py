@@ -16,6 +16,8 @@ instruction cache (addresses exist for code) and exercised in unit tests.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from repro.utils.hashing import mix64
 from repro.utils.bitops import mask
 from repro.pipeline.uarch import CacheConfig, MachineConfig
@@ -92,8 +94,6 @@ class MemoryModel:
         self.l2_miss_per_uop = l2_miss_per_uop
         self.mlp = mlp
         self.seed = seed
-        self.l1_misses = 0
-        self.l2_misses = 0
 
     def stall_cycles(self, uop_seq: int, uops: int) -> float:
         """Data-side stall charged for a block of ``uops`` committed uops."""
@@ -102,9 +102,9 @@ class MemoryModel:
         # Expected-value charging with deterministic jitter: the integer
         # part of expected misses always charges; the fractional part
         # charges when the hash falls below it.
-        for rate, latency, counter in (
-            (self.l1_miss_per_uop, self.machine.l1d.hit_cycles + self.machine.l2.hit_cycles, "l1"),
-            (self.l2_miss_per_uop, self.machine.memory_latency_cycles, "l2"),
+        for rate, latency in (
+            (self.l1_miss_per_uop, self.machine.l1d.hit_cycles + self.machine.l2.hit_cycles),
+            (self.l2_miss_per_uop, self.machine.memory_latency_cycles),
         ):
             expected = rate * uops
             misses = int(expected)
@@ -115,8 +115,14 @@ class MemoryModel:
             word = mix64(word)
             if misses:
                 stall += misses * latency / self.mlp
-                if counter == "l1":
-                    self.l1_misses += misses
-                else:
-                    self.l2_misses += misses
         return stall
+
+    def stall_column(self, uops) -> list[float]:
+        """:meth:`stall_cycles` for each block of a committed stream.
+
+        ``uops`` lists the blocks' uop counts in commit order, numbered
+        from uop 0: entry ``i`` is ``stall_cycles(uops[0] + ... +
+        uops[i], uops[i])``, the charge for block ``i``. A longer stream's
+        column therefore starts with a shorter one's.
+        """
+        return list(map(self.stall_cycles, accumulate(uops), uops))

@@ -22,33 +22,65 @@ substitution: no data-address stream exists in the workload substrate).
 Hot-path shape
 --------------
 
-Each mispredict flushes the FTQ and the pipe, so the loop fetches many
-branches per resolved one. :meth:`TimedMachine.run` is therefore written
-like :func:`repro.sim.driver.simulate`: one flat loop over **pooled
-in-flight handles** (filled by ``predict_into``/``predict_static_into``,
-returned to a free list when they retire or are flushed), flat walker
-checkpoints on the handle, and bound methods and config fields hoisted
-into locals. The committed stream — pc, outcome and uops per branch —
-comes from the memoized architectural-trace columns of
-:mod:`repro.sim.batched`, so timing and accuracy cells on one program
-share a single CFG walk; each retired branch is checked against the
-fetched handle it resolves. The frozen pre-rewrite loop is kept in
-``tests/reference_timing.py`` and differential tests pin this loop to it
-bit for bit.
+Each mispredict flushes the FTQ and the pipe, so the loop fetches about
+17 branches for each one it resolves, and a critique runs on most
+cycles. :meth:`TimedMachine.run` is therefore one fused cycle loop on
+the batched kernel's per-program precompute (:mod:`repro.sim.batched`),
+kept in the program's replay context and shared with the accuracy cells
+on the same program:
+
+* **Front end.** Fetch walks the flat CFG table (``_make_flattener``)
+  with a cons-list RAS: one dict hit per fetch on call-free stretches.
+  Each table entry also carries the branch's BTB set and tag and the
+  prophet's and critic's pc constants (``_make_pc_consts``), so the BTB
+  probe runs inline on ``self.btb._sets``.
+* **Prophet.** 2Bc-gskew predicts inline from those constants and the
+  ``_gskew_xor_tables`` images, the perceptron through
+  ``_PerceptronOps``. Any other prophet is called through its own
+  ``predict_packed``/``update_packed`` (``predict``/``update`` when it
+  has no packed path): the system's calls without the system hop.
+* **Critic.** The tagged-gshare and filtered-perceptron critics share an
+  inline hash (the ``_critic_fold_tables`` images, or ``_fold_hash``
+  outside their width gate) and filter probe; the opinion is a counter
+  read or a ``_PerceptronOps`` dot. Unfiltered critics use their packed
+  calls. Training runs at resolve, once per committed branch: one call,
+  or a ``_PerceptronOps`` train step for a perceptron.
+* **In-flight ring.** Fetched branches are tuples in one power-of-two
+  ring, indexed by three running counters, oldest first: ``head`` (the
+  resolve queue), ``cons`` (the FTQ head, the first entry the cache has
+  not consumed) and ``tail``. Consuming, retiring and both flushes move
+  counters; the ring is reused, so no entry outlives its slot.
+* **Memory stalls.** :meth:`MemoryModel.stall_column` charges each
+  committed branch from one precomputed column, cached per memory model.
+
+The committed stream — pc, outcome and uops per branch — comes from the
+memoized architectural-trace columns, and each retired branch is checked
+against the fetched entry it resolves. The front end's position and
+RAS, the BTB and the system's BHR/BOR persist on the machine across
+``run`` calls, so a second call continues the stream. The BTB keeps its
+tag sets and LRU order but not its ``BtbStats`` counters. The loop this
+replaced is frozen in ``tests/reference_timing.py``, and differential
+tests pin this one to it bit for bit, end-of-run predictor state
+included.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
-from repro.core.hybrid import InflightBranch, PredictionSystem
+from repro.core.hybrid import PredictionSystem, ProphetCriticSystem, SinglePredictorSystem
 from repro.engine.btb import BranchTargetBuffer
-from repro.engine.frontend import SpeculativeWalker
 from repro.pipeline.caches import MemoryModel
 from repro.pipeline.uarch import MachineConfig, TABLE2_MACHINE
+from repro.predictors.gskew import TwoBcGskewPredictor
+from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.driver import SimulationDesyncError
 from repro.workloads.program import Program
+
+#: Critic arm for a filtered critic the loop does not fuse (another type
+#: with ``lookup``/``train``): its own two calls, like the system's.
+_CR_LOOKUP = -1
 
 
 @dataclass
@@ -87,6 +119,19 @@ class PipelineResult:
         return max(0.0, 1.0 - self.committed_uops / self.fetched_uops)
 
 
+def _grown(rings: tuple, cmask: int, head: int, tail: int) -> tuple:
+    """The in-flight rings at twice the capacity, entries ``head`` to
+    ``tail`` kept at the same running indices; returns them and the new
+    mask. A resolve queue only outgrows the ring when retire is slower
+    than fetch."""
+    size = 2 * (cmask + 1)
+    grown = tuple([None] * size for _ in rings)
+    for old, new in zip(rings, grown):
+        for i in range(head, tail):
+            new[i & (size - 1)] = old[i & cmask]
+    return grown, size - 1
+
+
 class TimedMachine:
     """Runs a prediction system under the Table-2 timing model."""
 
@@ -97,69 +142,192 @@ class TimedMachine:
         machine: MachineConfig = TABLE2_MACHINE,
         memory: MemoryModel | None = None,
     ) -> None:
+        # Exact types: the loop inlines these systems' events, which a
+        # subclass could override.
+        if type(system) not in (SinglePredictorSystem, ProphetCriticSystem):
+            raise TypeError(
+                "TimedMachine runs a SinglePredictorSystem or a "
+                f"ProphetCriticSystem, not {type(system).__name__}"
+            )
         self.program = program
         self.system = system
         self.machine = machine
         self.memory = memory if memory is not None else MemoryModel(machine)
         program.reset()
-        self.walker = SpeculativeWalker(program)
         self.btb = BranchTargetBuffer(machine.btb_entries, machine.btb_ways)
         #: Committed branches resolved by earlier ``run`` calls: a second
         #: call continues the committed stream where the first stopped.
         self._committed_branches = 0
+        #: Front end between runs: the block fetch resumes at, the RAS as
+        #: a (cons list, depth) pair, and the uops fetched so far.
+        self._front = (program.entry, (None, 0))
+        self._fetched_uops = 0
+
+    def _stall_column(self, batched, ctx, t_uops, base: int) -> list[float]:
+        """Each committed branch's memory stall, from trace index ``base``.
+
+        A run numbers its committed uops from 0, so a first run's column
+        is prefix-stable and cached in the replay context, keyed by the
+        model's parameters; a continued run builds its own.
+        """
+        memory = self.memory
+        if base:
+            return memory.stall_column(t_uops[base:])
+        machine = memory.machine
+        key = (
+            "stall", type(memory), memory.l1_miss_per_uop, memory.l2_miss_per_uop,
+            memory.mlp, memory.seed, machine.l1d.hit_cycles + machine.l2.hit_cycles,
+            machine.memory_latency_cycles,
+        )
+        return batched._ctx_get(ctx, key, lambda: memory.stall_column(t_uops))
 
     def run(self, n_branches: int, warmup: int = 0) -> PipelineResult:
         """Simulate until ``n_branches`` resolve; measure after ``warmup``."""
         if warmup >= n_branches:
             raise ValueError("warmup must leave a measurement window")
         # Looked up on the module at call time, so a wrapper installed on
-        # repro.sim.batched also sees the timing model's trace requests.
+        # repro.sim.batched also sees the timing model's requests.
         from repro.sim import batched
 
+        program = self.program
+        system = self.system
+        machine = self.machine
         base = self._committed_branches
         t_pc, t_tk, t_uops = batched._architectural_trace(
-            self.program, base + n_branches
+            program, base + n_branches
         )[:3]
         self._committed_branches = base + n_branches
+        ctx = batched._program_ctx(program)
+        ctx.fit(t_pc)
+        stall = self._stall_column(batched, ctx, t_uops, base)
 
-        machine = self.machine
-        system = self.system
-        walker = self.walker
-        result = PipelineResult(
-            benchmark=self.program.name, system=type(system).__name__
+        # ---- per-system arms --------------------------------------------
+        if type(system) is SinglePredictorSystem:
+            prophet, critic = system.predictor, None
+            p_predict, p_update = system._predict_packed, system._update_packed
+            ckind = batched._CR_NONE
+        else:
+            prophet, critic = system.prophet, system.critic
+            p_predict = system._prophet_predict_packed
+            p_update = system._prophet_update_packed
+            ckind = batched._CRITIC_KINDS.get(type(critic))
+            if ckind is None:
+                ckind = _CR_LOOKUP if system._critic_is_filtered else batched._CR_PLAIN
+        p_update_plain = prophet.update
+        if p_predict is None:
+
+            def p_predict(pc, history):
+                return prophet.predict(pc, history), None
+
+        gskew = type(prophet) is TwoBcGskewPredictor
+        perc = type(prophet) is PerceptronPredictor
+        kind = batched._GSKEW if gskew else batched._PERC if perc else batched._GSHARE
+        tagged = ckind == batched._CR_TAGGED
+        fperc = ckind == batched._CR_FPERC
+        fused = tagged or fperc
+        plain = ckind == batched._CR_PLAIN
+
+        # The flat CFG table: block -> (uops, RAS ops, pc, taken target,
+        # fallthrough, _, BTB set, BTB tag, prophet constants x4, critic
+        # pc constants x2). A prophet without an inline arm reads none of
+        # its constants, so it shares the gshare-shaped table.
+        btb = self.btb
+        b_sets = btb._sets
+        b_ways = btb.ways
+        pc_consts = batched._make_pc_consts(prophet, kind, critic if fused else None)
+        flat, flatten = batched._ctx_get(
+            ctx,
+            ("flat", kind, batched._prophet_geometry(prophet, kind), True,
+             btb._set_mask, btb._set_bits, 5 + critic.tag_bits if fused else 5),
+            lambda: batched._make_flattener(
+                program.compiled(pair_limit=batched._RAS_CAPACITY), True,
+                btb._set_mask, btb._set_bits, pc_consts,
+            ),
         )
+        if gskew:
+            gk_imask = prophet._index_mask
+            gk_hmask = prophet._history_mask
+            gk_bim = prophet._bim_raw
+            gk_g0 = prophet._g0_raw
+            gk_g1 = prophet._g1_raw
+            gk_meta = prophet._meta_raw
+            gk_hx, gk_hv = batched._gskew_xor_tables(prophet)
+        # Integer perceptron bundles (prophet, filtered critic), their
+        # weight mirrors written back in the ``finally`` below.
+        perc_ops = []
+        if perc:
+            perc_ops.append(batched._PerceptronOps(prophet))
+            pp_rows, pp_inputs, pp_train = perc_ops[0].rows, perc_ops[0].inputs, perc_ops[0].train
+        if fused:
+            filt = critic.filter
+            f_tags = filt._tags
+            f_lru = filt._lru
+            geometry = batched._critic_fold_geometry(critic)
+            c_hmask, c_set_mask, c_tag_mask = geometry[0], geometry[4], geometry[5]
+            if batched.np is not None and 0 < c_hmask.bit_length() <= 19:
+                f_lo, f_hi, f_k = batched._critic_fold_tables(geometry)
+                f_kmask = (1 << f_k) - 1
+                f_sb = c_set_mask.bit_length()
+                vmask = (c_hmask << 1) | 1
+            else:
+                f_lo = None
+                fold_hash = batched._fold_hash(geometry)
+            if tagged:
+                c_counters = critic._counters_raw
+                c_ways = critic.ways
+                c_train = critic.train_hashed
+            else:
+                fp = critic.perceptron
+                perc_ops.append(batched._PerceptronOps(fp))
+                fp_rows = perc_ops[-1].rows
+                fp_inputs, fp_train = perc_ops[-1].inputs, perc_ops[-1].train
+                fp_n = fp.n_perceptrons
+        elif plain:
+            c_predict = system._critic_predict_packed
+            c_update = system._critic_update_packed
+            if c_predict is None:
+
+                def c_predict(pc, history):
+                    return critic.predict(pc, history), None
+
+        # ---- machine state -----------------------------------------------
         required_bits = max(system.future_bits, 0)
+        live_bor = system.future_bits >= 1
+        insert_final = system._insert_on_final if critic is not None else True
         prophet_slots = range(machine.prophet_rate)
-        critic_slots = range(machine.critic_rate)
+        critic_rate = machine.critic_rate
         ftq_entries = machine.ftq_entries
         fetch_width = machine.fetch_width_uops
         retire_width = machine.retire_width_uops
         penalty = machine.mispredict_penalty_cycles
+        entry = program.entry
+        ras_cap = batched._RAS_CAPACITY
 
-        # Hoisted bound methods (the loop body runs once per cycle).
-        sys_predict_into = system.predict_into
-        sys_predict_static_into = system.predict_static_into
-        sys_critique = system.critique
-        sys_apply_redirect = system.apply_redirect
-        sys_resolve = system.resolve
-        sys_recover = system.recover
-        walker_next_block = walker.next_branch_block
-        walker_restore = walker.restore_state
-        walker_advance = walker.advance
-        ras_snapshot = walker.ras.snapshot
-        btb_lookup = self.btb.lookup
-        btb_allocate = self.btb.allocate
-        stall_cycles = self.memory.stall_cycles
+        bhr = system.bhr
+        bhr_val = bhr._value
+        bhr_mask = bhr._mask
+        if critic is not None:
+            bor = system.bor
+            bor_val = bor._value
+            bor_mask = bor._mask
+        else:
+            bor_val = bor_mask = 0
+        w_block, snap = self._front  # snap: the live RAS, (cons list, depth)
 
-        # The FTQ holds fetched-but-unconsumed predictions; consumed
-        # branches wait in the resolve queue, as (resolve cycle, handle),
-        # for the pipeline delay. Handles come from and return to `pool`,
-        # so a fetch allocates nothing once the pool has warmed up. A
-        # queued handle's uops_hint counts its uops not yet retired.
-        pool: list[InflightBranch] = []
-        ftq: deque[InflightBranch] = deque()
-        resolve_queue: deque[tuple[int, InflightBranch]] = deque()
-        criticised = 0
+        # In-flight ring, running indices head <= cons <= tail. Each fetch
+        # stores one record, and each critique of a dynamic branch one
+        # more (the critique-time fields); ``r_due`` holds the resolve
+        # cycle of the consumed entries.
+        #
+        #   r_fe[s] = (flat entry, uops, prophet pred, bhr, bor, seq,
+        #              static, prophet packed state, RAS snapshot)
+        #   r_cq[s] = (final, set index | critic state, tag, bor)
+        cmask = (1 << (ftq_entries + penalty + 16).bit_length()) - 1
+        r_fe = [None] * (cmask + 1)
+        r_cq = [None] * (cmask + 1)
+        r_due = [0] * (cmask + 1)
+        head = cons = tail = 0
+        criticised = 0  # FTQ entries from cons on that have a critique
         next_seq = 0
         resolved = 0
         trace_index = base
@@ -167,171 +335,319 @@ class TimedMachine:
         fetch_blocked_until = 0
         backend_stall = 0.0
         committed = 0
-        branches = 0
-        mispredicts = 0
-        critic_redirects = 0
-        ftq_empty_cycles = 0
+        fetched_uops = self._fetched_uops
+        branches = mispredicts = critic_redirects = ftq_empty_cycles = 0
+        f_lookups = f_hits = 0
         measure_pending = warmup > 0
-        measure_start_uops = 0
-        measure_start_fetched = 0
-        measure_start_cycle = 0
-        head_fetch_remaining = 0  # uops left to fetch of the current head
+        measure_start_uops = measure_start_fetched = measure_start_cycle = 0
+        head_fetch_remaining = 0  # uops left to fetch of the FTQ head
+        retire_left = 0  # uops left to retire of a partly retired head
 
-        while resolved < n_branches:
-            cycle += 1
-            if measure_pending and resolved >= warmup:
-                measure_pending = False
-                measure_start_cycle = cycle
-                measure_start_uops = committed
-                measure_start_fetched = walker.fetched_uops
+        try:
+            while resolved < n_branches:
+                cycle += 1
+                if measure_pending and resolved >= warmup:
+                    measure_pending = False
+                    measure_start_cycle = cycle
+                    measure_start_uops = committed
+                    measure_start_fetched = fetched_uops
 
-            # --- prophet: up to prophet_rate predictions/cycle ------------
-            if cycle >= fetch_blocked_until:
-                for _ in prophet_slots:
-                    if len(ftq) >= ftq_entries:
-                        break
-                    branch = walker_next_block()
-                    pc = branch.pc
-                    if pool:
-                        handle = pool.pop()
+                # --- prophet: up to prophet_rate predictions/cycle --------
+                if cycle >= fetch_blocked_until:
+                    for _ in prophet_slots:
+                        if tail - cons >= ftq_entries:
+                            break
+                        try:
+                            fs = flat[w_block]
+                        except KeyError:
+                            fs = flatten(w_block)
+                        if fs[1] is None and fs[2] is not None:
+                            uops = fs[0]  # straight to a branch, no RAS traffic
+                        else:
+                            ras_c, ras_n = snap
+                            uops = 0
+                            while True:
+                                uops += fs[0]
+                                ops = fs[1]
+                                if ops is not None:
+                                    for op in ops:
+                                        if op >= 0:
+                                            ras_c = (op, ras_c)
+                                            if ras_n < ras_cap:
+                                                ras_n += 1
+                                        else:
+                                            ras_c = ras_c[1]
+                                            ras_n -= 1
+                                if fs[2] is not None:
+                                    break
+                                # Dynamic return: off the RAS, or the entry
+                                # on a (wrong-path) underflow.
+                                if ras_n:
+                                    bid, ras_c = ras_c
+                                    ras_n -= 1
+                                else:
+                                    bid = entry
+                                try:
+                                    fs = flat[bid]
+                                except KeyError:
+                                    fs = flatten(bid)
+                            snap = (ras_c, ras_n)
+                        fetched_uops += uops
+                        if tail - head > cmask:
+                            (r_fe, r_cq, r_due), cmask = _grown(
+                                (r_fe, r_cq, r_due), cmask, head, tail
+                            )
+                        brow = b_sets[fs[6]]
+                        btag = fs[7]
+                        if brow and brow[-1] == btag:
+                            dynamic = True
+                        elif btag in brow:
+                            brow.remove(btag)
+                            brow.append(btag)
+                            dynamic = True
+                        else:
+                            dynamic = False
+                        if dynamic:
+                            if gskew:
+                                v1 = fs[8]
+                                v2 = ((bhr_val & gk_hmask) ^ fs[9]) & gk_imask
+                                bim = gk_bim[v1] > 1
+                                if gk_meta[fs[11] ^ gk_hv[v2]] > 1:
+                                    g0 = fs[10] ^ gk_hx[v2]
+                                    pred = (
+                                        bim + (gk_g0[g0] > 1) + (gk_g1[g0 ^ v2 ^ v1] > 1)
+                                    ) >= 2
+                                else:
+                                    pred = bim
+                                pstate = None  # trained through prophet.update
+                            elif perc:
+                                pstate = pp_inputs(bhr_val)
+                                pred = sum(map(mul, pp_rows[fs[8]], pstate)) >= 0
+                            else:
+                                pred, pstate = p_predict(fs[2], bhr_val)
+                            r_fe[tail & cmask] = (
+                                fs, uops, pred, bhr_val, bor_val, next_seq,
+                                False, pstate, snap,
+                            )
+                            bhr_val = ((bhr_val << 1) | pred) & bhr_mask
+                            bor_val = ((bor_val << 1) | pred) & bor_mask
+                            next_seq += 1
+                            w_block = fs[3] if pred else fs[4]
+                        else:
+                            # BTB miss: static not-taken, no history bit.
+                            r_fe[tail & cmask] = (
+                                fs, uops, False, bhr_val, bor_val, next_seq,
+                                True, None, snap,
+                            )
+                            w_block = fs[4]
+                        tail += 1
+
+                # --- critic: up to critic_rate critiques/cycle, then the
+                # forced critique of an uncritiqued FTQ head: the cache
+                # needs its prediction now, so it is critiqued with the
+                # future bits available (§5) -- stalling fetch on the
+                # critic would starve the machine after every flush.
+                n_crit = critic_rate
+                while criticised < tail - cons:
+                    s = (cons + criticised) & cmask
+                    fe = r_fe[s]
+                    if n_crit and (
+                        fe[6] or next_seq - fe[5] >= required_bits
+                        or tail - cons >= ftq_entries
+                    ):
+                        n_crit -= 1
+                    elif criticised:
+                        break  # wait for more future bits
                     else:
-                        handle = InflightBranch(
-                            pc=0, prophet_pred=False, bhr_before=0, bor_before=0
-                        )
-                    if btb_lookup(pc):
-                        sys_predict_into(handle, pc)
-                        handle.seq = next_seq
-                        next_seq += 1
+                        n_crit = 0  # forced: nothing else this cycle
+                    criticised += 1
+                    if fe[6] or not ckind:
+                        continue  # static, or no critic: final = prophet's
+                    fs, _, ppred, bhrb, borb, seq, _, _, fsnap = fe
+                    bor_value = bor_val if live_bor else borb
+                    if fused:
+                        k0 = fs[12]
+                        if f_lo is not None:
+                            w = bor_value & vmask
+                            x = f_lo[w & f_kmask] ^ f_hi[((w >> f_k) << 1) | (w & 1)]
+                            si = (k0 ^ x) & c_set_mask
+                            tg = (fs[13] ^ (x >> f_sb)) & c_tag_mask
+                        else:
+                            si, tg = fold_hash(k0, fs[13], bor_value)
+                        f_lookups += 1
+                        frow = f_tags[si]
+                        if tg in frow:
+                            way = frow.index(tg)
+                            f_hits += 1
+                            order = f_lru[si]
+                            if order[-1] != way:
+                                order.remove(way)
+                                order.append(way)
+                            if tagged:
+                                final = c_counters[si * c_ways + way] > 1
+                            else:
+                                final = sum(map(
+                                    mul, fp_rows[k0 % fp_n], fp_inputs(bor_value)
+                                )) >= 0
+                        else:
+                            final = ppred  # filter miss: implicit agree
+                        r_cq[s] = (final, si, tg, bor_value)
+                    elif plain:
+                        final, cstate = c_predict(fs[2], bor_value)
+                        r_cq[s] = (final, cstate, None, bor_value)
                     else:
-                        sys_predict_static_into(handle, pc)
-                        handle.seq = next_seq
-                    handle.snap_block = branch.block_id
-                    handle.snap_ras = ras_snapshot()
-                    handle.uops_hint = walker.last_uops
-                    ftq.append(handle)
-                    # Inlined walker.advance(handle.prophet_pred).
-                    walker.block_id = (
-                        branch.taken_target if handle.prophet_pred
-                        else branch.fallthrough
-                    )
-                    walker._at_branch = False
-
-            # --- critic: up to critic_rate critiques/cycle ----------------
-            for _ in critic_slots:
-                if criticised >= len(ftq):
-                    break
-                handle = ftq[criticised]
-                needed = 0 if handle.is_static else required_bits
-                if next_seq - handle.seq < needed and len(ftq) < ftq_entries:
-                    break  # wait for more future bits
-                final = sys_critique(handle)
-                criticised += 1
-                if not handle.is_static and final != handle.prophet_pred:
-                    while len(ftq) > criticised:
-                        pool.append(ftq.pop())
-                    sys_apply_redirect(handle, final)
-                    walker_restore(handle.snap_block, handle.snap_ras)
-                    walker_advance(final)
-                    next_seq = handle.seq + 1
-                    critic_redirects += 1
-
-            # --- fetch: cache consumes uops from the FTQ head --------------
-            # A block of U uops occupies the fetch port for ceil(U/width)
-            # cycles; the branch enters the pipeline when its last uop is
-            # fetched and resolves a full pipeline depth later. When the
-            # cache requires a prediction whose critique isn't ready, the
-            # critique is generated with the future bits available (§5) —
-            # stalling fetch on the critic would starve the machine after
-            # every flush, when the FTQ is shallow.
-            if ftq:
-                head = ftq[0]
-                if not head.critiqued:
-                    final = sys_critique(head)
-                    if criticised < 1:
-                        criticised = 1
-                    if not head.is_static and final != head.prophet_pred:
-                        while len(ftq) > 1:
-                            pool.append(ftq.pop())
-                        criticised = 1
-                        sys_apply_redirect(head, final)
-                        walker_restore(head.snap_block, head.snap_ras)
-                        walker_advance(final)
-                        next_seq = head.seq + 1
+                        found = critic.lookup(fs[2], bor_value)
+                        final = found.prediction if found.hit else ppred
+                        r_cq[s] = (final, None, None, bor_value)
+                    if final != ppred:
+                        # Override: flush the uncritiqued FTQ tail, repair
+                        # both registers and refetch down the final edge.
+                        tail = cons + criticised
+                        bhr_val = ((bhrb << 1) | final) & bhr_mask
+                        bor_val = ((borb << 1) | final) & bor_mask
+                        snap = fsnap
+                        w_block = fs[3] if final else fs[4]
+                        next_seq = seq + 1
                         critic_redirects += 1
-                if head_fetch_remaining == 0:
-                    head_fetch_remaining = head.uops_hint
-                head_fetch_remaining -= fetch_width
-                if head_fetch_remaining <= 0:
-                    head_fetch_remaining = 0
-                    ftq.popleft()
-                    criticised -= 1
-                    resolve_queue.append((cycle + penalty, head))
-            else:
-                ftq_empty_cycles += 1
 
-            # --- retire/resolve: bounded by retire width -------------------
-            # Retirement is incremental: a branch commits once all its
-            # block's uops have drained through the retire port, so blocks
-            # wider than the port simply take several cycles.
-            retire_budget = retire_width
-            while resolve_queue and resolve_queue[0][0] <= cycle and retire_budget > 0:
-                head = resolve_queue[0][1]
-                uops_left = head.uops_hint
-                if uops_left > retire_budget:
-                    head.uops_hint = uops_left - retire_budget
-                    break
-                retire_budget -= uops_left
-                resolve_queue.popleft()
-                pc = t_pc[trace_index]
-                taken = t_tk[trace_index]
-                uops = t_uops[trace_index]
-                trace_index += 1
-                if pc != head.pc:
-                    raise SimulationDesyncError(
-                        f"timing model desync at branch {resolved}: "
-                        f"{pc:#x} vs {head.pc:#x}"
-                    )
-                committed += uops
-                backend_stall += stall_cycles(committed, uops)
-                resolved += 1
-                if resolved > warmup:
-                    branches += 1
-                mispredicted = head.final_pred != taken or (head.is_static and taken)
-                if head.is_static:
-                    btb_allocate(head.pc)
-                sys_resolve(head, taken)
-                if mispredicted:
+                # --- fetch: the cache consumes uops from the FTQ head -----
+                # A block of U uops occupies the fetch port for ceil(U/width)
+                # cycles; the branch enters the pipeline when its last uop
+                # is fetched and resolves a full pipeline depth later.
+                if tail > cons:
+                    if head_fetch_remaining == 0:
+                        head_fetch_remaining = r_fe[cons & cmask][1]
+                    head_fetch_remaining -= fetch_width
+                    if head_fetch_remaining <= 0:
+                        head_fetch_remaining = 0
+                        r_due[cons & cmask] = cycle + penalty
+                        cons += 1
+                        criticised -= 1
+                else:
+                    ftq_empty_cycles += 1
+
+                # --- retire/resolve: bounded by retire width ---------------
+                # A branch commits once all its block's uops have drained
+                # through the retire port, so blocks wider than the port
+                # take several cycles.
+                retire_budget = retire_width
+                while head < cons and r_due[head & cmask] <= cycle and retire_budget > 0:
+                    s = head & cmask
+                    fs, fuops, ppred, bhrb, borb, seq, static, pstate, fsnap = r_fe[s]
+                    uops_left = retire_left or fuops
+                    if uops_left > retire_budget:
+                        retire_left = uops_left - retire_budget
+                        break
+                    retire_budget -= uops_left
+                    retire_left = 0
+                    head += 1
+                    pc = t_pc[trace_index]
+                    taken = t_tk[trace_index]
+                    uops = t_uops[trace_index]
+                    trace_index += 1
+                    if pc != fs[2]:
+                        raise SimulationDesyncError(
+                            f"timing model desync at branch {resolved}: "
+                            f"{pc:#x} vs {fs[2]:#x}"
+                        )
+                    committed += uops
+                    backend_stall += stall[resolved]
+                    resolved += 1
                     if resolved > warmup:
-                        mispredicts += 1
-                    sys_recover(head, taken)
-                    walker_restore(head.snap_block, head.snap_ras)
-                    walker_advance(taken)
-                    pool.extend(ftq)
-                    ftq.clear()
-                    criticised = 0
-                    pool.extend(entry[1] for entry in resolve_queue)
-                    resolve_queue.clear()
-                    head_fetch_remaining = 0
-                    next_seq = head.seq + 1
-                    # The 30-cycle penalty is the fetch→resolve delay the
-                    # flushed work already paid; redirected fetch resumes
-                    # next cycle (charging it again would double-count).
-                    fetch_blocked_until = cycle + 1
-                    pool.append(head)
-                    break
-                pool.append(head)
+                        branches += 1
+                    if static:
+                        # Commit-time BTB allocation, evicting LRU.
+                        brow = b_sets[fs[6]]
+                        btag = fs[7]
+                        if btag in brow:
+                            brow.remove(btag)
+                        elif len(brow) >= b_ways:
+                            brow.pop(0)
+                        brow.append(btag)
+                        mispredicted = taken
+                    else:
+                        if perc:
+                            # update_packed on the integer weight mirror.
+                            if prophet.stats_enabled:
+                                prophet.stats.record(ppred == taken)
+                            pp_train(fs[8], pstate, taken)
+                        elif pstate is None:
+                            p_update_plain(pc, bhrb, taken, ppred)
+                        else:
+                            p_update(pc, bhrb, taken, ppred, pstate)
+                        if ckind:
+                            final, si, tg, borc = r_cq[s]
+                            final_mispredict = (final if insert_final else ppred) != taken
+                            if tagged:
+                                c_train(pc, borc, taken, final_mispredict, si, tg)
+                            elif fperc:
+                                # The filtered perceptron's train_hashed on
+                                # the integer weight mirror.
+                                frow = f_tags[si]
+                                hit = tg in frow
+                                if hit or final_mispredict:
+                                    if hit:
+                                        filt._touch(si, frow.index(tg))
+                                    else:
+                                        filt.insert(si, tg)
+                                    y = fp_train((pc >> 2) % fp_n, fp_inputs(borc), taken)
+                                    if fp.stats_enabled:
+                                        fp.stats.record((y >= 0) == taken)
+                                        if hit:
+                                            critic.stats.record((y >= 0) == taken)
+                            elif plain:
+                                if si is None:
+                                    critic.update(pc, borc, taken, bool(final))
+                                else:
+                                    c_update(pc, borc, taken, bool(final), si)
+                            else:
+                                critic.train(pc, borc, taken, final_mispredict)
+                        else:
+                            final = ppred
+                        mispredicted = final != taken
+                    if mispredicted:
+                        if resolved > warmup:
+                            mispredicts += 1
+                        # Restore the checkpoints, insert the outcome and
+                        # flush everything younger; fetch resumes next
+                        # cycle (the 30-cycle penalty is the fetch-to-
+                        # resolve delay the flushed work already paid).
+                        bhr_val = ((bhrb << 1) | taken) & bhr_mask
+                        bor_val = ((borb << 1) | taken) & bor_mask
+                        snap = fsnap
+                        w_block = fs[3] if taken else fs[4]
+                        cons = tail = head
+                        criticised = 0
+                        head_fetch_remaining = 0
+                        next_seq = seq + 1
+                        fetch_blocked_until = cycle + 1
+                        break
 
-            # --- memory stalls extend the run as skipped cycles ------------
-            if backend_stall >= 1.0:
-                skip = int(backend_stall)
-                backend_stall -= skip
-                cycle += skip
+                # --- memory stalls extend the run as skipped cycles ---------
+                if backend_stall >= 1.0:
+                    skip = int(backend_stall)
+                    backend_stall -= skip
+                    cycle += skip
+        finally:
+            bhr._value = bhr_val
+            if critic is not None:
+                system.bor._value = bor_val
+            self._front = (w_block, snap)
+            self._fetched_uops = fetched_uops
+            for ops in perc_ops:
+                ops.write_back()
+            if fused:
+                filt.stats.lookups += f_lookups
+                filt.stats.hits += f_hits
 
-        result.cycles = max(1, cycle - measure_start_cycle)
-        result.committed_uops = committed - measure_start_uops
-        result.fetched_uops = walker.fetched_uops - measure_start_fetched
-        result.branches = branches
-        result.mispredicts = mispredicts
-        result.critic_redirects = critic_redirects
-        result.ftq_empty_cycles = ftq_empty_cycles
-        return result
+        return PipelineResult(
+            benchmark=program.name,
+            system=type(system).__name__,
+            cycles=max(1, cycle - measure_start_cycle),
+            committed_uops=committed - measure_start_uops,
+            fetched_uops=fetched_uops - measure_start_fetched,
+            branches=branches,
+            mispredicts=mispredicts,
+            critic_redirects=critic_redirects,
+            ftq_empty_cycles=ftq_empty_cycles,
+        )

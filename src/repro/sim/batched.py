@@ -278,6 +278,25 @@ def _critic_fold_tables(geometry):
     return hit
 
 
+def _fold_hash(geometry):
+    """``(pc >> 2, tag pc-part, history) -> (set index, tag)``: the fold
+    as loops (``TaggedGsharePredictor._hash_pair``), for the zero-history
+    and wide shapes that the fold images' width gate leaves out."""
+    c_hmask, c_rot, c_set_shifts, c_tag_shifts, c_set_mask, c_tag_mask = geometry
+
+    def fold_hash(fi, ftag, history):
+        value = history & c_hmask
+        for sh in c_set_shifts:
+            fi ^= value >> sh
+        if c_tag_shifts:
+            rotated = ((history >> 1) | ((history & 1) << c_rot)) & c_hmask
+            for sh in c_tag_shifts:
+                ftag ^= (value >> sh) ^ ((rotated >> sh) << 1)
+        return fi & c_set_mask, ftag & c_tag_mask
+
+    return fold_hash
+
+
 _GSKEW_XOR_CACHE: dict = {}
 
 
@@ -928,8 +947,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
             f_maps.append(_m)
     if filtered:
         c_geometry = _critic_fold_geometry(critic)
-        (c_hmask, c_rot, c_set_shifts, c_tag_shifts,
-         c_set_mask, c_tag_mask) = c_geometry
+        c_hmask, c_set_mask, c_tag_mask = c_geometry[0], c_geometry[4], c_geometry[5]
     if ckind == _CR_TAGGED:
         c_ways = critic.ways
         c_counters = critic._counters_raw
@@ -952,6 +970,8 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         vmask = (c_hmask << 1) | 1
     else:
         f_lo = None
+        if filtered:
+            c_fold_hash = _fold_hash(c_geometry)
 
     stats = RunStats(benchmark=program.name, system=type(system).__name__)
     required_bits = max(system.future_bits, 0)
@@ -1313,23 +1333,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 si = (k0 ^ x) & c_set_mask
                                 tg = (fe[6] ^ (x >> f_sb)) & c_tag_mask
                             else:
-                                # Inline TaggedGsharePredictor._hash_pair.
-                                value = bor_value & c_hmask
-                                fi = k0
-                                for sh in c_set_shifts:
-                                    fi ^= value >> sh
-                                ftag = 0
-                                for sh in c_tag_shifts:
-                                    ftag ^= value >> sh
-                                ft2 = 0
-                                if c_tag_shifts:
-                                    rotated = (
-                                        (bor_value >> 1) | ((bor_value & 1) << c_rot)
-                                    ) & c_hmask
-                                    for sh in c_tag_shifts:
-                                        ft2 ^= rotated >> sh
-                                tg = (fe[6] ^ ftag ^ (ft2 << 1)) & c_tag_mask
-                                si = fi & c_set_mask
+                                si, tg = c_fold_hash(k0, fe[6], bor_value)
                             f_lookups += 1
                             way = f_maps[si].get(tg)
                             if way is not None:

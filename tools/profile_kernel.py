@@ -29,11 +29,14 @@ rule are shared with the other profilers through ``tools/profiling.py``):
   (``tests/reference_kernel.py``) on the same cells in the same process
   and reports the speedup ratio. Ratios are much more stable across
   machines than absolute branches/sec, so the CI floor is expressed in
-  ratios;
+  ratios. On the cells marked ``timed`` it also times the Table-2
+  timing model, ``TimedMachine.run``, against its frozen loop
+  (``tests/reference_timing.py``) at the same window, warm trace memo
+  and replay context, and requires their two results to be equal;
 * ``--check-floor FILE`` fails (exit 1) when a cell's speedup — over the
-  reference kernel or of the batched backend over scalar — falls more
-  than 25% below its floor value, or when a floored cell is not
-  measured. Without numpy the batched floors are waived.
+  reference kernel or timing machine, or of the batched backend over
+  scalar — falls more than 25% below its floor value, or when a floored
+  cell is not measured. Without numpy the batched floors are waived.
 
 Usage::
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import profiling
+from repro.pipeline.machine import TimedMachine
 from repro.sim import batched
 from repro.sim.driver import SimulationConfig, simulate
 from repro.sim.specs import ProgramSpec, SystemSpec
@@ -55,7 +59,8 @@ from repro.sim.specs import ProgramSpec, SystemSpec
 #: The canonical cells. "headline" is the acceptance cell: the §1
 #: comparison pair on gcc. The remaining cells cover a loop-dominated FP
 #: benchmark and the random-heavy server benchmark so a regression that
-#: only hits call-heavy or flush-heavy paths cannot hide.
+#: only hits call-heavy or flush-heavy paths cannot hide. "timed" cells
+#: also run the timing model of Figures 9 and 10.
 CELLS: list[dict] = [
     {
         "id": "gcc/hybrid-8+8",
@@ -63,6 +68,7 @@ CELLS: list[dict] = [
         "system": SystemSpec.hybrid("2bc-gskew", 8, "tagged-gshare", 8, future_bits=8),
         "quick": True,
         "headline": True,
+        "timed": True,
     },
     {
         "id": "gcc/2bc-gskew-16",
@@ -70,6 +76,7 @@ CELLS: list[dict] = [
         "system": SystemSpec.single("2bc-gskew", 16),
         "quick": True,
         "headline": True,
+        "timed": True,
     },
     {
         "id": "flash/2bc-gskew-16",
@@ -78,15 +85,16 @@ CELLS: list[dict] = [
         "quick": True,
         "headline": True,
     },
-    # Perceptron cells: the perceptron as prophet (figure 5) and as an
-    # unfiltered critic (figure 6a), both on the batched kernel's
-    # integer perceptron ops.
+    # Perceptron cells: the perceptron as prophet (figures 5 and 9) and
+    # as an unfiltered critic (figure 6a), both on the batched kernel's
+    # integer perceptron ops (the timing model's perceptron prophet too).
     {
         "id": "gcc/perceptron-8+tagged-8",
         "benchmark": "gcc",
         "system": SystemSpec.hybrid("perceptron", 8, "tagged-gshare", 8, future_bits=8),
         "quick": True,
         "headline": False,
+        "timed": True,
     },
     {
         "id": "gcc/2bc-gskew-8+perceptron-8",
@@ -119,6 +127,7 @@ WAIVED = () if batched.np is not None else ("speedup_batched_vs_scalar",)
 _DIFFERENTIAL_TESTS = {
     "batched": "tests/sim/test_batched_backend.py",
     "reference": "tests/sim/test_differential_kernel.py",
+    "timed": "tests/pipeline/test_differential_timing.py",
 }
 
 
@@ -166,13 +175,29 @@ def measure_cell(
         runs["batched"] = lambda system: simulate(program, system, batched_cfg)
     if compare_reference:
         runs["reference"] = lambda system: _reference_run(program, system, config)
+        if cell.get("timed"):
+            from reference_timing import ReferenceTimedMachine
+
+            def timed(machine_type):
+                return lambda system: machine_type(program, system).run(
+                    n_branches, warmup_branches
+                )
+
+            # Untimed: fills the replay context (flat CFG table, stall
+            # column), as a figure's earlier cells on the program do.
+            timed(TimedMachine)(cell["system"].build())
+            runs["timed"] = timed(TimedMachine)
+            runs["timed_reference"] = timed(ReferenceTimedMachine)
 
     timing, results = profiling.repeat(runs, setup=cell["system"].build)
-    for backend in list(runs)[1:]:
-        profiling.assert_identical(
-            f"{cell['id']} {backend} vs scalar", [results[backend]],
-            [results["scalar"]], _DIFFERENTIAL_TESTS[backend],
-        )
+    for backend, oracle in (
+        ("batched", "scalar"), ("reference", "scalar"), ("timed", "timed_reference"),
+    ):
+        if backend in results:
+            profiling.assert_identical(
+                f"{cell['id']} {backend} vs {oracle}", [results[backend]],
+                [results[oracle]], _DIFFERENTIAL_TESTS[backend],
+            )
 
     best = {backend: spread["best"] for backend, spread in timing.items()}
     row = {
@@ -190,6 +215,11 @@ def measure_cell(
     if "reference" in best:
         row["reference_branches_per_sec"] = round(n_branches / best["reference"], 1)
         row["speedup_vs_reference"] = round(best["reference"] / best["scalar"], 3)
+    if "timed" in best:
+        row["timed_branches_per_sec"] = round(n_branches / best["timed"], 1)
+        row["speedup_timing_vs_reference"] = round(
+            best["timed_reference"] / best["timed"], 3
+        )
     row["timing"] = {
         backend: {stat: round(value, 4) for stat, value in spread.items()}
         for backend, spread in timing.items()
@@ -206,8 +236,8 @@ def measure(args) -> tuple[dict, list[dict]]:
         if cell["quick"] or not args.quick:
             rows.append(measure_cell(cell, n_branches, warmup_branches, compare))
             profiling.show(
-                rows[-1], KEY, "branches_per_sec",
-                "speedup_batched_vs_scalar", "speedup_vs_reference",
+                rows[-1], KEY, "branches_per_sec", "speedup_batched_vs_scalar",
+                "speedup_vs_reference", "speedup_timing_vs_reference",
             )
     return {"branches_per_run": n_branches, "quick": args.quick}, rows
 
@@ -223,7 +253,8 @@ def _options(parser) -> None:
     )
     parser.add_argument(
         "--compare-reference", action="store_true",
-        help="also time the frozen pre-optimization kernel and report speedups",
+        help="also time the frozen pre-optimization kernel and timing machine "
+        "and report speedups",
     )
 
 
