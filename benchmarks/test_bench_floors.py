@@ -2,8 +2,8 @@
 
 ``tools/profile_{kernel,sweep,serve,chaos}.py`` each gate CI through
 the one ``check_floor`` in ``tools/profiling.py``. These tests pin that
-gate on the committed floor files, with each profiler's own row key,
-exact fields and waivers: every committed ``BENCH_*.json`` snapshot
+gate on the committed floor files, with each profiler's own row key
+and exact fields: every committed ``BENCH_*.json`` snapshot
 passes its floor, ratio floors carry the 25 % band, correctness gates
 carry none, ceilings are divided by the tolerance, and a floor nobody
 measured fails. No profiler is run.
@@ -28,7 +28,7 @@ def _rows(name: str) -> list[dict]:
     return json.loads((REPO / "benchmarks" / f"BENCH_{name}.json").read_text())["rows"]
 
 
-def _check(name: str, rows: list[dict], waived=None) -> list[str]:
+def _check(name: str, rows: list[dict]) -> list[str]:
     """The floor check exactly as ``profile_<name>.py --check-floor`` runs it."""
     import profiling
 
@@ -38,7 +38,6 @@ def _check(name: str, rows: list[dict], waived=None) -> list[str]:
         REPO / "benchmarks" / f"BENCH_{name}_floor.json",
         module.KEY,
         getattr(module, "EXACT", ()),
-        getattr(module, "WAIVED", ()) if waived is None else waived,
     )
 
 
@@ -118,18 +117,6 @@ def test_unmeasured_floor_fails(name, row_id, field):
     )
     assert len(failures) == expected >= 1
     assert all("not measured" in failure for failure in failures)
-
-
-def test_batched_floors_waived_without_numpy():
-    """Without numpy the batched column cannot run: waived, not failed."""
-    rows = _rows("kernel")
-    for row in rows:
-        del row["speedup_batched_vs_scalar"]
-    assert _check("kernel", rows, waived=("speedup_batched_vs_scalar",)) == []
-    floors = json.loads((REPO / "benchmarks" / "BENCH_kernel_floor.json").read_text())
-    assert len(_check("kernel", rows, waived=())) == len(
-        floors["min_speedup_batched_vs_scalar"]
-    )
 
 
 def _chaos_report(identical: bool = True, crashes_injected: int = 2):

@@ -62,12 +62,6 @@ class LintReport:
     def exit_code(self) -> int:
         return 1 if (self.new or self.parse_errors) else 0
 
-    def all_findings(self) -> list[Finding]:
-        return sorted(
-            self.new + self.baselined + self.suppressed + self.parse_errors,
-            key=lambda f: (f.path, f.line, f.rule),
-        )
-
     def to_json(self) -> dict:
         def bucket(findings: Iterable[Finding], status: str) -> list[dict]:
             return [{**f.to_json(), "status": status} for f in findings]

@@ -64,7 +64,8 @@ class InflightBranch:
     critic_hit: bool = False
     critic_pred: bool | None = None
     bor_at_critique: int = 0
-    #: Opaque walker snapshot installed by the driver.
+    #: Opaque walker snapshot; only the frozen reference loops
+    #: (tests/reference_kernel.py, tests/reference_timing.py) set it.
     walker_snapshot: object = None
     #: Flat walker checkpoint (block id + RAS tuple), driver-managed.
     snap_block: int = -1
@@ -86,25 +87,6 @@ class InflightBranch:
         agreed = self.critic_pred == self.prophet_pred if self.critic_hit else True
         return CritiqueKind.classify(prophet_correct, self.critic_hit, agreed)
 
-    def copy_fetch_fields(self, fresh: "InflightBranch") -> None:
-        """Re-initialise this pooled handle from a freshly predicted one
-        (fallback path for systems without a native ``predict_into``)."""
-        self.pc = fresh.pc
-        self.prophet_pred = fresh.prophet_pred
-        self.bhr_before = fresh.bhr_before
-        self.bor_before = fresh.bor_before
-        self.is_static = fresh.is_static
-        self.critiqued = False
-        self.final_pred = False
-        self.critic_hit = False
-        self.critic_pred = None
-        self.bor_at_critique = 0
-        self.prophet_state = fresh.prophet_state
-        self.critic_ix = -1
-        self.critic_tag = 0
-        self.critic_state = None
-        self.uops_hint = 1
-
 
 class PredictionSystem(abc.ABC):
     """Driver-facing interface shared by baselines and hybrids."""
@@ -112,25 +94,25 @@ class PredictionSystem(abc.ABC):
     #: Future bits the critic waits for (0 = conventional-hybrid timing).
     future_bits: int = 0
 
-    @abc.abstractmethod
     def predict(self, pc: int) -> InflightBranch:
         """Prophet prediction at fetch (speculative register update)."""
+        handle = InflightBranch(pc=pc, prophet_pred=False, bhr_before=0, bor_before=0)
+        self.predict_into(handle, pc)
+        return handle
 
-    @abc.abstractmethod
     def predict_static(self, pc: int) -> InflightBranch:
         """BTB miss: implicit not-taken, no register update, no training."""
+        handle = InflightBranch(pc=pc, prophet_pred=False, bhr_before=0, bor_before=0)
+        self.predict_static_into(handle, pc)
+        return handle
 
+    @abc.abstractmethod
     def predict_into(self, handle: InflightBranch, pc: int) -> None:
-        """Pooled-handle variant of :meth:`predict`.
+        """:meth:`predict` into a pooled handle, filled in place."""
 
-        The default delegates to :meth:`predict` and copies the result;
-        concrete systems override it to fill the handle in place.
-        """
-        handle.copy_fetch_fields(self.predict(pc))
-
+    @abc.abstractmethod
     def predict_static_into(self, handle: InflightBranch, pc: int) -> None:
-        """Pooled-handle variant of :meth:`predict_static`."""
-        handle.copy_fetch_fields(self.predict_static(pc))
+        """:meth:`predict_static` into a pooled handle, filled in place."""
 
     @abc.abstractmethod
     def critique(self, handle: InflightBranch) -> bool:
@@ -177,11 +159,6 @@ class SinglePredictorSystem(PredictionSystem):
         if self._update_packed is None:
             self._predict_packed = None  # state with no consumer is waste
 
-    def predict(self, pc: int) -> InflightBranch:
-        handle = InflightBranch(pc=pc, prophet_pred=False, bhr_before=0, bor_before=0)
-        self.predict_into(handle, pc)
-        return handle
-
     def predict_into(self, handle: InflightBranch, pc: int) -> None:
         # Only the fields critique() does not unconditionally rewrite
         # before any read need resetting on a pooled handle; critique
@@ -202,11 +179,6 @@ class SinglePredictorSystem(PredictionSystem):
         handle.is_static = False
         handle.critiqued = False
         handle.prophet_state = state
-
-    def predict_static(self, pc: int) -> InflightBranch:
-        handle = InflightBranch(pc=pc, prophet_pred=False, bhr_before=0, bor_before=0)
-        self.predict_static_into(handle, pc)
-        return handle
 
     def predict_static_into(self, handle: InflightBranch, pc: int) -> None:
         handle.pc = pc
@@ -310,11 +282,6 @@ class ProphetCriticSystem(PredictionSystem):
 
     # -- fetch ------------------------------------------------------------------
 
-    def predict(self, pc: int) -> InflightBranch:
-        handle = InflightBranch(pc=pc, prophet_pred=False, bhr_before=0, bor_before=0)
-        self.predict_into(handle, pc)
-        return handle
-
     def predict_into(self, handle: InflightBranch, pc: int) -> None:
         # Only the fields critique() does not unconditionally rewrite
         # before any read need resetting on a pooled handle; critique
@@ -341,11 +308,6 @@ class ProphetCriticSystem(PredictionSystem):
         handle.is_static = False
         handle.critiqued = False
         handle.prophet_state = state
-
-    def predict_static(self, pc: int) -> InflightBranch:
-        handle = InflightBranch(pc=pc, prophet_pred=False, bhr_before=0, bor_before=0)
-        self.predict_static_into(handle, pc)
-        return handle
 
     def predict_static_into(self, handle: InflightBranch, pc: int) -> None:
         handle.pc = pc

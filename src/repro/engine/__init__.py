@@ -10,24 +10,19 @@ The two traversers share the program's CFG but differ in what drives them:
   what generates genuine (non-oracle) future bits for the critic (§6).
 
 Support hardware: :class:`~repro.engine.btb.BranchTargetBuffer` (4096×4,
-Table 2), :class:`~repro.engine.ras.ReturnAddressStack`, and
-:class:`~repro.engine.ftq.FetchTargetQueue` (timing model).
+Table 2) and :class:`~repro.engine.ras.ReturnAddressStack`. The FTQ is
+modelled inside the timing loop (:mod:`repro.pipeline.machine`).
 """
 
 from repro.engine.btb import BranchTargetBuffer
 from repro.engine.executor import ArchitecturalExecutor, ResolvedBranch
-from repro.engine.frontend import FetchedBranch, SpeculativeWalker, WalkerSnapshot
-from repro.engine.ftq import FetchTargetQueue, FtqEntry
+from repro.engine.frontend import SpeculativeWalker
 from repro.engine.ras import ReturnAddressStack
 
 __all__ = [
     "ArchitecturalExecutor",
     "BranchTargetBuffer",
-    "FetchTargetQueue",
-    "FetchedBranch",
-    "FtqEntry",
     "ResolvedBranch",
     "ReturnAddressStack",
     "SpeculativeWalker",
-    "WalkerSnapshot",
 ]

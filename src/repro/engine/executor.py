@@ -129,7 +129,3 @@ class ArchitecturalExecutor:
             uops=uops,
             next_block=self._last_target,
         )
-
-    def run_branches(self, count: int) -> list[ResolvedBranch]:
-        """Resolve the next ``count`` branches (convenience for tests)."""
-        return [self.next_branch() for _ in range(count)]

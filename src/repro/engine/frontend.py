@@ -18,36 +18,14 @@ Checkpoint/restore is flat state: a branch position is (block id, RAS
 tuple), where the RAS tuple is memoised per mutation so the per-fetch
 snapshot the driver takes allocates nothing on call-free stretches. The
 driver stores the two fields straight into its pooled in-flight handles
-via :attr:`block_id`/:meth:`ras_state`; :meth:`snapshot`/:meth:`restore`
-wrap the same state for callers that want one object.
+via :attr:`block_id` and the RAS's ``snapshot()``, and rewinds with
+:meth:`restore_state`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.engine.ras import ReturnAddressStack
 from repro.workloads.program import Program
-
-
-@dataclass(frozen=True, slots=True)
-class WalkerSnapshot:
-    """Walker state captured at a conditional branch (before advancing)."""
-
-    block_id: int
-    ras: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class FetchedBranch:
-    """A conditional branch the walker has fetched (not yet advanced past)."""
-
-    pc: int
-    block_id: int
-    #: uops fetched since the previous conditional branch.
-    uops: int
-    taken_target: int
-    fallthrough: int
 
 
 class SpeculativeWalker:
@@ -64,24 +42,21 @@ class SpeculativeWalker:
         #: positioned at a branch — the conditional block itself.
         self.block_id = program.entry
         self._branch = None  # BasicBlock of the current conditional
-        #: The walker's RAS; the driver snapshots it via ras_state().
+        #: The walker's RAS; the driver snapshots it per fetch.
         self.ras = self._ras = ReturnAddressStack(ras_capacity)
         #: Total uops fetched, correct and wrong path (paper §1's
         #: "uops fetched along both correct and incorrect paths").
         self.fetched_uops = 0
-        #: uops of the most recent next_branch() run (segment-accumulated).
-        self.last_uops = 0
         self._at_branch = False
 
-    # -- hot path ----------------------------------------------------------
-
     def next_branch_block(self):
-        """Advance to the next conditional branch; return its BasicBlock.
+        """Advance to the next conditional branch and stop *on* it; return
+        its BasicBlock.
 
-        The flat-state twin of :meth:`next_branch`: identical traversal,
-        no ``FetchedBranch`` construction. The driver reads pc/targets
-        off the returned block and steps past it with :meth:`advance`
-        (or by assigning :attr:`block_id`/:attr:`_at_branch` inline).
+        The driver reads pc/targets off the returned block and steps past
+        it with :meth:`advance` (or by assigning
+        :attr:`block_id`/:attr:`_at_branch` inline). The uops fetched on
+        the way are added to :attr:`fetched_uops`.
         """
         if self._at_branch:
             raise RuntimeError("already positioned at a branch; call advance() first")
@@ -102,7 +77,6 @@ class SpeculativeWalker:
                 self._branch = branch
                 self._at_branch = True
                 self.fetched_uops += uops
-                self.last_uops = uops
                 return branch
             next_block = seg.next_block
             if next_block is not None:
@@ -114,21 +88,13 @@ class SpeculativeWalker:
             target = ras.pop()
             block_id = self._entry if target is None else target
 
-    def next_branch_pc(self) -> int:
-        """Advance to the next conditional branch; return its pc."""
-        return self.next_branch_block().pc
-
     def advance(self, taken: bool) -> None:
         """Step past the current conditional branch in direction ``taken``."""
         if not self._at_branch:
-            raise RuntimeError("not positioned at a branch; call next_branch() first")
+            raise RuntimeError("not positioned at a branch; call next_branch_block() first")
         branch = self._branch
         self.block_id = branch.taken_target if taken else branch.fallthrough
         self._at_branch = False
-
-    def ras_state(self) -> tuple[int, ...]:
-        """The RAS contents as an immutable tuple (memoised per version)."""
-        return self._ras.snapshot()
 
     def restore_state(self, block_id: int, ras: tuple[int, ...]) -> None:
         """Rewind to flat state: positioned at that branch, ready to advance."""
@@ -136,28 +102,3 @@ class SpeculativeWalker:
         self._branch = self.program.block(block_id)
         self._ras.restore(ras)
         self._at_branch = True
-
-    # -- object-shaped API (tests, frozen reference machines) -------------
-
-    def next_branch(self) -> FetchedBranch:
-        """Advance through non-conditional control flow to the next
-        conditional branch and stop *on* it."""
-        pc = self.next_branch_pc()
-        branch = self._branch
-        return FetchedBranch(
-            pc=pc,
-            block_id=branch.block_id,
-            uops=self.last_uops,
-            taken_target=branch.taken_target,
-            fallthrough=branch.fallthrough,
-        )
-
-    def snapshot(self) -> WalkerSnapshot:
-        """Capture state at the current branch (call before advance)."""
-        if not self._at_branch:
-            raise RuntimeError("snapshots are taken at conditional branches")
-        return WalkerSnapshot(block_id=self.block_id, ras=self._ras.snapshot())
-
-    def restore(self, snap: WalkerSnapshot) -> None:
-        """Rewind to a snapshot: positioned at that branch, ready to advance."""
-        self.restore_state(snap.block_id, snap.ras)

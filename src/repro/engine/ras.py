@@ -72,9 +72,6 @@ class ReturnAddressStack:
                 stack.pop()
         self._version += 1
 
-    def peek(self) -> int | None:
-        return self._stack[-1] if self._stack else None
-
     def __len__(self) -> int:
         return len(self._stack)
 

@@ -42,35 +42,6 @@ class AlwaysNotTakenPredictor(DirectionPredictor):
         return 0
 
 
-class BackwardTakenForwardNotTaken(DirectionPredictor):
-    """BTFNT heuristic: backward branches (loops) taken, forward not.
-
-    Needs the branch target to classify direction, so callers must install
-    a target oracle via ``target_of``; defaults to predicting taken.
-    """
-
-    name = "btfnt"
-    history_length = 0
-
-    def __init__(self, target_of=None) -> None:
-        super().__init__()
-        self._target_of = target_of
-
-    def predict(self, pc: int, history: int) -> bool:
-        if self._target_of is None:
-            return True
-        target = self._target_of(pc)
-        if target is None:
-            return True
-        return target <= pc
-
-    def update(self, pc: int, history: int, taken: bool, predicted: bool) -> None:
-        if self.stats_enabled:
-            self.stats.record(predicted == taken)
-
-    def storage_bits(self) -> int:
-        return 0
-
 @dataclass(frozen=True)
 class StaticParams:
     """Static predictors have no geometry; the schema is empty."""

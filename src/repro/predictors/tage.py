@@ -161,10 +161,6 @@ class TagePredictor(DirectionPredictor):
 
     # -- update ------------------------------------------------------------------
 
-    def _component_prediction(self, i: int, pc: int, history: int) -> bool:
-        comp = self.components[i]
-        return comp.table[comp.index(pc, history)].ctr >= 0
-
     def update_packed(
         self, pc: int, history: int, taken: bool, predicted: bool, state
     ) -> None:

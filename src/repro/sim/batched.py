@@ -38,15 +38,15 @@ perceptron as prophet, with three kinds of critic: the tagged-gshare
 and filtered-perceptron critics (fused), and any unfiltered critic with
 a packed fast path (gshare, gas, 2bc-gskew, TAGE, YAGS through the
 system's own packed calls; the perceptron through the loop's integer
-perceptron ops). It returns None for anything else (including when
-numpy is unavailable), telling the driver to fall back to the scalar
-loop. Both system shapes run through one replay loop, :func:`_replay`:
-a single predictor is the prophet/critic machine with no critic,
-exactly as in the scalar driver. The loop has one fetch step for
-aligned and wrong-path fetches and one critique drain, which runs the
-scalar loop's critique arm at the only points where it can fire: when a
-fetch gives the oldest uncritiqued branch its future bits, and when a
-full window forces a critique (see the replay-loop section comment).
+perceptron ops). It returns None for anything else, telling the driver
+to fall back to the scalar loop. Both system shapes run through one
+replay loop, :func:`_replay`: a single predictor is the prophet/critic
+machine with no critic, exactly as in the scalar driver. The loop has
+one fetch step for aligned and wrong-path fetches and one critique
+drain, which runs the scalar loop's critique arm at the only points
+where it can fire: when a fetch gives the oldest uncritiqued branch its
+future bits, and when a full window forces a critique (see the
+replay-loop section comment).
 
 Two amortization layers sit on top of the loop:
 
@@ -66,10 +66,7 @@ import weakref
 from itertools import repeat
 from operator import add, mul, sub
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    np = None
+import numpy as np
 
 from repro.core.critiques import CritiqueKind
 from repro.core.hybrid import ProphetCriticSystem, SinglePredictorSystem
@@ -578,8 +575,6 @@ def _program_ctx(program) -> FusedReplayContext:
 
 def simulate_batched(program, system, config, shared=None):
     """Run the batched kernel, or return None for unsupported shapes."""
-    if np is None:
-        return None
     if shared is None:
         # Sequential replays of one program reuse the same memoized
         # precompute the fused path shares across a chunk; every key

@@ -73,7 +73,7 @@ class SimulationDesyncError(RuntimeError):
 #: experiment builds internally without threading a parameter through
 #: each signature (mirrors execution.get_default_engine). The batched
 #: kernel is bit-identical and returns None (the scalar loop runs) for
-#: shapes it does not specialize, or when numpy is missing.
+#: shapes it does not specialize.
 _DEFAULT_BACKEND = "batched"
 
 _KNOWN_BACKENDS = ("scalar", "batched")

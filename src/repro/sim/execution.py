@@ -6,9 +6,9 @@ fresh program and fresh predictor state — so the grid is embarrassingly
 parallel. This module turns a list of :class:`~repro.sim.specs.SweepCell`
 descriptions into results through three cooperating pieces:
 
-* :func:`run_cell` — the from-scratch work unit: rebuilds program and
-  system from the cell's specs and runs the appropriate simulator. It is
-  the *reference semantics* every faster path must match bit for bit.
+* :func:`run_cell` — the from-scratch work unit: the executors' cell
+  body with a fresh build of the cell's program and system. It is the
+  *reference semantics* every faster path must match bit for bit.
 * **Executors** — :class:`SerialExecutor` runs cells in the calling
   process; :class:`ProcessPoolExecutor` fans them out over a
   **persistent** ``concurrent.futures`` process pool that survives
@@ -191,8 +191,10 @@ class WorkerPoolError(RuntimeError):
     re-runs the unfinished cells one at a time (so repeat crashes become
     attributable to a cell); only when a cell exceeds its
     :class:`FailurePolicy` crash budget — and quarantine is off — does
-    this error surface. The pool respawns on the next use either way,
-    and results already computed remain in the cache.
+    this error surface. It also surfaces at once, with no retry, when
+    :meth:`ProcessPoolExecutor.terminate` kills the pool under a running
+    ``map_cells``. The pool respawns on the next use either way, and
+    results already computed remain in the cache.
     """
 
 
@@ -364,25 +366,12 @@ def _compute_cell(cell: SweepCell, builds: ProgramBuildCache) -> CellResult:
 def run_cell(cell: SweepCell) -> CellResult:
     """Execute one sweep cell entirely from scratch (reference semantics).
 
-    Rebuilds the program and prediction system from their specs so the
-    result depends only on the cell's content — never on which process,
-    in which order, or against which cached build it runs — then stamps
-    the cell's display labels. The memoized executor paths are proven
-    field-by-field identical to this function.
+    The executors' cell body against a throwaway build cache: program
+    and system are rebuilt from their specs, so the result depends only
+    on the cell's content — never on which process, in which order, or
+    against which cached build it runs.
     """
-    program = cell.program.build()
-    system = cell.system.build()
-    if cell.mode == MODE_TIMING:
-        from repro.pipeline.machine import TimedMachine
-
-        result: CellResult = TimedMachine(program, system).run(
-            cell.config.n_branches, warmup=cell.config.warmup
-        )
-    else:
-        result = simulate(program, system, cell.config)
-    result.system = cell.system_label
-    result.benchmark = cell.bench_name
-    return result
+    return _compute_cell(cell, ProgramBuildCache())
 
 
 def _stamp(result: CellResult, cell: SweepCell) -> CellResult:
@@ -524,6 +513,9 @@ class ProcessPoolExecutor:
         self.worker_crashes = 0
         self.cells_retried = 0
         self.cells_quarantined = 0
+        #: Bumped by :meth:`terminate`; a ``map_cells`` that sees it
+        #: change stops instead of re-running its cells on a new pool.
+        self._terminations = 0
 
     # -- pool lifecycle -----------------------------------------------------
 
@@ -552,7 +544,9 @@ class ProcessPoolExecutor:
 
         Unlike :meth:`shutdown`, does not wait for in-flight cells: each
         worker gets SIGTERM, the broken pool is discarded, and the next
-        ``map_cells`` respawns a healthy one. Reaches into the pool's
+        ``map_cells`` respawns a healthy one. A ``map_cells`` running on
+        the killed pool raises :class:`WorkerPoolError` rather than
+        treating the kill as a crash to retry. Reaches into the pool's
         ``_processes`` map — a private but long-stable attribute; if a
         future stdlib drops it, this degrades to a plain discard and the
         zombie workers die with the daemon process instead.
@@ -560,6 +554,7 @@ class ProcessPoolExecutor:
         pool = self._pool
         if pool is None:
             return
+        self._terminations += 1
         processes = getattr(pool, "_processes", None) or {}
         for process in list(processes.values()):
             try:
@@ -567,6 +562,14 @@ class ProcessPoolExecutor:
             except (OSError, ValueError):
                 pass  # already dead or never started
         self._discard_pool()
+
+    def _stop_if_terminated(
+        self, terminations: int, exc: BaseException | None = None
+    ) -> None:
+        """Raise if :meth:`terminate` has run since ``terminations`` was read."""
+        if self._terminations != terminations:
+            self._discard_pool()
+            raise WorkerPoolError("the worker pool was terminated mid-run") from exc
 
     # -- scheduling ---------------------------------------------------------
 
@@ -600,6 +603,7 @@ class ProcessPoolExecutor:
                 self._serial = SerialExecutor()
             return self._serial.map_cells(cells, on_result=on_result, cache=cache, keys=keys)
         policy = failure_policy if failure_policy is not None else DEFAULT_FAILURE_POLICY
+        terminations = self._terminations
         pool = self._ensure_pool()
         results: list[CellResult | None] = [None] * len(cells)
         finished: set[int] = set()
@@ -621,7 +625,8 @@ class ProcessPoolExecutor:
             for future in futures.as_completed(submitted):
                 for index, result in zip(submitted[future], future.result()):
                     harvest(index, result)
-        except BrokenProcessPool:
+        except BrokenProcessPool as exc:
+            self._stop_if_terminated(terminations, exc)
             # A dead worker poisons the whole pool. Salvage every chunk
             # that finished before the break, discard the remains, then
             # contain the damage: re-run the unfinished cells one at a
@@ -639,13 +644,18 @@ class ProcessPoolExecutor:
                 future.cancel()
             self._discard_pool()
             remaining = [i for i in range(len(cells)) if i not in finished]
-            self._contain_crashes(cells, remaining, harvest, cache, keys, policy)
-        except BaseException:
+            self._contain_crashes(
+                cells, remaining, harvest, cache, keys, policy, terminations
+            )
+        except BaseException as exc:
             # Fail fast: a cell error (or interrupt) cancels every chunk
             # that has not started; already-running chunks finish in the
             # background and their results stay in the cache.
             for future in submitted:
                 future.cancel()
+            if isinstance(exc, Exception):
+                # submit() on the pool terminate() just shut down.
+                self._stop_if_terminated(terminations, exc)
             raise
         return results  # type: ignore[return-value]
 
@@ -657,6 +667,7 @@ class ProcessPoolExecutor:
         cache: ResultCache | None,
         keys: Sequence[str] | None,
         policy: FailurePolicy,
+        terminations: int,
     ) -> None:
         """Finish ``remaining`` cells after a pool break, one at a time.
 
@@ -672,11 +683,17 @@ class ProcessPoolExecutor:
             attempts = 0
             while True:
                 attempts += 1
+                self._stop_if_terminated(terminations)
                 key_arg = [keys[index]] if keys is not None else None
-                future = self._ensure_pool().submit(_run_chunk, [cell], cache, key_arg)
+                try:
+                    future = self._ensure_pool().submit(_run_chunk, [cell], cache, key_arg)
+                except RuntimeError as exc:  # terminate() shut the pool down
+                    self._stop_if_terminated(terminations, exc)
+                    raise
                 try:
                     (result,) = future.result()
                 except BrokenProcessPool as exc:
+                    self._stop_if_terminated(terminations, exc)
                     self.worker_crashes += 1
                     self._discard_pool()
                     if attempts <= policy.worker_crash_retries:

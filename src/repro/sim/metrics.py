@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.critiques import CritiqueCensus, CritiqueKind
+from repro.core.critiques import CritiqueCensus
 
 
 @dataclass
@@ -70,12 +70,6 @@ class RunStats:
         return self.mispredicts / self.branches
 
     @property
-    def prophet_mispredict_rate(self) -> float:
-        if self.branches == 0:
-            return 0.0
-        return self.prophet_mispredicts / self.branches
-
-    @property
     def accuracy(self) -> float:
         return 1.0 - self.mispredict_rate
 
@@ -104,10 +98,6 @@ class RunStats:
         if self.census.total == 0:
             return 0.0
         return self.census.none_total / self.census.total
-
-    def filtered_fraction_of(self, kind: CritiqueKind) -> float:
-        """Share of branches in one census class (Table 4 rows)."""
-        return self.census.fraction(kind)
 
     # -- bookkeeping --------------------------------------------------------------
 

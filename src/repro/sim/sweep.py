@@ -27,31 +27,20 @@ can be decomposed into self-describing
   content changed; everything else is served from disk, bit-for-bit
   identical to a fresh run.
 
-Describe sweeps with :class:`~repro.sim.specs.SystemSpec` /
-:class:`~repro.sim.specs.ProgramSpec` values to get both behaviours.
-Specs reach every predictor in the registry at any geometry and
-round-trip through JSON (``docs/CONFIG.md``); the CLI's ``sweep`` verb
-runs whole config-file grids this way. Plain factory callables are
-still accepted for ad-hoc sweeps, but they cannot be pickled or
-content-hashed, so they always run serially in-process with no caching.
+Sweeps are described with :class:`~repro.sim.specs.SystemSpec` /
+:class:`~repro.sim.specs.ProgramSpec` values, which is what makes both
+possible. Specs reach every predictor in the registry at any geometry
+and round-trip through JSON (``docs/CONFIG.md``); the CLI's ``sweep``
+verb runs whole config-file grids this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Callable
 
-from repro.core.hybrid import PredictionSystem
-from repro.sim.driver import SimulationConfig, simulate
+from repro.sim.driver import SimulationConfig
 from repro.sim.metrics import RunStats
 from repro.sim.specs import ProgramSpec, SweepCell, SystemSpec
-from repro.workloads.program import Program
-
-#: A sweep cell's system: a spec (parallelisable, cacheable) or a bare
-#: factory producing a *fresh* system (legacy, in-process only).
-SystemFactory = Callable[[], PredictionSystem]
-ProgramFactory = Callable[[], Program]
 
 
 @dataclass
@@ -121,71 +110,48 @@ class SweepResult:
         return merged
 
 
-def _as_program_spec(value: ProgramSpec | str) -> ProgramSpec:
-    return ProgramSpec(benchmark=value) if isinstance(value, str) else value
-
-
 def run_sweep(
-    systems: dict[str, SystemSpec | SystemFactory],
-    benchmarks: dict[str, ProgramSpec | str | ProgramFactory],
+    systems: dict[str, SystemSpec],
+    benchmarks: dict[str, ProgramSpec | str],
     config: SimulationConfig | None = None,
     engine=None,
     progress=None,
 ) -> SweepResult:
     """Run every system on every benchmark, fresh state per cell.
 
-    When every system is a :class:`SystemSpec` and every benchmark a
-    :class:`ProgramSpec` or benchmark name, the grid routes through the
-    sweep engine (``engine``, or the process-wide default — see
-    :func:`repro.sim.execution.get_default_engine`) and gains parallel
-    execution, result caching and streaming per-cell ``progress``
-    callbacks. Grids containing bare factory callables fall back to the
-    in-process serial loop (``progress`` still fires per cell).
+    The grid routes through the sweep engine (``engine``, or the
+    process-wide default — see
+    :func:`repro.sim.execution.get_default_engine`), which brings
+    parallel execution, result caching and streaming per-cell
+    ``progress`` callbacks. A system that is not a :class:`SystemSpec`,
+    or a benchmark that is neither a :class:`ProgramSpec` nor a
+    benchmark name, raises :class:`TypeError` naming its label before
+    any cell runs.
     """
+    for label, system in systems.items():
+        if not isinstance(system, SystemSpec):
+            raise TypeError(
+                f"system {label!r} must be a SystemSpec, got {type(system).__name__}"
+            )
+    for name, program in benchmarks.items():
+        if not isinstance(program, (ProgramSpec, str)):
+            raise TypeError(
+                f"benchmark {name!r} must be a ProgramSpec or a benchmark name, "
+                f"got {type(program).__name__}"
+            )
+    from repro.sim.execution import get_default_engine
+
     config = config or SimulationConfig()
-    spec_based = all(isinstance(s, SystemSpec) for s in systems.values()) and all(
-        isinstance(b, (ProgramSpec, str)) for b in benchmarks.values()
-    )
-    if spec_based:
-        from repro.sim.execution import get_default_engine
-
-        cells = [
-            SweepCell(
-                system_label=system_label,
-                bench_name=bench_name,
-                system=system,
-                program=_as_program_spec(program),
-                config=config,
-            )
-            for bench_name, program in benchmarks.items()
-            for system_label, system in systems.items()
-        ]
-        engine = engine if engine is not None else get_default_engine()
-        return engine.run(cells, progress=progress)
-
-    result = SweepResult()
-    done = 0
-    total = len(benchmarks) * len(systems)
-    for bench_name, program_factory in benchmarks.items():
-        for system_label, system_factory in systems.items():
-            program = (
-                _as_program_spec(program_factory).build()
-                if isinstance(program_factory, (ProgramSpec, str))
-                else program_factory()
-            )
-            system = (
-                system_factory.build()
-                if isinstance(system_factory, SystemSpec)
-                else system_factory()
-            )
-            stats = simulate(program, system, config)
-            stats.system = system_label
-            result.add(system_label, bench_name, stats)
-            done += 1
-            if progress is not None:
-                # Factory cells have no spec; progress consumers are
-                # promised (at least) the two display labels.
-                progress(done, total, SimpleNamespace(
-                    system_label=system_label, bench_name=bench_name,
-                ))
-    return result
+    cells = [
+        SweepCell(
+            system_label=system_label,
+            bench_name=bench_name,
+            system=system,
+            program=ProgramSpec(benchmark=program) if isinstance(program, str) else program,
+            config=config,
+        )
+        for bench_name, program in benchmarks.items()
+        for system_label, system in systems.items()
+    ]
+    engine = engine if engine is not None else get_default_engine()
+    return engine.run(cells, progress=progress)

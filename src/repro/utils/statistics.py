@@ -2,37 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Sequence
-
-
-def arithmetic_mean(values: Sequence[float]) -> float:
-    """Return the arithmetic mean (0.0 for an empty sequence)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Return the geometric mean of positive values (0.0 for empty input)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires strictly positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Return the harmonic mean of positive values (0.0 for empty input)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic mean requires strictly positive values")
-    return len(values) / sum(1.0 / v for v in values)
-
 
 def percent_reduction(baseline: float, improved: float) -> float:
     """Return the percent reduction from ``baseline`` to ``improved``.
@@ -50,23 +19,3 @@ def speedup_percent(baseline: float, improved: float) -> float:
     if baseline == 0:
         return 0.0
     return 100.0 * (improved - baseline) / baseline
-
-
-def ratio_per_kilo(count: int, denominator: int) -> float:
-    """Return ``count`` per one thousand ``denominator`` units.
-
-    This is the paper's misp/Kuops metric shape: mispredicts per 1000 uops.
-    """
-    if denominator <= 0:
-        return 0.0
-    return 1000.0 * count / denominator
-
-
-def running_mean(values: Iterable[float]) -> list[float]:
-    """Return the running arithmetic mean of a value stream."""
-    out: list[float] = []
-    total = 0.0
-    for i, value in enumerate(values, start=1):
-        total += value
-        out.append(total / i)
-    return out

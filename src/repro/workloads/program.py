@@ -328,10 +328,6 @@ class Program:
     def static_conditional_branches(self) -> int:
         return sum(1 for b in self.blocks if b.kind is BlockKind.COND)
 
-    @property
-    def static_calls(self) -> int:
-        return sum(1 for b in self.blocks if b.kind is BlockKind.CALL)
-
     def behavior_census(self) -> dict[str, int]:
         """Count conditional branches by behaviour kind."""
         census: dict[str, int] = {}

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +112,22 @@ class TestListRules:
         out = capsys.readouterr().out
         for code in ("REP001", "REP002", "REP003", "REP004", "REP005"):
             assert code in out
+
+
+class TestStdlibOnly:
+    def test_check_runs_without_numpy(self):
+        """CI's lint job installs nothing, so the analysis CLI must lint
+        this repo with numpy unimportable."""
+        repo = Path(__file__).resolve().parents[2]
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.analysis.cli import main\n"
+            "sys.exit(main(['--check']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=repo, env=env,
+            capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,18 +1,19 @@
-"""Tests for RAS, BTB, FTQ, executor and speculative walker."""
+"""Tests for RAS, BTB, executor and speculative walker."""
+
+import random
 
 import pytest
 
 from repro.engine import (
     ArchitecturalExecutor,
     BranchTargetBuffer,
-    FetchTargetQueue,
-    FtqEntry,
     ReturnAddressStack,
     SpeculativeWalker,
 )
 from repro.workloads.behaviors import PatternBehavior
 from repro.workloads.generator import WorkloadProfile, generate_program
 from repro.workloads.program import BasicBlock, BlockKind, Program
+from repro.workloads.suites import benchmark
 
 
 class TestReturnAddressStack:
@@ -90,60 +91,6 @@ class TestBranchTargetBuffer:
             BranchTargetBuffer(10, 4)
 
 
-class TestFetchTargetQueue:
-    def entry(self, seq):
-        return FtqEntry(pc=0x100 + seq, prediction=True, uops=5, seq=seq)
-
-    def test_insert_and_consume_fifo(self):
-        ftq = FetchTargetQueue(4)
-        for seq in range(3):
-            ftq.insert(self.entry(seq))
-        assert ftq.consume().seq == 0
-        assert ftq.consume().seq == 1
-
-    def test_overflow_raises(self):
-        ftq = FetchTargetQueue(1)
-        ftq.insert(self.entry(0))
-        assert ftq.full
-        with pytest.raises(RuntimeError):
-            ftq.insert(self.entry(1))
-
-    def test_consume_empty_counts(self):
-        ftq = FetchTargetQueue(2)
-        assert ftq.consume() is None
-        assert ftq.stats.empty_on_demand == 1
-
-    def test_criticise_and_flush_tail(self):
-        ftq = FetchTargetQueue(8)
-        for seq in range(5):
-            ftq.insert(self.entry(seq))
-        ftq.mark_criticised(0)
-        ftq.mark_criticised(1)
-        dropped = ftq.flush_after(1)
-        assert [e.seq for e in dropped] == [2, 3, 4]
-        assert len(ftq) == 2
-        assert ftq.stats.entries_flushed == 3
-
-    def test_oldest_uncriticised(self):
-        ftq = FetchTargetQueue(8)
-        for seq in range(3):
-            ftq.insert(self.entry(seq))
-        ftq.mark_criticised(0)
-        assert ftq.oldest_uncriticised().seq == 1
-
-    def test_flush_all(self):
-        ftq = FetchTargetQueue(8)
-        for seq in range(3):
-            ftq.insert(self.entry(seq))
-        assert ftq.flush_all() == 3
-        assert len(ftq) == 0
-
-    def test_mark_unknown_seq_raises(self):
-        ftq = FetchTargetQueue(2)
-        with pytest.raises(KeyError):
-            ftq.mark_criticised(99)
-
-
 def two_branch_program() -> Program:
     """entry: cond A (pattern TN) -> {B, C}; both jump back to A.
 
@@ -173,7 +120,8 @@ class TestArchitecturalExecutor:
 
     def test_committed_uops_accumulate(self):
         executor = ArchitecturalExecutor(two_branch_program())
-        executor.run_branches(4)
+        for _ in range(4):
+            executor.resolve_next()
         assert executor.committed_uops > 0
         assert executor.resolved_branches == 4
 
@@ -196,42 +144,95 @@ class TestArchitecturalExecutor:
 class TestSpeculativeWalker:
     def test_follows_predictions_not_outcomes(self):
         walker = SpeculativeWalker(two_branch_program())
-        fetched = walker.next_branch()
-        assert fetched.pc == 0x1000
+        assert walker.next_branch_block().pc == 0x1000
         walker.advance(False)  # predict not-taken regardless of behaviour
-        second = walker.next_branch()
-        assert second.uops == 5 + 4  # went through block C
+        before = walker.fetched_uops
+        walker.next_branch_block()
+        assert walker.fetched_uops - before == 5 + 4  # went through block C
 
-    def test_snapshot_restore_rewinds(self):
+    def test_restore_state_rewinds(self):
         walker = SpeculativeWalker(two_branch_program())
-        walker.next_branch()
-        snap = walker.snapshot()
+        first = walker.next_branch_block()
+        checkpoint = (walker.block_id, walker.ras.snapshot())
         walker.advance(True)
-        walker.next_branch()
-        walker.restore(snap)
+        walker.next_branch_block()
+        walker.restore_state(*checkpoint)
         walker.advance(False)  # re-steer down the other edge
-        refetched = walker.next_branch()
-        assert refetched.uops == 5 + 4
+        before = walker.fetched_uops
+        refetched = walker.next_branch_block()
+        assert refetched.pc == first.pc
+        assert walker.fetched_uops - before == 5 + 4
+
+    def test_restore_state_rewinds_the_ras(self):
+        # main: call f -> cond; f: return. The checkpoint is taken with
+        # an empty RAS; a wrong-path call pushes, the restore must drop it.
+        blocks = [
+            BasicBlock(0, 0x1000, 2, BlockKind.COND, taken_target=1, fallthrough=2,
+                       behavior=PatternBehavior("T")),
+            BasicBlock(1, 0x1008, 1, BlockKind.CALL, taken_target=3, fallthrough=2),
+            BasicBlock(2, 0x1010, 1, BlockKind.JUMP, taken_target=0),
+            BasicBlock(3, 0x2000, 7, BlockKind.COND, taken_target=4, fallthrough=4,
+                       behavior=PatternBehavior("T")),
+            BasicBlock(4, 0x2008, 1, BlockKind.RETURN),
+        ]
+        walker = SpeculativeWalker(Program(name="call", blocks=blocks, entry=0))
+        walker.next_branch_block()
+        checkpoint = (walker.block_id, walker.ras.snapshot())
+        walker.advance(True)
+        assert walker.next_branch_block().pc == 0x2000
+        assert len(walker.ras) == 1
+        walker.restore_state(*checkpoint)
+        assert len(walker.ras) == 0
+        walker.advance(False)
+        assert walker.next_branch_block().pc == 0x1000
 
     def test_double_advance_rejected(self):
         walker = SpeculativeWalker(two_branch_program())
-        walker.next_branch()
+        walker.next_branch_block()
         walker.advance(True)
         with pytest.raises(RuntimeError):
             walker.advance(True)
 
     def test_next_branch_requires_advance(self):
         walker = SpeculativeWalker(two_branch_program())
-        walker.next_branch()
+        walker.next_branch_block()
         with pytest.raises(RuntimeError):
-            walker.next_branch()
+            walker.next_branch_block()
 
     def test_fetched_uops_accumulate(self):
         walker = SpeculativeWalker(two_branch_program())
-        walker.next_branch()
+        walker.next_branch_block()
         walker.advance(True)
-        walker.next_branch()
+        walker.next_branch_block()
         assert walker.fetched_uops == 4 + 3 + 4
+
+    @pytest.mark.parametrize(
+        "bench, ras_capacity",
+        [("gcc", 64), ("swim", 64), ("specjbb", 64), ("gcc", 2)],
+        ids=["gcc", "swim", "specjbb", "gcc-ras2"],
+    )
+    def test_wrong_path_excursions_rewind_to_the_committed_path(self, bench, ras_capacity):
+        """Every few branches the walker runs down the wrong edge for a
+        while (calls, returns and RAS overflow included), then rewinds
+        with ``restore_state``; the committed path it then fetches must be
+        exactly the executor's."""
+        program = benchmark(bench)
+        executor = ArchitecturalExecutor(program, ras_capacity=ras_capacity)
+        walker = SpeculativeWalker(program, ras_capacity=ras_capacity)
+        rng = random.Random(bench)
+        for step in range(3000):
+            before = walker.fetched_uops
+            branch = walker.next_branch_block()
+            pc, taken, uops = executor.resolve_next()
+            assert (branch.pc, walker.fetched_uops - before) == (pc, uops)
+            if step % 7 == 3:
+                checkpoint = (walker.block_id, walker.ras.snapshot())
+                walker.advance(not taken)
+                for _ in range(rng.randrange(1, 12)):
+                    walker.next_branch_block()
+                    walker.advance(rng.random() < 0.5)
+                walker.restore_state(*checkpoint)
+            walker.advance(taken)
 
     def test_walker_and_executor_agree_on_committed_path(self):
         """Driving the walker with actual outcomes must reproduce the
@@ -240,8 +241,9 @@ class TestSpeculativeWalker:
         executor = ArchitecturalExecutor(program)
         walker = SpeculativeWalker(program)
         for _ in range(2000):
-            fetched = walker.next_branch()
-            resolved = executor.next_branch()
-            assert fetched.pc == resolved.pc
-            assert fetched.uops == resolved.uops
-            walker.advance(resolved.taken)
+            before = walker.fetched_uops
+            branch = walker.next_branch_block()
+            pc, taken, uops = executor.resolve_next()
+            assert branch.pc == pc
+            assert walker.fetched_uops - before == uops
+            walker.advance(taken)

@@ -121,8 +121,17 @@ class TestJobTimeout:
 
         stats = client.stats()
         assert stats["jobs_timed_out"] == 1
+        # Killing the pool stops the runaway: its cells are not re-run
+        # on a respawned pool as if a worker had crashed.
+        assert stats["worker_crashes"] == 0
+        assert stats["cells_retried"] == 0
 
-        follow_up = client.submit_payload(_payload(branches=400))
+        # One cell, so it runs in the daemon's process: the 0.3 s budget
+        # then times the daemon moving on, not a cold respawned pool
+        # building its programs (TestWorkerDeath covers the respawn).
+        follow_up = client.submit_payload(_payload(
+            branches=400, benchmarks="swim", systems={"gshare": SYSTEMS["gshare"]},
+        ))
         assert client.wait(follow_up, timeout=180)["state"] == "done"
 
 

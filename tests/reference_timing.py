@@ -12,10 +12,10 @@ regression, never a tolerance question.
 
 Like :mod:`reference_kernel`, it shares the *model* layer (``Program``,
 behaviours, predictors, prediction systems, ``PipelineResult``,
-``MemoryModel``) with production code. Unlike it, it also shares the
-engine layer (walker, executor, BTB): the rewrite changed only the loop
-that drives them, and the walker's object-shaped API and the executor
-are exactly what the old loop called.
+``MemoryModel``) with production code. It drives :mod:`reference_kernel`'s
+frozen walker and executor, whose object-shaped API is exactly what the
+old loop called, and the production BTB, whose sets the differential
+test compares.
 
 It keeps one behaviour the production loop no longer has: ``run`` with
 ``warmup >= n_branches`` returns an empty measurement window
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from collections import deque
 
+from reference_kernel import _ReferenceExecutor as ArchitecturalExecutor
+from reference_kernel import _ReferenceWalker as SpeculativeWalker
 from repro.core.hybrid import InflightBranch, PredictionSystem
 from repro.engine.btb import BranchTargetBuffer
-from repro.engine.executor import ArchitecturalExecutor
-from repro.engine.frontend import SpeculativeWalker
 from repro.pipeline.caches import MemoryModel
 from repro.pipeline.machine import PipelineResult
 from repro.pipeline.uarch import MachineConfig, TABLE2_MACHINE

@@ -16,8 +16,8 @@ not:
 * what the kernel keeps alive between replays: precompute entries per
   program, live contexts per process, and the fold images' size;
 * the integer perceptron ops against the numpy perceptron;
-* backend dispatch: unknown names, the scalar fallback for unsupported
-  predictors, and the numpy-missing gate;
+* backend dispatch: unknown names and the scalar fallback for
+  unsupported predictors;
 * the hash-stability constraint: ``backend`` is an execution detail and
   must not perturb ``SweepCell.content_hash`` (pinned to its PR-5
   value).
@@ -487,18 +487,6 @@ class TestBackendDispatch:
         batch = simulate(program, spec.build(), replace(_CONFIG, backend="batched"))
         fresh = simulate(
             _program("gcc", 22), spec.build(), replace(_CONFIG, backend="scalar")
-        )
-        _assert_identical(batch, fresh)
-
-    def test_numpy_gate_falls_back(self, monkeypatch):
-        """Without numpy the batched backend degrades to scalar, silently
-        and bit-identically."""
-        program = _program("swim", 23)
-        spec = SystemSpec.single("2bc-gskew", 2)
-        monkeypatch.setattr(batched, "np", None)
-        batch = simulate(program, spec.build(), replace(_CONFIG, backend="batched"))
-        fresh = simulate(
-            _program("swim", 23), spec.build(), replace(_CONFIG, backend="scalar")
         )
         _assert_identical(batch, fresh)
 

@@ -294,9 +294,12 @@ class TestDifferentialEdges:
             walker = SpeculativeWalker(program, ras_capacity=capacity)
             ref_walker = _ReferenceWalker(deep_call_program(), ras_capacity=capacity)
             for _ in range(40):
-                fetched = walker.next_branch()
+                before = walker.fetched_uops
+                pc = walker.next_branch_block().pc
                 expected = ref_walker.next_branch()
-                assert (fetched.pc, fetched.uops) == (expected.pc, expected.uops), capacity
+                assert (pc, walker.fetched_uops - before) == (
+                    expected.pc, expected.uops
+                ), capacity
                 walker.advance(True)
                 ref_walker.advance(True)
             assert walker.fetched_uops == ref_walker.fetched_uops
@@ -304,9 +307,8 @@ class TestDifferentialEdges:
             executor = ArchitecturalExecutor(deep_call_program(), ras_capacity=capacity)
             ref_executor = _ReferenceExecutor(deep_call_program(), ras_capacity=capacity)
             for _ in range(40):
-                got = executor.next_branch()
                 expected = ref_executor.next_branch()
-                assert (got.pc, got.taken, got.uops) == (
+                assert executor.resolve_next() == (
                     expected.pc, expected.taken, expected.uops
                 ), capacity
 

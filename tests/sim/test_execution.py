@@ -14,6 +14,8 @@ coalescing.
 
 import dataclasses
 import json
+import threading
+import time
 
 import pytest
 
@@ -417,6 +419,42 @@ class TestWorkerDeath:
             results = executor.map_cells(make_cells()[:3])
             assert_results_identical(results, [run_cell(c) for c in make_cells()[:3]])
         finally:
+            executor.shutdown()
+
+
+    def test_terminate_stops_a_running_grid_without_retrying_it(self):
+        long_run = SimulationConfig(n_branches=400_000, warmup=1000)
+        cells = [dataclasses.replace(c, config=long_run) for c in make_cells()[:4]]
+        executor = ProcessPoolExecutor(jobs=2)
+        outcome: dict = {}
+
+        def run_grid():
+            try:
+                outcome["results"] = executor.map_cells(cells)
+            except WorkerPoolError as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run_grid)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 60
+            while not (executor._pool is not None and executor._pool._processes):
+                assert time.monotonic() < deadline, "the pool never started"
+                time.sleep(0.01)
+            executor.terminate()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert "terminated" in str(outcome["error"])
+            assert "results" not in outcome
+            # A deliberate kill is not a crash: nothing was re-run.
+            assert executor.worker_crashes == 0
+            assert executor.cells_retried == 0
+            assert executor._pool is None
+            results = executor.map_cells(make_cells()[:2])
+            assert_results_identical(results, [run_cell(c) for c in make_cells()[:2]])
+        finally:
+            executor.terminate()
+            thread.join(timeout=60)
             executor.shutdown()
 
 

@@ -6,10 +6,17 @@ import pytest
 
 from repro.core import SinglePredictorSystem
 from repro.core.critiques import CritiqueKind
-from repro.predictors import BimodalPredictor, GsharePredictor
-from repro.sim import RunStats, SimulationConfig, run_sweep
+from repro.predictors import BimodalPredictor
+from repro.sim import (
+    PredictorSpec,
+    ProgramSpec,
+    RunStats,
+    SimulationConfig,
+    SystemSpec,
+    run_sweep,
+)
 from repro.sim.results import format_table, render_mapping, render_series
-from repro.workloads.generator import WorkloadProfile, generate_program
+from repro.workloads.generator import WorkloadProfile
 
 
 class TestFormatTable:
@@ -150,16 +157,23 @@ class TestRunStats:
 
 class TestRunSweep:
     def test_grid_shape_and_aggregation(self):
-        def program_factory(seed):
-            return lambda: generate_program(
-                WorkloadProfile(name=f"s{seed}", seed=seed, static_branch_target=50)
-            )
-
         systems = {
-            "bimodal": lambda: SinglePredictorSystem(BimodalPredictor(256)),
-            "gshare": lambda: SinglePredictorSystem(GsharePredictor(256, 8)),
+            "bimodal": SystemSpec(
+                kind="single", prophet=PredictorSpec("bimodal", params={"entries": 256})
+            ),
+            "gshare": SystemSpec(
+                kind="single",
+                prophet=PredictorSpec(
+                    "gshare", params={"entries": 256, "history_length": 8}
+                ),
+            ),
         }
-        benchmarks = {"w1": program_factory(1), "w2": program_factory(2)}
+        benchmarks = {
+            f"w{seed}": ProgramSpec(
+                profile=WorkloadProfile(name=f"s{seed}", seed=seed, static_branch_target=50)
+            )
+            for seed in (1, 2)
+        }
         result = run_sweep(
             systems, benchmarks, SimulationConfig(n_branches=1500, warmup=300)
         )
@@ -170,6 +184,60 @@ class TestRunSweep:
         assert avg >= 0.0
         pooled = result.aggregate("gshare")
         assert pooled.branches == 2400  # two runs x 1200 measured
+
+    @pytest.mark.parametrize(
+        "bad_systems, bad_benchmarks, message",
+        [
+            pytest.param(
+                {"legacy": lambda: SinglePredictorSystem(BimodalPredictor(256))}, {},
+                "system 'legacy' must be a SystemSpec, got function",
+                id="system-factory",
+            ),
+            pytest.param(
+                {"built": SinglePredictorSystem(BimodalPredictor(256))}, {},
+                "system 'built' must be a SystemSpec, got SinglePredictorSystem",
+                id="built-system",
+            ),
+            pytest.param(
+                {"config": {"kind": "single", "prophet": ["gshare", 2]}}, {},
+                "system 'config' must be a SystemSpec, got dict",
+                id="system-config-mapping",
+            ),
+            pytest.param(
+                {"prophet": PredictorSpec("gshare", budget_kb=2)}, {},
+                "system 'prophet' must be a SystemSpec, got PredictorSpec",
+                id="predictor-spec",
+            ),
+            pytest.param(
+                {}, {"w1": lambda: None},
+                "benchmark 'w1' must be a ProgramSpec or a benchmark name, got function",
+                id="program-factory",
+            ),
+            pytest.param(
+                {}, {"profile": WorkloadProfile(name="p", seed=1, static_branch_target=50)},
+                "benchmark 'profile' must be a ProgramSpec or a benchmark name, "
+                "got WorkloadProfile",
+                id="bare-profile",
+            ),
+        ],
+    )
+    def test_rejects_non_spec_values_before_running(
+        self, monkeypatch, bad_systems, bad_benchmarks, message
+    ):
+        """A factory callable, or any other non-spec value, is a
+        TypeError naming its label, raised before the engine sees a
+        single cell."""
+        from repro.sim import execution
+
+        def no_engine():
+            raise AssertionError("a cell ran before the grid was validated")
+
+        monkeypatch.setattr(execution, "get_default_engine", no_engine)
+        systems = {"ok": SystemSpec.single("gshare", 2), **bad_systems}
+        benchmarks = {"swim": "swim", **bad_benchmarks}
+        with pytest.raises(TypeError) as excinfo:
+            run_sweep(systems, benchmarks)
+        assert str(excinfo.value) == message
 
     def test_average_of_unknown_label_is_zero(self):
         from repro.sim.sweep import SweepResult

@@ -33,6 +33,7 @@ from repro.sim import (
     SweepCell,
     SystemSpec,
     run_sweep,
+    simulate,
 )
 from repro.sim import driver
 from repro.sim.cache import stats_to_dict
@@ -266,9 +267,9 @@ class TestRedesignDifferential:
     The pre-redesign ``SystemSpec.single``/``.hybrid`` path named
     predictors as ``(kind, budget_kb)`` pairs and built them through the
     old budget table. Here the same experiment grid runs once through
-    the redesigned spec layer and once through factory closures that
-    hard-code the pre-redesign Table-3 constructor calls — the results
-    must agree field by field.
+    the redesigned spec layer and once by direct ``simulate()`` calls on
+    systems that hard-code the pre-redesign Table-3 constructor calls —
+    the results must agree field by field.
     """
 
     CONFIG = SimulationConfig(n_branches=1500, warmup=300)
@@ -301,10 +302,16 @@ class TestRedesignDifferential:
 
     def test_shorthand_specs_match_pre_redesign_construction(self):
         via_specs = run_sweep(self._spec_systems(), self.BENCHMARKS, self.CONFIG)
-        via_legacy = run_sweep(self._legacy_systems(), self.BENCHMARKS, self.CONFIG)
-        assert set(via_specs.runs) == set(via_legacy.runs)
-        for key, stats in via_specs.runs.items():
-            assert stats_to_dict(stats) == stats_to_dict(via_legacy.runs[key]), key
+        legacy_systems = self._legacy_systems()
+        assert set(via_specs.runs) == {
+            (label, bench) for label in legacy_systems for bench in self.BENCHMARKS
+        }
+        for (label, bench), stats in via_specs.runs.items():
+            legacy = simulate(
+                ProgramSpec(benchmark=bench).build(), legacy_systems[label](), self.CONFIG
+            )
+            legacy.system = label
+            assert stats_to_dict(stats) == stats_to_dict(legacy), (label, bench)
 
     def test_config_file_grid_matches_shorthand_grid(self):
         configs = {

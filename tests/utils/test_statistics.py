@@ -2,44 +2,7 @@
 
 import math
 
-import pytest
-
-from repro.utils.statistics import (
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    percent_reduction,
-    ratio_per_kilo,
-    running_mean,
-    speedup_percent,
-)
-
-
-class TestMeans:
-    def test_arithmetic_empty(self):
-        assert arithmetic_mean([]) == 0.0
-
-    def test_arithmetic(self):
-        assert arithmetic_mean([1, 2, 3]) == 2.0
-
-    def test_geometric(self):
-        assert math.isclose(geometric_mean([1, 4]), 2.0)
-
-    def test_geometric_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_harmonic(self):
-        assert math.isclose(harmonic_mean([1, 1]), 1.0)
-        assert math.isclose(harmonic_mean([2, 6]), 3.0)
-
-    def test_harmonic_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([2, -1])
-
-    def test_mean_ordering(self):
-        values = [1.0, 2.0, 9.0]
-        assert harmonic_mean(values) <= geometric_mean(values) <= arithmetic_mean(values)
+from repro.utils.statistics import percent_reduction, speedup_percent
 
 
 class TestPercentMetrics:
@@ -57,20 +20,3 @@ class TestPercentMetrics:
 
     def test_speedup_zero_baseline(self):
         assert speedup_percent(0.0, 5.0) == 0.0
-
-
-class TestRatioPerKilo:
-    def test_paper_shape(self):
-        # 418 uops per flush is ~2.39 flushes per Kuop.
-        assert math.isclose(ratio_per_kilo(1, 418), 1000.0 / 418)
-
-    def test_zero_denominator(self):
-        assert ratio_per_kilo(10, 0) == 0.0
-
-
-class TestRunningMean:
-    def test_running(self):
-        assert running_mean([1.0, 3.0, 5.0]) == [1.0, 2.0, 3.0]
-
-    def test_empty(self):
-        assert running_mean([]) == []

@@ -36,7 +36,7 @@ rule are shared with the other profilers through ``tools/profiling.py``):
 * ``--check-floor FILE`` fails (exit 1) when a cell's speedup — over the
   reference kernel or timing machine, or of the batched backend over
   scalar — falls more than 25% below its floor value, or when a floored
-  cell is not measured. Without numpy the batched floors are waived.
+  cell is not measured.
 
 Usage::
 
@@ -52,7 +52,6 @@ from dataclasses import replace
 
 import profiling
 from repro.pipeline.machine import TimedMachine
-from repro.sim import batched
 from repro.sim.driver import SimulationConfig, simulate
 from repro.sim.specs import ProgramSpec, SystemSpec
 
@@ -120,8 +119,6 @@ CELLS: list[dict] = [
 ]
 
 KEY = "cell"
-#: Without numpy the batched column cannot run, so its floors are waived.
-WAIVED = () if batched.np is not None else ("speedup_batched_vs_scalar",)
 
 #: Where to look when a backend's result differs from the scalar loop's.
 _DIFFERENTIAL_TESTS = {
@@ -164,15 +161,16 @@ def measure_cell(
     )
     simulate(program, cell["system"].build(), warm_cfg)
 
-    runs = {"scalar": lambda system: simulate(program, system, config)}
-    if batched.np is not None:
-        batched_cfg = replace(config, backend="batched")
-        # Untimed batched run at the full branch count: populates the
-        # memoized architectural trace and the flat CFG tables, so the
-        # timed runs below measure steady-state replay (the sweep
-        # regime: one program, many systems).
-        simulate(program, cell["system"].build(), batched_cfg)
-        runs["batched"] = lambda system: simulate(program, system, batched_cfg)
+    batched_cfg = replace(config, backend="batched")
+    # Untimed batched run at the full branch count: populates the
+    # memoized architectural trace and the flat CFG tables, so the
+    # timed runs below measure steady-state replay (the sweep regime:
+    # one program, many systems).
+    simulate(program, cell["system"].build(), batched_cfg)
+    runs = {
+        "scalar": lambda system: simulate(program, system, config),
+        "batched": lambda system: simulate(program, system, batched_cfg),
+    }
     if compare_reference:
         runs["reference"] = lambda system: _reference_run(program, system, config)
         if cell.get("timed"):
@@ -208,10 +206,9 @@ def measure_cell(
         "seconds": round(best["scalar"], 4),
         "branches_per_sec": round(n_branches / best["scalar"], 1),
         "mispredicts": results["scalar"].mispredicts,
+        "batched_branches_per_sec": round(n_branches / best["batched"], 1),
+        "speedup_batched_vs_scalar": round(best["scalar"] / best["batched"], 3),
     }
-    if "batched" in best:
-        row["batched_branches_per_sec"] = round(n_branches / best["batched"], 1)
-        row["speedup_batched_vs_scalar"] = round(best["scalar"] / best["batched"], 3)
     if "reference" in best:
         row["reference_branches_per_sec"] = round(n_branches / best["reference"], 1)
         row["speedup_vs_reference"] = round(best["reference"] / best["scalar"], 3)
@@ -261,5 +258,5 @@ def _options(parser) -> None:
 if __name__ == "__main__":
     raise SystemExit(profiling.main(
         "kernel", __doc__, measure, schema="bench-kernel/2", key=KEY,
-        options=_options, waived=WAIVED,
+        options=_options,
     ))

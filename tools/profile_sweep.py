@@ -213,11 +213,9 @@ def measure_fused(branches: int) -> dict:
     because fusion amortizes per-program cost that short cells
     under-weight.
     """
-    from repro.sim.batched import FusedReplayContext, fused_replay, np as _np
+    from repro.sim.batched import FusedReplayContext, fused_replay
     from repro.sim.driver import simulate
 
-    if _np is None:  # no numpy: the fused path cannot run at all
-        return {"grid": "fused/8x1", "skipped": "numpy unavailable"}
     n = max(4 * branches, 4_000)
     config = SimulationConfig(
         n_branches=n, warmup=n // 5, collect_predictor_stats=False

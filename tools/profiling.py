@@ -89,7 +89,6 @@ def check_floor(
     floor_path: Path,
     key: str,
     exact: Iterable[str] = (),
-    waived: Iterable[str] = (),
 ) -> list[str]:
     """Failure messages for ``rows`` against the floor file.
 
@@ -99,7 +98,7 @@ def check_floor(
     ``row[field] <= ceiling / tolerance``; fields in ``exact`` gate
     correctness and get no band. A dict floor is keyed by the rows'
     ``key``; a scalar floor applies to every row that has the field. A
-    floor whose field was not measured fails unless it is ``waived``.
+    floor whose field was not measured fails.
     """
     floors = json.loads(Path(floor_path).read_text())
     tolerance = floors.get("tolerance", 0.75)
@@ -119,8 +118,7 @@ def check_floor(
         for row_id, row, value in targets:
             measured = row.get(field)
             if measured is None:
-                if field not in waived:
-                    failures.append(f"{row_id}: {name} floor set but {field} not measured")
+                failures.append(f"{row_id}: {name} floor set but {field} not measured")
                 continue
             limit = value * band if bound == "min" else value / band
             if (measured < limit) if bound == "min" else (measured > limit):
@@ -141,7 +139,6 @@ def main(
     key: str,
     options: Callable[[argparse.ArgumentParser], None] | None = None,
     exact: Iterable[str] = (),
-    waived: Iterable[str] = (),
 ) -> int:
     """Parse the command line, measure, write the document, gate the floor.
 
@@ -174,7 +171,7 @@ def main(
     print(f"wrote {args.json}")
     if args.check_floor is None:
         return 0
-    failures = check_floor(rows, args.check_floor, key, exact, waived)
+    failures = check_floor(rows, args.check_floor, key, exact)
     for failure in failures:
         print(f"FLOOR REGRESSION: {failure}", file=sys.stderr)
     if failures:
