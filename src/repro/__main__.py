@@ -47,9 +47,8 @@ cell, so they do not apply):
 ``--backend {scalar,batched}``
     Kernel backend for every cell (``bench`` accepts it too). The
     default, the batched structure-of-arrays kernel, is proven
-    bit-identical to the scalar loop and several times faster on
-    supported system shapes (unsupported shapes fall back to scalar
-    automatically), so results and cache keys are unchanged either way.
+    bit-identical to the scalar loop on every system and several times
+    faster on most, so results and cache keys are unchanged either way.
     For ``serve`` it is the default of jobs that name no backend.
 
 With ``--jobs N`` the worker pool is persistent: it spawns once and is
@@ -1013,8 +1012,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the repro-lint invariant checker (docs/LINTING.md)",
         description="AST-based invariant checker: determinism (REP001), "
-        "pickle hygiene (REP002), hash schema (REP003), backend parity "
-        "(REP004), async safety (REP005), exception hygiene (REP006). "
+        "pickle hygiene (REP002), hash schema (REP003), async safety "
+        "(REP005), exception hygiene (REP006). "
         "Exits 0 when every finding is baselined or suppressed inline, "
         "1 otherwise.",
     )

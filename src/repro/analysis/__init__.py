@@ -2,8 +2,8 @@
 
 The repo's correctness story rests on invariants that used to be
 enforced only by convention — spec determinism, pickle hygiene for
-memoized caches, hash-schema stability, batched-backend parity, and
-event-loop safety in the serve layer. Each has a documented failure in
+memoized caches, hash-schema stability, event-loop safety in the serve
+layer, and exception hygiene. Each has a documented failure in
 CHANGES.md; this package turns them into commit-time errors.
 
 Entry points:

@@ -131,8 +131,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based invariant checker for the repro tree "
-        "(determinism, pickle hygiene, hash schema, backend parity, "
-        "async safety); see docs/LINTING.md",
+        "(determinism, pickle hygiene, hash schema, async safety, "
+        "exception hygiene); see docs/LINTING.md",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

@@ -28,7 +28,7 @@ Suppression grammar (both spellings are matched case-sensitively):
 * ``# repro-lint: disable=REP001`` on the *reported line* silences the
   listed codes for that line (comma-separate several codes; a bare
   ``disable`` with no codes silences every rule on the line).
-* ``# repro-lint: disable-file=REP004`` anywhere in the file silences
+* ``# repro-lint: disable-file=REP002`` anywhere in the file silences
   the listed codes for the whole file.
 
 Multi-line statements report at the line of the statement's first

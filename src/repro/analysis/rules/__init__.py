@@ -5,14 +5,14 @@ Each rule is grounded in a failure class this repo has actually shipped
 subclass :class:`repro.analysis.framework.Rule`, give it a fresh
 ``REPxxx`` code, a name and a rationale, and append an instance here —
 :func:`repro.analysis.framework.validate_rule` enforces the metadata at
-import time.
+import time. A retired code is never reused: REP004 (backend parity)
+went when the batched kernel stopped declining systems.
 """
 
 from __future__ import annotations
 
 from repro.analysis.framework import Rule, validate_rule
 from repro.analysis.rules.async_safety import AsyncSafetyRule
-from repro.analysis.rules.backend_parity import BackendParityRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exception_hygiene import ExceptionHygieneRule
 from repro.analysis.rules.hash_schema import HashSchemaRule
@@ -22,7 +22,6 @@ ALL_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     PickleHygieneRule(),
     HashSchemaRule(),
-    BackendParityRule(),
     AsyncSafetyRule(),
     ExceptionHygieneRule(),
 )

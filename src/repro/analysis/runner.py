@@ -18,9 +18,8 @@ from typing import Iterable, Sequence
 from repro.analysis.framework import Baseline, Finding, Project, Rule, SourceFile
 
 #: Directory trees scanned by default, relative to the project root.
-#: tests/ and tools/ are included so project-wide rules (REP004's
-#: differential-matrix check) can read them; file-scoped rules restrict
-#: themselves to src/repro.
+#: tests/ and tools/ are parsed too, so an unparseable file there fails
+#: the run; the rules themselves restrict their findings to src/repro.
 DEFAULT_SCAN = ("src/repro", "tests", "tools")
 
 #: Default baseline location, relative to the project root.

@@ -22,13 +22,13 @@ events of §3 and §5:
 
 Hot-path variant: the driver pools :class:`InflightBranch` handles in a
 ring and calls ``predict_into(handle, pc)`` / ``predict_static_into``
-instead of the allocating ``predict``/``predict_static``. Both systems
-also exploit predictor fast paths when present — ``predict_packed``/
-``update_packed`` on prophets (pure index/hash state carried on the
-handle from fetch to commit) and ``lookup_into``/``train_hashed`` on
-filtered critics — falling back to the plain predictor interface
-otherwise. Fast and classic paths are bit-for-bit identical; the
-differential kernel tests enforce that.
+instead of the allocating ``predict``/``predict_static``. Prophets and
+unfiltered critics are driven through their packed calls,
+``predict_packed``/``update_packed`` (pure index/hash state carried on
+the handle from fetch to commit; the base predictor's defaults carry
+none), and filtered critics through ``lookup_into``/``train_hashed``
+when they have them. Packed and classic calls are bit-for-bit
+identical; the differential kernel tests enforce that.
 """
 
 from __future__ import annotations
@@ -154,10 +154,8 @@ class SinglePredictorSystem(PredictionSystem):
     def __init__(self, predictor: DirectionPredictor) -> None:
         self.predictor = predictor
         self.bhr = HistoryRegister(max(predictor.history_length, 1))
-        self._predict_packed = getattr(predictor, "predict_packed", None)
-        self._update_packed = getattr(predictor, "update_packed", None)
-        if self._update_packed is None:
-            self._predict_packed = None  # state with no consumer is waste
+        self._predict_packed = predictor.predict_packed
+        self._update_packed = predictor.update_packed
 
     def predict_into(self, handle: InflightBranch, pc: int) -> None:
         # Only the fields critique() does not unconditionally rewrite
@@ -165,12 +163,7 @@ class SinglePredictorSystem(PredictionSystem):
         # owns final_pred/critic_* and bor_at_critique.
         bhr = self.bhr
         bhr_before = bhr._value
-        fast = self._predict_packed
-        if fast is not None:
-            pred, state = fast(pc, bhr_before)
-        else:
-            pred = self.predictor.predict(pc, bhr_before)
-            state = None
+        pred, state = self._predict_packed(pc, bhr_before)
         bhr._value = ((bhr_before << 1) | pred) & bhr._mask
         handle.pc = pc
         handle.prophet_pred = pred
@@ -200,11 +193,9 @@ class SinglePredictorSystem(PredictionSystem):
     def resolve(self, handle: InflightBranch, taken: bool) -> None:
         if handle.is_static:
             return
-        state = handle.prophet_state
-        if state is not None:
-            self._update_packed(handle.pc, handle.bhr_before, taken, handle.prophet_pred, state)
-        else:
-            self.predictor.update(handle.pc, handle.bhr_before, taken, handle.prophet_pred)
+        self._update_packed(
+            handle.pc, handle.bhr_before, taken, handle.prophet_pred, handle.prophet_state
+        )
 
     def recover(self, handle: InflightBranch, taken: bool) -> None:
         self.bhr.restore(handle.bhr_before)
@@ -263,22 +254,15 @@ class ProphetCriticSystem(PredictionSystem):
         self.bhr = HistoryRegister(max(prophet.history_length, 1))
         self.bor = HistoryRegister(max(critic.history_length, future_bits, 1))
         self._critic_is_filtered = hasattr(critic, "lookup") and hasattr(critic, "train")
-        # Fast paths (probed once; None = use the classic interface).
-        self._prophet_predict_packed = getattr(prophet, "predict_packed", None)
-        self._prophet_update_packed = getattr(prophet, "update_packed", None)
-        if self._prophet_update_packed is None:
-            self._prophet_predict_packed = None
+        self._prophet_predict_packed = prophet.predict_packed
+        self._prophet_update_packed = prophet.update_packed
+        self._critic_predict_packed = critic.predict_packed
+        self._critic_update_packed = critic.update_packed
+        # A filtered critic's hashed pair (None = its lookup/train).
         self._critic_lookup_into = getattr(critic, "lookup_into", None)
         self._critic_train_hashed = getattr(critic, "train_hashed", None)
         if self._critic_train_hashed is None:
             self._critic_lookup_into = None
-        self._critic_predict_packed = None
-        self._critic_update_packed = None
-        if not self._critic_is_filtered:
-            self._critic_predict_packed = getattr(critic, "predict_packed", None)
-            self._critic_update_packed = getattr(critic, "update_packed", None)
-            if self._critic_update_packed is None:
-                self._critic_predict_packed = None
 
     # -- fetch ------------------------------------------------------------------
 
@@ -290,12 +274,7 @@ class ProphetCriticSystem(PredictionSystem):
         bor = self.bor
         bhr_before = bhr._value
         bor_before = bor._value
-        fast = self._prophet_predict_packed
-        if fast is not None:
-            pred, state = fast(pc, bhr_before)
-        else:
-            pred = self.prophet.predict(pc, bhr_before)
-            state = None
+        pred, state = self._prophet_predict_packed(pc, bhr_before)
         # Speculative insertion: the prophet's prediction enters both its
         # own history and the critic's BOR (never the critic's output, §3.2).
         bit = 1 if pred else 0
@@ -342,13 +321,7 @@ class ProphetCriticSystem(PredictionSystem):
             handle.critic_pred = result.prediction
             final = result.prediction if result.hit else handle.prophet_pred
         else:
-            fast = self._critic_predict_packed
-            if fast is not None:
-                pred, state = fast(handle.pc, bor_value)
-                handle.critic_state = state
-            else:
-                pred = self.critic.predict(handle.pc, bor_value)
-                handle.critic_state = None  # pooled handle: clear stale state
+            pred, handle.critic_state = self._critic_predict_packed(handle.pc, bor_value)
             handle.critic_hit = True
             handle.critic_pred = pred
             final = pred
@@ -374,13 +347,9 @@ class ProphetCriticSystem(PredictionSystem):
     def resolve(self, handle: InflightBranch, taken: bool) -> None:
         if handle.is_static:
             return
-        state = handle.prophet_state
-        if state is not None:
-            self._prophet_update_packed(
-                handle.pc, handle.bhr_before, taken, handle.prophet_pred, state
-            )
-        else:
-            self.prophet.update(handle.pc, handle.bhr_before, taken, handle.prophet_pred)
+        self._prophet_update_packed(
+            handle.pc, handle.bhr_before, taken, handle.prophet_pred, handle.prophet_state
+        )
         if not handle.critiqued:
             # Flushed before critique would mean never resolved; reaching
             # here implies a driver sequencing bug.
@@ -397,16 +366,10 @@ class ProphetCriticSystem(PredictionSystem):
         elif self._critic_is_filtered:
             self.critic.train(handle.pc, handle.bor_at_critique, taken, final_mispredict)
         else:
-            critic_state = handle.critic_state
-            if critic_state is not None:
-                self._critic_update_packed(
-                    handle.pc, handle.bor_at_critique, taken,
-                    bool(handle.critic_pred), critic_state,
-                )
-            else:
-                self.critic.update(
-                    handle.pc, handle.bor_at_critique, taken, bool(handle.critic_pred)
-                )
+            self._critic_update_packed(
+                handle.pc, handle.bor_at_critique, taken,
+                bool(handle.critic_pred), handle.critic_state,
+            )
 
     def recover(self, handle: InflightBranch, taken: bool) -> None:
         bhr = self.bhr

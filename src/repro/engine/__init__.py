@@ -15,14 +15,13 @@ modelled inside the timing loop (:mod:`repro.pipeline.machine`).
 """
 
 from repro.engine.btb import BranchTargetBuffer
-from repro.engine.executor import ArchitecturalExecutor, ResolvedBranch
+from repro.engine.executor import ArchitecturalExecutor
 from repro.engine.frontend import SpeculativeWalker
 from repro.engine.ras import ReturnAddressStack
 
 __all__ = [
     "ArchitecturalExecutor",
     "BranchTargetBuffer",
-    "ResolvedBranch",
     "ReturnAddressStack",
     "SpeculativeWalker",
 ]

@@ -17,26 +17,10 @@ observable context state evolves exactly as the block-by-block walk did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.engine.ras import ReturnAddressStack
 from repro.workloads.program import Program
 
 _HISTORY_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-@dataclass(frozen=True, slots=True)
-class ResolvedBranch:
-    """One architecturally resolved conditional branch."""
-
-    pc: int
-    taken: bool
-    block_id: int
-    #: uops committed since the previous resolved branch (this block and
-    #: any straight-line/call/return blocks before it).
-    uops: int
-    #: Target block the committed path continues at.
-    next_block: int
 
 
 class ArchitecturalExecutor:
@@ -51,18 +35,18 @@ class ArchitecturalExecutor:
         self._segments = self._compiled._segments  # id -> CompiledSegment
         self._entry = program.entry
         self._block_id = program.entry
-        self._last_branch = None  # BasicBlock of the latest resolved COND
-        self._last_target = program.entry
+        #: BasicBlock of the latest resolved COND (the batched kernel's
+        #: trace columns read its two successors).
+        self._last_branch = None
         self._ras = ReturnAddressStack(ras_capacity)
         self.committed_uops = 0
         self.resolved_branches = 0
 
     def resolve_next(self) -> tuple[int, bool, int]:
         """Advance to the next conditional branch, resolve it, step past
-        it; return ``(pc, taken, uops)``.
-
-        The flat twin of :meth:`next_branch` — same traversal and context
-        bookkeeping, no ``ResolvedBranch`` construction.
+        it; return ``(pc, taken, uops)``: the branch pc, its outcome, and
+        the uops committed since the previous resolved branch (this block
+        and any straight-line/call/return blocks before it).
         """
         ctx = self.ctx
         segments = self._segments
@@ -102,7 +86,6 @@ class ArchitecturalExecutor:
                 target = branch.taken_target if taken else branch.fallthrough
                 self._block_id = target
                 self._last_branch = branch
-                self._last_target = target
                 self.committed_uops += uops
                 self.resolved_branches += 1
                 return pc, taken, uops
@@ -116,16 +99,3 @@ class ArchitecturalExecutor:
             if ctx.caller_stack:
                 ctx.caller_stack.pop()
             block_id = self._entry if target is None else target
-
-    def next_branch(self) -> ResolvedBranch:
-        """Advance along the committed path to the next conditional branch,
-        resolve it, and step past it."""
-        pc, taken, uops = self.resolve_next()
-        branch = self._last_branch
-        return ResolvedBranch(
-            pc=pc,
-            taken=taken,
-            block_id=branch.block_id,
-            uops=uops,
-            next_block=self._last_target,
-        )

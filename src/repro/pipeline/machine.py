@@ -37,14 +37,15 @@ on the same program:
 * **Prophet.** 2Bc-gskew predicts inline from those constants and the
   ``_gskew_xor_tables`` images, the perceptron through
   ``_PerceptronOps``. Any other prophet is called through its own
-  ``predict_packed``/``update_packed`` (``predict``/``update`` when it
-  has no packed path): the system's calls without the system hop.
+  ``predict_packed``/``update_packed``: the system's calls without the
+  system hop.
 * **Critic.** The tagged-gshare and filtered-perceptron critics share an
   inline hash (the ``_critic_fold_tables`` images, or ``_fold_hash``
   outside their width gate) and filter probe; the opinion is a counter
   read or a ``_PerceptronOps`` dot. Unfiltered critics use their packed
-  calls. Training runs at resolve, once per committed branch: one call,
-  or a ``_PerceptronOps`` train step for a perceptron.
+  calls, any other filtered critic its ``lookup``/``train``. Training
+  runs at resolve, once per committed branch: one call, or a
+  ``_PerceptronOps`` train step for a perceptron.
 * **In-flight ring.** Fetched branches are tuples in one power-of-two
   ring, indexed by three running counters, oldest first: ``head`` (the
   resolve queue), ``cons`` (the FTQ head, the first entry the cache has
@@ -73,14 +74,8 @@ from repro.core.hybrid import PredictionSystem, ProphetCriticSystem, SinglePredi
 from repro.engine.btb import BranchTargetBuffer
 from repro.pipeline.caches import MemoryModel
 from repro.pipeline.uarch import MachineConfig, TABLE2_MACHINE
-from repro.predictors.gskew import TwoBcGskewPredictor
-from repro.predictors.perceptron import PerceptronPredictor
 from repro.sim.driver import SimulationDesyncError
 from repro.workloads.program import Program
-
-#: Critic arm for a filtered critic the loop does not fuse (another type
-#: with ``lookup``/``train``): its own two calls, like the system's.
-_CR_LOOKUP = -1
 
 
 @dataclass
@@ -204,24 +199,14 @@ class TimedMachine:
         # ---- per-system arms --------------------------------------------
         if type(system) is SinglePredictorSystem:
             prophet, critic = system.predictor, None
-            p_predict, p_update = system._predict_packed, system._update_packed
             ckind = batched._CR_NONE
         else:
             prophet, critic = system.prophet, system.critic
-            p_predict = system._prophet_predict_packed
-            p_update = system._prophet_update_packed
-            ckind = batched._CRITIC_KINDS.get(type(critic))
-            if ckind is None:
-                ckind = _CR_LOOKUP if system._critic_is_filtered else batched._CR_PLAIN
-        p_update_plain = prophet.update
-        if p_predict is None:
-
-            def p_predict(pc, history):
-                return prophet.predict(pc, history), None
-
-        gskew = type(prophet) is TwoBcGskewPredictor
-        perc = type(prophet) is PerceptronPredictor
-        kind = batched._GSKEW if gskew else batched._PERC if perc else batched._GSHARE
+            ckind = batched._critic_kind(system)
+        p_predict, p_update = prophet.predict_packed, prophet.update_packed
+        kind = batched._PROPHET_KINDS.get(type(prophet), batched._PACKED)
+        gskew = kind == batched._GSKEW
+        perc = kind == batched._PERC
         tagged = ckind == batched._CR_TAGGED
         fperc = ckind == batched._CR_FPERC
         fused = tagged or fperc
@@ -237,7 +222,7 @@ class TimedMachine:
         pc_consts = batched._make_pc_consts(prophet, kind, critic if fused else None)
         flat, flatten = batched._ctx_get(
             ctx,
-            ("flat", kind, batched._prophet_geometry(prophet, kind), True,
+            ("flat", batched._prophet_geometry(prophet, kind), True,
              btb._set_mask, btb._set_bits, 5 + critic.tag_bits if fused else 5),
             lambda: batched._make_flattener(
                 program.compiled(pair_limit=batched._RAS_CAPACITY), True,
@@ -264,7 +249,7 @@ class TimedMachine:
             f_lru = filt._lru
             geometry = batched._critic_fold_geometry(critic)
             c_hmask, c_set_mask, c_tag_mask = geometry[0], geometry[4], geometry[5]
-            if batched.np is not None and 0 < c_hmask.bit_length() <= 19:
+            if 0 < c_hmask.bit_length() <= 19:
                 f_lo, f_hi, f_k = batched._critic_fold_tables(geometry)
                 f_kmask = (1 << f_k) - 1
                 f_sb = c_set_mask.bit_length()
@@ -283,12 +268,7 @@ class TimedMachine:
                 fp_inputs, fp_train = perc_ops[-1].inputs, perc_ops[-1].train
                 fp_n = fp.n_perceptrons
         elif plain:
-            c_predict = system._critic_predict_packed
-            c_update = system._critic_update_packed
-            if c_predict is None:
-
-                def c_predict(pc, history):
-                    return critic.predict(pc, history), None
+            c_predict, c_update = critic.predict_packed, critic.update_packed
 
         # ---- machine state -----------------------------------------------
         required_bits = max(system.future_bits, 0)
@@ -419,7 +399,7 @@ class TimedMachine:
                                     ) >= 2
                                 else:
                                     pred = bim
-                                pstate = None  # trained through prophet.update
+                                pstate = None  # trained through update
                             elif perc:
                                 pstate = pp_inputs(bhr_val)
                                 pred = sum(map(mul, pp_rows[fs[8]], pstate)) >= 0
@@ -571,8 +551,8 @@ class TimedMachine:
                             if prophet.stats_enabled:
                                 prophet.stats.record(ppred == taken)
                             pp_train(fs[8], pstate, taken)
-                        elif pstate is None:
-                            p_update_plain(pc, bhrb, taken, ppred)
+                        elif gskew:
+                            prophet.update(pc, bhrb, taken, ppred)
                         else:
                             p_update(pc, bhrb, taken, ppred, pstate)
                         if ckind:
@@ -596,10 +576,7 @@ class TimedMachine:
                                         if hit:
                                             critic.stats.record((y >= 0) == taken)
                             elif plain:
-                                if si is None:
-                                    critic.update(pc, borc, taken, bool(final))
-                                else:
-                                    c_update(pc, borc, taken, bool(final), si)
+                                c_update(pc, borc, taken, bool(final), si)
                             else:
                                 critic.train(pc, borc, taken, final_mispredict)
                         else:

@@ -57,19 +57,20 @@ class DirectionPredictor(abc.ABC):
     bits the predictor consumes; the engine sizes the BHR/BOR to the
     maximum over all components.
 
-    Packed fast path (optional)
-    ---------------------------
+    Packed calls
+    ------------
 
-    Hot-loop callers (the simulation driver via the prediction systems)
-    probe for a ``predict_packed(pc, history) -> (prediction, state)`` /
-    ``update_packed(pc, history, taken, predicted, state)`` pair. The
-    state is an opaque value capturing whatever pure function of
-    ``(pc, history)`` the predictor computes on both sides — table
-    indices, hashes, folded histories — so commit-time training skips
-    recomputing it. Implementations must read *mutable* structures
-    (counters, tags, usefulness) afresh at update time: only pure
-    derivations may ride in the state, keeping packed and classic paths
-    bit-for-bit identical.
+    Hot-loop callers (the simulation kernels and the prediction systems)
+    predict with ``predict_packed(pc, history) -> (prediction, state)``
+    and train with ``update_packed(pc, history, taken, predicted,
+    state)``. The state is an opaque value capturing whatever pure
+    function of ``(pc, history)`` the predictor computes on both sides —
+    table indices, hashes, folded histories — so commit-time training
+    skips recomputing it. The defaults here carry no state and call
+    :meth:`predict`/:meth:`update`; overrides must read *mutable*
+    structures (counters, tags, usefulness) afresh at update time: only
+    pure derivations may ride in the state, keeping packed and classic
+    paths bit-for-bit identical.
 
     Per-prediction accounting in :attr:`stats` can be switched off by
     setting :attr:`stats_enabled` — throughput harnesses do — and every
@@ -104,6 +105,16 @@ class DirectionPredictor(abc.ABC):
         dynamic instance, and ``predicted`` the direction this predictor
         returned. Implementations should call ``self.stats.record``.
         """
+
+    def predict_packed(self, pc: int, history: int) -> tuple:
+        """:meth:`predict` plus the state :meth:`update_packed` reuses."""
+        return self.predict(pc, history), None
+
+    def update_packed(
+        self, pc: int, history: int, taken: bool, predicted: bool, state
+    ) -> None:
+        """:meth:`update` given :meth:`predict_packed`'s ``state``."""
+        self.update(pc, history, taken, predicted)
 
     @abc.abstractmethod
     def storage_bits(self) -> int:

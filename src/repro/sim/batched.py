@@ -31,15 +31,16 @@ programs replayed in a process keep theirs. The critic hash images are
 split in two tables of about 2 ** ((h + 1) / 2) entries each, for a
 critic history of h bits.
 
-``simulate_batched`` specializes the system shapes the sweeps actually
-run — :class:`SinglePredictorSystem` and :class:`ProphetCriticSystem`
-over the table predictors (2bc-gskew, gshare, gas, bimodal) plus the
-perceptron as prophet, with three kinds of critic: the tagged-gshare
-and filtered-perceptron critics (fused), and any unfiltered critic with
-a packed fast path (gshare, gas, 2bc-gskew, TAGE, YAGS through the
-system's own packed calls; the perceptron through the loop's integer
-perceptron ops). It returns None for anything else, telling the driver
-to fall back to the scalar loop. Both system shapes run through one
+``simulate_batched`` runs every exact :class:`SinglePredictorSystem`
+and :class:`ProphetCriticSystem`, the shapes ``TimedMachine`` runs too,
+and raises ``TypeError`` for any other system. The prophets the sweeps
+run most — 2bc-gskew, gshare and the perceptron — have fused arms; every
+other prophet (TAGE, YAGS, local, tournament, ...) is called through its
+own ``predict_packed``/``update_packed``. Critics come in four shapes:
+the tagged-gshare and filtered-perceptron critics (fused), any other
+filtered critic (its own ``lookup``/``train``), and any unfiltered
+critic (its packed calls; the perceptron through the loop's integer
+perceptron ops). Both system shapes run through one
 replay loop, :func:`_replay`: a single predictor is the prophet/critic
 machine with no critic, exactly as in the scalar driver. The loop has
 one fetch step for aligned and wrong-path fetches and one critique
@@ -53,7 +54,7 @@ Two amortization layers sit on top of the loop:
 * :class:`FusedReplayContext` — shared precompute (trace-derived
   columns, flat CFG tables, fused per-branch rows) for replaying many
   systems over one program in a sweep, plumbed in via
-  ``simulate_batched(..., shared=ctx)`` / :func:`fused_replay`;
+  ``simulate_batched(..., shared=ctx)``;
 * a process-wide :func:`set_trace_store` hook that spills the memoized
   architectural-trace columns through a persistent
   :class:`repro.sim.cache.CacheBackend`, keyed by the program's build
@@ -72,9 +73,7 @@ from repro.core.critiques import CritiqueKind
 from repro.core.hybrid import ProphetCriticSystem, SinglePredictorSystem
 from repro.engine.btb import BranchTargetBuffer
 from repro.engine.executor import ArchitecturalExecutor
-from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.filtered_perceptron import FilteredPerceptronPredictor
-from repro.predictors.gas import GAsPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.gskew import TwoBcGskewPredictor
 from repro.predictors.perceptron import PerceptronPredictor
@@ -86,48 +85,35 @@ from repro.sim.metrics import RunStats
 #: compiled-CFG pair limit and the drop-oldest RAS bound.
 _RAS_CAPACITY = 64
 
-_GSKEW, _GSHARE, _GAS, _BIMODAL, _PERC = 1, 2, 3, 4, 5
+_PACKED, _GSKEW, _GSHARE, _PERC = 0, 1, 2, 3
 
-#: Exact-type dispatch: subclasses may override behaviour the fused
-#: kernels inline, so they fall back to the scalar loop.
+#: Prophets with a fused arm, by exact type: a subclass may override
+#: behaviour the arm inlines. Every other prophet is ``_PACKED``, called
+#: through its own ``predict_packed``/``update_packed``.
 _PROPHET_KINDS = {
     TwoBcGskewPredictor: _GSKEW,
     GsharePredictor: _GSHARE,
-    GAsPredictor: _GAS,
-    BimodalPredictor: _BIMODAL,
     PerceptronPredictor: _PERC,
 }
 
-#: Critic shapes the replay loop fuses. The two filtered critics are
-#: fused by exact type, like the prophets; ``_CR_PLAIN`` is any
-#: unfiltered critic with a packed fast path (§7.2, Figure 6a), driven
-#: through the system's own packed calls; ``_CR_NONE`` is the
+#: Critic shapes. The two filtered critics are fused by exact type, like
+#: the prophets; ``_CR_LOOKUP`` is any other filtered critic, through its
+#: own ``lookup``/``train``; ``_CR_PLAIN`` is any unfiltered critic
+#: (§7.2, Figure 6a), through its packed calls; ``_CR_NONE`` is the
 #: critic-less shape of a SinglePredictorSystem.
-_CR_NONE, _CR_TAGGED, _CR_FPERC, _CR_PLAIN = 0, 1, 2, 3
+_CR_NONE, _CR_TAGGED, _CR_FPERC, _CR_PLAIN, _CR_LOOKUP = 0, 1, 2, 3, 4
 _CRITIC_KINDS = {
     TaggedGsharePredictor: _CR_TAGGED,
     FilteredPerceptronPredictor: _CR_FPERC,
 }
 
-#: Registered predictor kinds that *intentionally* run on the scalar
-#: fallback *as prophets* (or single predictors): no batched prophet arm
-#: exists for them, and silently falling back is the documented
-#: behaviour rather than an oversight. As critics they never fall back:
-#: every critic-capable kind runs batched, the filtered ones fused and
-#: the unfiltered ones through ``_CR_PLAIN``. REP004
-#: (``repro lint``) enforces that every registered kind either appears
-#: in the dispatch tables above (via a class imported from its module)
-#: or is named here — so adding a predictor without deciding its
-#: backend story is a commit-time error. Remove a kind from this set
-#: when it gains a batched kernel.
-SCALAR_FALLBACK_KINDS = frozenset({
-    "always-taken",      # zero-state; scalar loop is already optimal
-    "always-not-taken",  # zero-state; scalar loop is already optimal
-    "local",             # per-branch history table defeats SoA batching
-    "tage",              # variable-length tagged walk; no SoA arm yet
-    "tournament",        # chooser over nested components; shapes vary
-    "yags",              # choice+direction caches; no SoA arm yet
-})
+
+def _critic_kind(system) -> int:
+    """The critic shape of a :class:`ProphetCriticSystem`."""
+    ckind = _CRITIC_KINDS.get(type(system.critic))
+    if ckind is None:
+        ckind = _CR_LOOKUP if system._critic_is_filtered else _CR_PLAIN
+    return ckind
 
 
 # -- numpy constant tables ----------------------------------------------------
@@ -155,7 +141,8 @@ def _np_table(predictor, attr: str, values) -> "np.ndarray":
 #   0 uops   1 ras_ops|None   2 pc|None (None = no terminating branch)
 #   3 taken_target   4 fallthrough   5 next_block
 #   6 btb set index  7 btb tag
-#   8..11 prophet per-pc constants (kind-specific)
+#   8..11 prophet per-pc constants (kind-specific; gshare-shaped for
+#         a prophet without a fused arm, which reads none of them)
 #   12 critic fold seed (pc >> 2)   13 critic tag pc-part
 
 
@@ -171,25 +158,15 @@ def _make_pc_consts(predictor, kind: int, critic):
         def pc_consts(pc):
             v1 = (pc >> 2) & imask
             return v1, pc >> shift, h[v1], hinv[v1], pc >> 2, (pc >> 5) ^ (pc >> tb5)
-    elif kind == _GSHARE:
-
-        def pc_consts(pc):
-            return pc >> 2, 0, 0, 0, pc >> 2, (pc >> 5) ^ (pc >> tb5)
-    elif kind == _GAS:
-        smask = (1 << predictor.set_bits) - 1
-
-        def pc_consts(pc):
-            return (pc >> 2) & smask, 0, 0, 0, pc >> 2, (pc >> 5) ^ (pc >> tb5)
     elif kind == _PERC:
         n_perc = predictor.n_perceptrons
 
         def pc_consts(pc):
             return (pc >> 2) % n_perc, 0, 0, 0, pc >> 2, (pc >> 5) ^ (pc >> tb5)
     else:
-        imask = (1 << predictor._index_bits) - 1
 
         def pc_consts(pc):
-            return (pc >> 2) & imask, 0, 0, 0, pc >> 2, (pc >> 5) ^ (pc >> tb5)
+            return pc >> 2, 0, 0, 0, pc >> 2, (pc >> 5) ^ (pc >> tb5)
 
     return pc_consts
 
@@ -478,7 +455,7 @@ class FusedReplayContext:
     One context is valid for exactly one program (one ``build_key``)
     and one trace memo of it. ``simulate_batched`` keeps one on the program
     (``program._replay_ctx``) for at most ``_LIVE_CTX_LIMIT`` programs per
-    process; ``fused_replay`` callers may pass their own. Keys embed
+    process; callers may pass their own as ``shared``. Keys embed
     every geometry input the artifact depends on, so systems with
     different predictor/BTB shapes coexist in one context.
     """
@@ -512,16 +489,14 @@ def _ctx_get(shared, key, build):
 
 
 def _prophet_geometry(predictor, kind: int) -> tuple:
-    """Geometry key: everything the per-pc prophet columns depend on."""
+    """Geometry key: everything the per-pc prophet columns depend on.
+    Gshare-shaped columns (``pc >> 2``) are geometry-free, so gshare and
+    every prophet without a fused arm share them."""
     if kind == _GSKEW:
-        return (predictor._index_bits, predictor._pc_high_shift)
-    if kind == _GSHARE:
-        return ()
-    if kind == _GAS:
-        return (predictor.set_bits,)
+        return (_GSKEW, predictor._index_bits, predictor._pc_high_shift)
     if kind == _PERC:
-        return (predictor.n_perceptrons,)
-    return (predictor._index_bits,)
+        return (_PERC, predictor.n_perceptrons)
+    return ()
 
 
 # -- persistent trace-column store ------------------------------------------
@@ -574,45 +549,27 @@ def _program_ctx(program) -> FusedReplayContext:
 
 
 def simulate_batched(program, system, config, shared=None):
-    """Run the batched kernel, or return None for unsupported shapes."""
-    if shared is None:
-        # Sequential replays of one program reuse the same memoized
-        # precompute the fused path shares across a chunk; every key
-        # embeds the geometry it depends on, so mixed systems coexist.
-        shared = _program_ctx(program)
+    """Run the batched kernel on an exact SinglePredictorSystem or
+    ProphetCriticSystem (the loop inlines their events, which a subclass
+    could override). ``shared`` is the replay context to draw the
+    per-program precompute from; by default, the program's own."""
     if type(system) is SinglePredictorSystem:
-        kind = _PROPHET_KINDS.get(type(system.predictor))
+        kind = _PROPHET_KINDS.get(type(system.predictor), _PACKED)
         ckind = _CR_NONE
     elif type(system) is ProphetCriticSystem:
-        kind = _PROPHET_KINDS.get(type(system.prophet))
-        ckind = _CRITIC_KINDS.get(type(system.critic))
-        if (
-            ckind is None
-            and not system._critic_is_filtered
-            and system._critic_predict_packed is not None
-        ):
-            ckind = _CR_PLAIN
+        kind = _PROPHET_KINDS.get(type(system.prophet), _PACKED)
+        ckind = _critic_kind(system)
     else:
-        return None
-    if kind is None or ckind is None:
-        return None
-    return _replay(program, system, config, kind, ckind, shared)
-
-
-def fused_replay(program, runs, shared=None):
-    """Replay ``runs`` — an iterable of ``(system, config)`` — over one
-    program with all per-program precompute shared.
-
-    Returns one result per run, in order; entries are None where the
-    batched kernel does not support the shape (callers fall back to the
-    scalar loop for those, exactly like ``simulate`` does).
-    """
+        raise TypeError(
+            "the batched kernel runs a SinglePredictorSystem or a "
+            f"ProphetCriticSystem, not {type(system).__name__}"
+        )
     if shared is None:
-        shared = FusedReplayContext()
-    return [
-        simulate_batched(program, system, config, shared)
-        for system, config in runs
-    ]
+        # Sequential replays of one program reuse the same memoized
+        # precompute; every key embeds the geometry it depends on, so
+        # mixed systems coexist.
+        shared = _program_ctx(program)
+    return _replay(program, system, config, kind, ckind, shared)
 
 
 # -- architectural trace ----------------------------------------------------
@@ -696,13 +653,9 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
             _np_table(prophet, "_h_np", prophet._h_table)[v1_np].tolist(),
             _np_table(prophet, "_hinv_np", prophet._hinv_table)[v1_np].tolist(),
         ]
-    if kind == _GSHARE:
-        return [words.tolist()]
-    if kind == _GAS:
-        return [(words & ((1 << prophet.set_bits) - 1)).tolist()]
     if kind == _PERC:
         return [(words % prophet.n_perceptrons).tolist()]
-    return [(words & ((1 << prophet._index_bits) - 1)).tolist()]
+    return [words.tolist()]
 
 
 # -- the replay loop --------------------------------------------------------
@@ -755,16 +708,23 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 #   predictor single cells by 34-39 % (docs/PERFORMANCE.md);
 # * resolve -- no critic training and no filter stats.
 #
+# A prophet without a fused arm (``kind == _PACKED``) is called the way
+# ``ProphetCriticSystem`` calls it: ``predict_packed(pc, bhr)`` at every
+# fetch, wrong-path ones included, and ``update_packed`` at resolve with
+# the packed state from its fetch.
+#
 # An unfiltered critic (``ckind == _CR_PLAIN``, §7.2) keeps the hybrid
 # event loop and swaps only the critic's two calls, made in the same
 # order as ``ProphetCriticSystem``: at critique,
 # ``_critic_predict_packed(pc, bor)`` gives the final prediction (every
 # dynamic branch is a "hit"); at resolve, after the prophet's update,
 # ``_critic_update_packed(pc, bor_at_critique, taken, pred, state)``
-# trains it. No filter, fold tables or tag columns are involved. The
-# two filtered critics share the critique's hash and filter probe and
-# the resolve's probe, allocate and LRU touch; only the opinion and
-# training bodies depend on the critic kind.
+# trains it. No filter, fold tables or tag columns are involved. A
+# filtered critic without a fused arm (``_CR_LOOKUP``) is the same two
+# sites with its own ``lookup`` and ``train``. The two fused filtered
+# critics share the critique's hash and filter probe and the resolve's
+# probe, allocate and LRU touch; only the opinion and training bodies
+# depend on the critic kind.
 
 
 def _replay(program, system, config, kind: int, ckind: int, shared):
@@ -804,7 +764,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
     pc_consts = _make_pc_consts(prophet, kind, critic if filtered else None)
     flat, flatten = _ctx_get(
         shared,
-        ("flat", kind, geom, use_btb, b_set_mask or 0, b_set_bits or 0, tb5),
+        ("flat", geom, use_btb, b_set_mask or 0, b_set_bits or 0, tb5),
         lambda: _make_flattener(
             compiled, use_btb, b_set_mask or 0, b_set_bits or 0, pc_consts
         ),
@@ -858,7 +818,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
     # zero critic columns, so they key apart from the filtered rows.
     f_rows = _ctx_get(
         shared,
-        ("frows", kind, geom, use_btb,
+        ("frows", geom, use_btb,
          b_set_mask or 0, b_set_bits or 0, tb5 if filtered else None),
         lambda: list(zip(
             t_uops, t_tk, a_si, a_tag, t_pc, t_tt, t_ft, t_snap_c,
@@ -890,11 +850,6 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         gs_imask = prophet._index_mask
         gs_raw = prophet._raw
         gs_mid = prophet._midpoint
-    elif kind == _GAS:
-        ga_hmask = (1 << prophet.history_length) - 1
-        ga_sb = prophet.set_bits
-        ga_raw = prophet.table.raw
-        ga_mid = prophet.table.midpoint
     elif kind == _PERC:
         pp_ops = _perc_ops(prophet)
         pp_rows = pp_ops.rows
@@ -902,8 +857,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         pp_train = pp_ops.train
         pp_n = pp_ops.n
     else:
-        bm_raw = prophet.table.raw
-        bm_mid = prophet.table.midpoint
+        p_predict = prophet.predict_packed
 
     # Critic constants: fold-hash geometry + tag filter, plus either the
     # 2-bit counter bank (tagged gshare) or the perceptron weight table
@@ -911,7 +865,8 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
     # same fold-hash structure, so the critique arm's inline hash is
     # common; only the opinion/train bodies dispatch on ``ckind``. An
     # unfiltered critic has no filter: it is the system's packed calls,
-    # or the integer perceptron bundle for an exact perceptron.
+    # or the integer perceptron bundle for an exact perceptron. Any other
+    # filtered critic is its own lookup/train pair.
     f_ins = f_evc = 0
     f_lookups = f_hits = 0
     cp_rows = None
@@ -925,7 +880,10 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         else:
             c_predict = system._critic_predict_packed
             c_update = system._critic_update_packed
-    elif ckind:
+    elif ckind == _CR_LOOKUP:
+        c_lookup = critic.lookup
+        c_train = critic.train
+    elif filtered:
         filt = critic.filter
         f_tags = filt._tags
         f_lru = filt._lru
@@ -940,9 +898,20 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                 if _t is not None:
                     _m[_t] = _w
             f_maps.append(_m)
-    if filtered:
         c_geometry = _critic_fold_geometry(critic)
         c_hmask, c_set_mask, c_tag_mask = c_geometry[0], c_geometry[4], c_geometry[5]
+        # Split fold images for the critique hash (both critics share the
+        # fold structure). Gated by width, so no image exceeds 2 ** 11
+        # entries; wider and degenerate zero-history shapes keep the loop
+        # path.
+        if 0 < c_hmask.bit_length() <= 19:
+            f_lo, f_hi, f_k = _critic_fold_tables(c_geometry)
+            f_kmask = (1 << f_k) - 1
+            f_sb = c_set_mask.bit_length()
+            vmask = (c_hmask << 1) | 1
+        else:
+            f_lo = None
+            c_fold_hash = _fold_hash(c_geometry)
     if ckind == _CR_TAGGED:
         c_ways = critic.ways
         c_counters = critic._counters_raw
@@ -953,20 +922,6 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         fp_inputs = fp_ops.inputs
         fp_train = fp_ops.train
         fp_n = fp_ops.n
-
-    # Split fold images for the critique hash (both critics share the
-    # fold structure). Gated by width, so no image exceeds 2 ** 11
-    # entries; wider and degenerate zero-history shapes keep the loop
-    # path.
-    if filtered and 0 < c_hmask.bit_length() <= 19:
-        f_lo, f_hi, f_k = _critic_fold_tables(c_geometry)
-        f_kmask = (1 << f_k) - 1
-        f_sb = c_set_mask.bit_length()
-        vmask = (c_hmask << 1) | 1
-    else:
-        f_lo = None
-        if filtered:
-            c_fold_hash = _fold_hash(c_geometry)
 
     stats = RunStats(benchmark=program.name, system=type(system).__name__)
     required_bits = max(system.future_bits, 0)
@@ -1193,16 +1148,12 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 pred = gs_raw[
                                     (fs[8] ^ (bhr_val & gs_hmask)) & gs_imask
                                 ] > gs_mid
-                            elif kind == _GAS:
-                                pred = ga_raw[
-                                    ((bhr_val & ga_hmask) << ga_sb) | fs[8]
-                                ] > ga_mid
                             elif kind == _PERC:
                                 pred = sum(map(
                                     mul, pp_rows[fs[8]], pp_inputs(bhr_val)
                                 )) >= 0
                             else:
-                                pred = bm_raw[fs[8]] > bm_mid
+                                pred = p_predict(fs[2], bhr_val)[0]
                             bhr_val = ((bhr_val << 1) | pred) & bhr_mask
                             w_block = fs[3] if pred else fs[4]
                         else:
@@ -1238,15 +1189,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                     elif kind == _GSHARE:
                         state = (c ^ (bhr_val & gs_hmask)) & gs_imask
                         pred = gs_raw[state] > gs_mid
-                    elif kind == _GAS:
-                        state = ((bhr_val & ga_hmask) << ga_sb) | c
-                        pred = ga_raw[state] > ga_mid
                     elif kind == _PERC:
                         state = pp_inputs(bhr_val)
                         pred = sum(map(mul, pp_rows[c], state)) >= 0
                     else:
-                        state = c
-                        pred = bm_raw[state] > bm_mid
+                        pred, state = p_predict(pc, bhr_val)
                     r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, k0, k1,
                                snap, next_seq, False, pred, state)
                     bhr_val = ((bhr_val << 1) | pred) & bhr_mask
@@ -1318,6 +1265,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                     mul, cp_rows[(fe[0] >> 2) % cp_n], si
                                 )) >= 0
                             r_cq[s] = (final, True, final, si, 0, bor_value)
+                        elif ckind == _CR_LOOKUP:
+                            found = c_lookup(fe[0], bor_value)
+                            final = found.prediction if found.hit else ppred
+                            r_cq[s] = (final, found.hit, found.prediction,
+                                       0, 0, bor_value)
                         else:
                             k0 = fe[5]
                             if f_lo is not None:
@@ -1607,6 +1559,9 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 if cpred == taken:
                                     c_sc += 1
                             cp_train((pc >> 2) % cp_n, si, taken)
+                    elif ckind == _CR_LOOKUP:
+                        c_train(pc, borc, taken,
+                                (final if insert_final else ppred) != taken)
                     mispredicted = final != taken
                 head += 1
                 resolved += 1

@@ -72,19 +72,21 @@ class SimulationDesyncError(RuntimeError):
 #: one CLI ``--backend scalar`` flag reaches every SimulationConfig an
 #: experiment builds internally without threading a parameter through
 #: each signature (mirrors execution.get_default_engine). The batched
-#: kernel is bit-identical and returns None (the scalar loop runs) for
-#: shapes it does not specialize.
+#: kernel is bit-identical to the scalar loop on every system it runs.
 _DEFAULT_BACKEND = "batched"
 
-_KNOWN_BACKENDS = ("scalar", "batched")
+#: The kernel backends a :class:`SimulationConfig` may name.
+BACKENDS = ("scalar", "batched")
+
+
+def _check_backend(backend) -> None:
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
 def set_default_backend(backend: str) -> None:
     """Install the backend newly constructed configs default to."""
-    if backend not in _KNOWN_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {_KNOWN_BACKENDS}"
-        )
+    _check_backend(backend)
     global _DEFAULT_BACKEND
     _DEFAULT_BACKEND = backend
 
@@ -116,16 +118,17 @@ class SimulationConfig:
     collect_predictor_stats: bool = True
     #: Kernel backend: "scalar" is the reference loop below; "batched" is
     #: the structure-of-arrays kernel in :mod:`repro.sim.batched`, proven
-    #: bit-identical by the differential tests and falling back to the
-    #: scalar loop for system shapes it does not specialize. A pure
-    #: execution detail: results are identical, so the field is excluded
-    #: from SweepCell content hashes (see specs._described_config).
+    #: bit-identical by the differential tests. A pure execution detail:
+    #: results are identical, so the field is excluded from SweepCell
+    #: content hashes (see specs._described_config), which is why a bad
+    #: value is rejected here rather than left to a cache hit to hide.
     #: Defaults to the process-wide selection (:func:`set_default_backend`).
     backend: str = field(default_factory=lambda: _DEFAULT_BACKEND)
 
     def __post_init__(self) -> None:
         # Reject values no kernel can run, naming the field, before they
         # reach a content hash or a pool worker.
+        _check_backend(self.backend)
         for name in ("warmup", "inflight_depth"):
             value = getattr(self, name)
             if value < 0:
@@ -156,17 +159,11 @@ def simulate(
     if config.warmup >= config.n_branches:
         raise ValueError("warmup must leave a measurement window")
     if config.backend == "batched":
+        # Looked up at call time, so a wrapper installed on
+        # repro.sim.batched sees the request.
         from repro.sim.batched import simulate_batched
 
-        stats = simulate_batched(program, system, config)
-        if stats is not None:
-            return stats
-        # Unsupported system shape: the batched kernel declined; run the
-        # scalar loop (documented fallback, results identical by design).
-    elif config.backend != "scalar":
-        raise ValueError(
-            f"unknown backend {config.backend!r}; expected 'scalar' or 'batched'"
-        )
+        return simulate_batched(program, system, config)
 
     program.reset()
     executor = ArchitecturalExecutor(program)

@@ -36,10 +36,6 @@ from repro.workloads.trace_io import TraceFormatError, read_trace_header
 #: Default committed branches per cell (the ``sweep`` verb's default).
 DEFAULT_BRANCHES = 16_000
 
-#: The backend vocabulary accepted in job payloads (mirrors
-#: :class:`~repro.sim.driver.SimulationConfig.backend`).
-KNOWN_BACKENDS = ("scalar", "batched")
-
 #: Top-level keys a job payload may carry.
 JOB_KEYS = ("systems", "benchmarks", "branches", "warmup", "backend", "priority")
 
@@ -222,14 +218,13 @@ def cells_from_job(payload: Any) -> tuple[list[SweepCell], dict]:
             )
     branches, warmup = window_from_config(payload)
     backend = payload.get("backend", get_default_backend())
-    if backend not in KNOWN_BACKENDS:
-        raise SweepConfigError(
-            f"unknown backend {backend!r}; known: {list(KNOWN_BACKENDS)}",
-            section="backend",
-        )
+    try:
+        config = SimulationConfig(n_branches=branches, warmup=warmup, backend=backend)
+    except ValueError as exc:
+        # The window is already checked above, so only the backend is left.
+        raise SweepConfigError(str(exc), section="backend") from None
     systems = systems_from_config(payload["systems"])
     benchmarks = benchmarks_from_config(payload["benchmarks"], branches)
-    config = SimulationConfig(n_branches=branches, warmup=warmup, backend=backend)
     cells = [
         SweepCell(
             system_label=label,

@@ -176,9 +176,10 @@ def _committed_stream(program: Program, n_branches: int) -> Iterator[BranchRecor
         raise ValueError("n_branches must be positive")
     program.reset()
     executor = ArchitecturalExecutor(program)
+    resolve_next = executor.resolve_next
     for _ in range(n_branches):
-        resolved = executor.next_branch()
-        yield BranchRecord(pc=resolved.pc, taken=resolved.taken, uops=resolved.uops)
+        pc, taken, uops = resolve_next()
+        yield BranchRecord(pc=pc, taken=taken, uops=uops)
 
 
 # ---------------------------------------------------------------------------

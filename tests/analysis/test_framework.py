@@ -37,7 +37,7 @@ class TestSuppressions:
     def test_bare_disable_silences_every_rule(self, tmp_path):
         sf = SourceFile.from_text(tmp_path, "m.py", "x = 1  # repro-lint: disable\n")
         assert sf.is_suppressed("REP001", 1)
-        assert sf.is_suppressed("REP004", 1)
+        assert sf.is_suppressed("REP006", 1)
 
     def test_file_suppression(self, tmp_path):
         text = "# repro-lint: disable-file=REP002\nx = 1\ny = 2\n"
@@ -142,9 +142,10 @@ class TestImportResolution:
 
 
 class TestRulePack:
-    def test_six_rules_registered_and_valid(self):
+    def test_five_rules_registered_and_valid(self):
+        # REP004 (backend parity) is retired; its code is not reused.
         assert sorted(RULES_BY_CODE) == [
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
+            "REP001", "REP002", "REP003", "REP005", "REP006",
         ]
         for rule in ALL_RULES:
             validate_rule(rule)  # raises on malformed code / missing docs

@@ -110,8 +110,9 @@ class TestListRules:
     def test_catalog_lists_all_codes(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP005"):
+        for code in ("REP001", "REP002", "REP003", "REP005", "REP006"):
             assert code in out
+        assert "REP004" not in out  # retired with its rule
 
 
 class TestStdlibOnly:

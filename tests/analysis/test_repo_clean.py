@@ -113,17 +113,3 @@ class TestSeededMutations:
         project.replace_file("src/repro/serve/daemon.py", text)
         findings = list(RULES_BY_CODE["REP005"].check(project))
         assert any("_handle_cache" in f.message for f in findings)
-
-    def test_unregistered_backend_kind_fails(self, repo_project):
-        # PR 6's hazard, replayed: register a predictor kind with no
-        # batched arm, no allowlist entry, no differential coverage.
-        project = self._fork(repo_project)
-        rel = "src/repro/predictors/static.py"
-        text = project.file(rel).text
-        project.replace_file(
-            rel, text + '\nregister_predictor("phantom-kind", None, None)\n'
-        )
-        findings = list(RULES_BY_CODE["REP004"].check(project))
-        messages = [f.message for f in findings if "phantom-kind" in f.message]
-        assert any("scalar loop silently" in m for m in messages)
-        assert any("differential backend matrix" in m for m in messages)

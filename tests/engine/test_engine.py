@@ -108,15 +108,15 @@ def two_branch_program() -> Program:
 class TestArchitecturalExecutor:
     def test_resolves_pattern_in_order(self):
         executor = ArchitecturalExecutor(two_branch_program())
-        outcomes = [executor.next_branch().taken for _ in range(6)]
+        outcomes = [executor.resolve_next()[1] for _ in range(6)]
         assert outcomes == [True, False] * 3
 
     def test_uop_accounting(self):
         executor = ArchitecturalExecutor(two_branch_program())
-        first = executor.next_branch()
-        assert first.uops == 4  # block A only
-        second = executor.next_branch()
-        assert second.uops == 3 + 4  # block B then A
+        _, _, first_uops = executor.resolve_next()
+        assert first_uops == 4  # block A only
+        _, _, second_uops = executor.resolve_next()
+        assert second_uops == 3 + 4  # block B then A
 
     def test_committed_uops_accumulate(self):
         executor = ArchitecturalExecutor(two_branch_program())
@@ -136,9 +136,9 @@ class TestArchitecturalExecutor:
         ]
         program = Program(name="call", blocks=blocks, entry=0)
         executor = ArchitecturalExecutor(program)
-        first = executor.next_branch()
-        assert first.pc == 0x1008
-        assert first.uops == 2 + 7 + 4  # call block + callee + cond block
+        pc, _, uops = executor.resolve_next()
+        assert pc == 0x1008
+        assert uops == 2 + 7 + 4  # call block + callee + cond block
 
 
 class TestSpeculativeWalker:

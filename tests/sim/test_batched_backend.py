@@ -16,8 +16,9 @@ not:
 * what the kernel keeps alive between replays: precompute entries per
   program, live contexts per process, and the fold images' size;
 * the integer perceptron ops against the numpy perceptron;
-* backend dispatch: unknown names and the scalar fallback for
-  unsupported predictors;
+* backend dispatch: unknown names (rejected at construction), a prophet
+  and a filtered critic without a fused arm, and systems the kernel
+  refuses;
 * the hash-stability constraint: ``backend`` is an execution detail and
   must not perturb ``SweepCell.content_hash`` (pinned to its PR-5
   value).
@@ -77,7 +78,7 @@ def _assert_identical(a, b):
 
 
 def _single_builders():
-    """One builder per batched single-predictor kind (gas and bimodal
+    """One builder per table single-predictor kind (gas and bimodal
     have no budget presets, so they are built from explicit params)."""
     from repro.core import SinglePredictorSystem
     from repro.predictors import BimodalPredictor, GAsPredictor
@@ -353,7 +354,9 @@ class TestBatchHelpers:
     @pytest.mark.parametrize("kind", ["2bc-gskew", "gshare", "gas", "bimodal"])
     def test_batch_predict_matches_scalar(self, kind):
         predictor = _single_builders()[kind]().predictor
-        code = batched._PROPHET_KINDS[type(predictor)]
+        # gas and bimodal have no fused arm: they read the packed arm's
+        # gshare-shaped constants.
+        code = batched._PROPHET_KINDS.get(type(predictor), batched._PACKED)
         rng = np.random.default_rng(zlib.crc32(kind.encode()))
         pcs, _ = _random_inputs(rng)
         columns = batched._prophet_columns(predictor, code, pcs)
@@ -478,17 +481,67 @@ class TestBackendDispatch:
         with pytest.raises(ValueError, match="backend"):
             simulate(program, spec.build(), replace(_CONFIG, backend="vector"))
 
-    def test_unsupported_predictor_falls_back_to_scalar(self):
-        """tage has no batched path: simulate_batched declines, the driver
-        runs the scalar loop, and results match scalar exactly."""
+    def test_unknown_backend_rejected_at_construction(self):
+        """``backend`` is left out of the content hash, so a bad value
+        must fail where it is written, naming the field."""
+        with pytest.raises(ValueError, match="backend"):
+            SimulationConfig(backend="vector")
+
+    def test_tage_runs_batched_and_equals_scalar(self):
+        """tage has no fused arm: the kernel drives it through its packed
+        calls, and the result matches the scalar loop exactly."""
         program = _program("gcc", 22)
         spec = SystemSpec.single("tage", 2)
-        assert batched.simulate_batched(program, spec.build(), _CONFIG) is None
-        batch = simulate(program, spec.build(), replace(_CONFIG, backend="batched"))
+        batch = batched.simulate_batched(program, spec.build(), _CONFIG)
         fresh = simulate(
             _program("gcc", 22), spec.build(), replace(_CONFIG, backend="scalar")
         )
         _assert_identical(batch, fresh)
+
+    def test_filtered_critic_of_another_type(self):
+        """A filtered critic the loop does not fuse goes through its own
+        ``lookup``/``train``, with the filter's stats and learned state
+        identical to the scalar loop's."""
+        from repro.core import ProphetCriticSystem
+        from repro.predictors import TaggedGsharePredictor, TwoBcGskewPredictor
+
+        class OtherTaggedGshare(TaggedGsharePredictor):
+            pass
+
+        def build():
+            return ProphetCriticSystem(
+                TwoBcGskewPredictor(4096), OtherTaggedGshare(sets=256, ways=4),
+                future_bits=4,
+            )
+
+        program = _program("gcc", 25)
+        batch_system, scalar_system = build(), build()
+        batch = batched.simulate_batched(program, batch_system, _CONFIG)
+        scalar = simulate(program, scalar_system, replace(_CONFIG, backend="scalar"))
+        _assert_identical(batch, scalar)
+        assert batch.critic_redirects > 0
+        ours, theirs = batch_system.critic, scalar_system.critic
+        assert ours.filter.stats == theirs.filter.stats
+        assert ours.filter._tags == theirs.filter._tags
+        assert ours._counters_raw == theirs._counters_raw
+        assert ours.stats == theirs.stats
+
+    def test_other_systems_are_refused_by_the_kernel(self):
+        """The kernel inlines the two systems' events, so a subclass, which
+        could override them, is a TypeError naming it, not a silent
+        scalar run; the scalar loop still runs it."""
+        from repro.core import SinglePredictorSystem
+
+        class Custom(SinglePredictorSystem):
+            pass
+
+        system = Custom(SystemSpec.single("gshare", 2).build().predictor)
+        program = _program("gcc", 26)
+        with pytest.raises(TypeError, match="Custom"):
+            batched.simulate_batched(program, system, _CONFIG)
+        with pytest.raises(TypeError, match="Custom"):
+            simulate(program, system, replace(_CONFIG, backend="batched"))
+        assert simulate(program, system, replace(_CONFIG, backend="scalar")).branches
 
 
 class TestPredictorStatsSwitch:

@@ -188,8 +188,8 @@ class TestFusedMultiSystemReplay:
     trace columns (one :class:`FusedReplayContext`) must each stay
     bit-identical to the frozen reference — the same standard as a lone
     run. Covers the hybrid/critic matrix plus singles, mixed geometries
-    in one context, unfiltered critics, and the unsupported-shape
-    fallback."""
+    in one context, unfiltered critics, and prophets without a fused arm
+    sharing the context with fused ones."""
 
     def _runs(self):
         specs = [
@@ -208,32 +208,30 @@ class TestFusedMultiSystemReplay:
         return [spec.build for spec in specs]
 
     def test_fused_matrix_matches_reference(self):
-        pytest.importorskip("numpy")
-        from repro.sim.batched import FusedReplayContext, fused_replay
+        from repro.sim.batched import FusedReplayContext, simulate_batched
 
         program = _program("INT00", 51)
         builders = self._runs()
         shared = FusedReplayContext()
-        results = fused_replay(
-            program, [(build(), _CONFIG) for build in builders], shared
-        )
+        results = [
+            simulate_batched(program, build(), _CONFIG, shared) for build in builders
+        ]
         assert len(shared) > 0  # per-program precompute actually pooled
         for build, got in zip(builders, results):
-            assert got is not None  # every shape above has a batched path
             ref = reference_simulate(_program("INT00", 51), build(), _CONFIG)
             assert_bit_identical(got, ref)
 
-    def test_fused_unsupported_shape_yields_none(self):
-        """The fused path declines per entry, never poisoning siblings."""
-        pytest.importorskip("numpy")
-        from repro.sim.batched import fused_replay
+    def test_fused_mixed_arms_share_a_context(self):
+        """A prophet without a fused arm shares one context with fused
+        ones, and neither perturbs the other."""
+        from repro.sim.batched import FusedReplayContext, simulate_batched
 
         from repro.core.hybrid import ProphetCriticSystem
         from repro.predictors.budget import make_prophet
 
         program = _program("MM", 52)
-        supported = SystemSpec.single("2bc-gskew", 2)
-        unsupported = SystemSpec.single("tage", 2)  # no batched prophet arm
+        fused = SystemSpec.single("2bc-gskew", 2)
+        packed = SystemSpec.single("tage", 2)  # the packed-call arm
 
         # An unfiltered plain-predictor critic runs batched.
         def unfiltered():
@@ -241,20 +239,15 @@ class TestFusedMultiSystemReplay:
                 make_prophet("2bc-gskew", 2), make_prophet("gshare", 2), future_bits=4
             )
 
-        results = fused_replay(
-            program,
-            [
-                (supported.build(), _CONFIG),
-                (unsupported.build(), _CONFIG),
-                (unfiltered(), _CONFIG),
-                (supported.build(), _CONFIG),
-            ],
-        )
-        assert results[1] is None
-        assert all(results[i] is not None for i in (0, 2, 3))
+        shared = FusedReplayContext()
+        results = [
+            simulate_batched(program, system, _CONFIG, shared)
+            for system in (fused.build(), packed.build(), unfiltered(), fused.build())
+        ]
         assert_bit_identical(results[3], results[0])
-        ref = reference_simulate(_program("MM", 52), unfiltered(), _CONFIG)
-        assert_bit_identical(results[2], ref)
+        for i, build in ((1, packed.build), (2, unfiltered)):
+            ref = reference_simulate(_program("MM", 52), build(), _CONFIG)
+            assert_bit_identical(results[i], ref)
 
 
 class TestDifferentialEdges:
@@ -330,10 +323,32 @@ class TestDifferentialEdges:
         assert_bit_identical(new, ref)
 
 
-#: Every registered predictor kind, as literals. REP004 (``repro lint``)
-#: requires each registry kind's string to appear in this file so
-#: scalar/batched agreement is exercised for all of them on every run;
-#: the registry-equality test below keeps this list from rotting.
+class TestPackedProphetArm:
+    """Prophets without a fused arm run batched through their packed
+    calls. Behind a filtered critic, the hybrid shape's wrong-path
+    fetches, overrides and flushes all reach them, and the result must
+    equal the frozen reference kernel's."""
+
+    @pytest.mark.parametrize("kind", [
+        "tage", "yags", "local", "tournament", "gas", "bimodal", "always-taken",
+    ])
+    def test_hybrid_matches_reference(self, kind):
+        from repro.sim.batched import simulate_batched
+        from repro.sim.specs import PredictorSpec
+
+        spec = SystemSpec(
+            kind="hybrid", prophet=PredictorSpec(kind),
+            critic=PredictorSpec("tagged-gshare", budget_kb=2), future_bits=4,
+        )
+        got = simulate_batched(_program("SERV", 61), spec.build(), _CONFIG)
+        ref = reference_simulate(_program("SERV", 61), spec.build(), _CONFIG)
+        assert_bit_identical(got, ref)
+        assert got.critic_redirects > 0
+
+
+#: Every registered predictor kind, as literals, so scalar/batched
+#: agreement is exercised for all of them on every run; the
+#: registry-equality test below keeps this list from rotting.
 _ALL_KINDS = (
     "2bc-gskew",
     "always-not-taken",
@@ -354,25 +369,16 @@ _ALL_KINDS = (
 class TestAllRegisteredKinds:
     """Scalar/batched differential across the *entire* predictor registry.
 
-    Dispatched kinds get a genuine SoA-vs-scalar bit-identity check;
-    allowlisted kinds (``sim.batched.SCALAR_FALLBACK_KINDS``) prove the
-    documented fallback produces the scalar result verbatim. Either way,
-    every registered kind is pinned here — adding a predictor without
-    extending this matrix is a REP004 lint error.
+    Every kind runs batched, through a fused arm or the packed-call arm,
+    and gets a genuine SoA-vs-scalar bit-identity check. Every
+    registered kind is pinned here: adding a predictor without extending
+    this matrix fails ``test_kind_list_matches_registry``.
     """
 
     def test_kind_list_matches_registry(self):
         from repro.predictors.registry import registered_kinds
 
         assert list(_ALL_KINDS) == registered_kinds()
-
-    def test_fallback_allowlist_is_consistent(self):
-        """Allowlisted kinds are registered; dispatched kinds are not
-        allowlisted (the REP004 contract, asserted at runtime too)."""
-        from repro.predictors.registry import registered_kinds
-        from repro.sim.batched import SCALAR_FALLBACK_KINDS
-
-        assert SCALAR_FALLBACK_KINDS <= set(registered_kinds())
 
     @pytest.mark.parametrize("kind", _ALL_KINDS)
     def test_single_system_scalar_batched_identical(self, kind):

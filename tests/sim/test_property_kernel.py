@@ -2,10 +2,11 @@
 
 The kernel matrices in ``test_differential_kernel.py`` and
 ``test_batched_backend.py`` are hand-picked. Here hypothesis draws the
-cell: every batched prophet kind at sampled geometries, alone (the
-critic-less shape of the replay loop), behind either fused filtered
-critic under either filter insertion policy, or behind any
-critic-capable kind as an unfiltered critic, under sampled BTB
+cell: every registered prophet kind at sampled geometries (the fused
+arms and the packed-call arm alike), alone (the critic-less shape of
+the replay loop), behind either fused filtered critic under either
+filter insertion policy, or behind any critic-capable kind as an
+unfiltered critic, under sampled BTB
 geometries, window depths and warmups, over a few archetype programs.
 Each drawn cell must give the same ``RunStats`` — every counter, the
 critique census and the per-site rows — and the same predictor
@@ -103,7 +104,23 @@ _PERCEPTRON = st.tuples(st.just("perceptron"), st.fixed_dictionaries({
     "n_perceptrons": st.integers(1, 300),
     "history_length": _PERCEPTRON_HISTORY,
 }))
+_TAGE = st.tuples(st.just("tage"), st.fixed_dictionaries({
+    "n_components": st.integers(1, 4),
+    "base_entries": _pow2(4, 10),
+    "component_entries": _pow2(4, 8),
+    "min_history": st.integers(1, 6),
+    "max_history": st.integers(8, 40),
+    "tag_bits": st.integers(4, 10),
+}))
+_YAGS = st.tuples(st.just("yags"), st.fixed_dictionaries({
+    "choice_entries": _pow2(4, 10),
+    "cache_entries": _pow2(4, 8),
+    "history_length": st.integers(1, 12),
+    "tag_bits": st.integers(4, 10),
+}))
 
+#: Every registered prophet kind. The fused arms (2bc-gskew, gshare,
+#: perceptron) and the packed-call arm that runs all the others.
 _PROPHETS = st.one_of(
     _GSKEW,
     _GSHARE,
@@ -113,6 +130,19 @@ _PROPHETS = st.one_of(
         "counter_bits": st.integers(1, 3),
     })),
     _PERCEPTRON,
+    _TAGE,
+    _YAGS,
+    st.tuples(st.just("local"), st.fixed_dictionaries({
+        "history_entries": _pow2(2, 10),
+        "local_history_length": st.integers(1, 12),
+        "counter_bits": st.integers(1, 3),
+    })),
+    st.tuples(st.just("tournament"), st.fixed_dictionaries({
+        "component_a": st.sampled_from(("bimodal", "local", "gas")),
+        "component_b": st.sampled_from(("gshare", "2bc-gskew", "tage", "yags")),
+        "chooser_entries": _pow2(4, 12),
+    })),
+    st.tuples(st.sampled_from(("always-taken", "always-not-taken")), st.just({})),
 )
 
 _CRITICS = st.one_of(
@@ -135,20 +165,8 @@ _CRITICS = st.one_of(
     _PERCEPTRON,
     _GSKEW,
     _GAS,
-    st.tuples(st.just("tage"), st.fixed_dictionaries({
-        "n_components": st.integers(1, 4),
-        "base_entries": _pow2(4, 10),
-        "component_entries": _pow2(4, 8),
-        "min_history": st.integers(1, 6),
-        "max_history": st.integers(8, 40),
-        "tag_bits": st.integers(4, 10),
-    })),
-    st.tuples(st.just("yags"), st.fixed_dictionaries({
-        "choice_entries": _pow2(4, 10),
-        "cache_entries": _pow2(4, 8),
-        "history_length": st.integers(1, 12),
-        "tag_bits": st.integers(4, 10),
-    })),
+    _TAGE,
+    _YAGS,
 )
 
 
@@ -199,7 +217,6 @@ def _assert_backends_agree(program, build, config):
     batched_system = build()
     scalar = simulate(program, scalar_system, replace(config, backend="scalar"))
     batch = batched.simulate_batched(program, batched_system, config)
-    assert batch is not None, "batched kernel declined a supported shape"
     for field in _FIELDS:
         assert getattr(batch, field) == getattr(scalar, field), field
     assert batch.census.counts == scalar.census.counts

@@ -203,6 +203,18 @@ class TestConfigRejections:
         with pytest.raises(ValueError, match="valid keys"):
             SweepCell.from_config(cell_config)
 
+    def test_unknown_backend_in_cell_config(self):
+        """``backend`` is left out of the content hash, so a cell with a
+        bad one must fail at restore, naming the field, not be served
+        from cache or fail inside a pool worker."""
+        cell_config = SweepCell(
+            "label", "swim", SystemSpec.single("gshare", 2),
+            ProgramSpec(benchmark="swim"),
+        ).to_config()
+        cell_config["config"]["backend"] = "vector"
+        with pytest.raises(ValueError, match="backend"):
+            SweepCell.from_config(cell_config)
+
     def test_program_config_needs_one_source(self):
         with pytest.raises(ValueError, match="exactly one"):
             ProgramSpec.from_config({"benchmark": "gcc", "trace": "x.trace"})

@@ -102,6 +102,15 @@ CELLS: list[dict] = [
         "quick": True,
         "headline": False,
     },
+    # TAGE, the costliest prophet without a fused arm: the batched kernel
+    # calls its predict_packed/update_packed. No floor yet.
+    {
+        "id": "gcc/tage-16",
+        "benchmark": "gcc",
+        "system": SystemSpec.single("tage", 16),
+        "quick": True,
+        "headline": False,
+    },
     {
         "id": "facerec/hybrid-8+8",
         "benchmark": "facerec",
@@ -242,7 +251,8 @@ def measure(args) -> tuple[dict, list[dict]]:
 def _options(parser) -> None:
     parser.add_argument(
         "--quick", action="store_true",
-        help="the quick cells (headline and perceptron cells) at a CI-sized branch count",
+        help="the quick cells (headline, perceptron and TAGE cells) at a CI-sized "
+        "branch count",
     )
     parser.add_argument(
         "--branches", type=int, default=None,

@@ -27,11 +27,11 @@ interaction matters.
   :class:`~repro.sim.cache.ResultCache` (the resume-after-kill path).
 * ``dup-heavy/4x12`` — 4 distinct cells under 12 labels each: the
   duplicate-coalescing path (cache-codec clone vs the old deepcopy).
-* ``fused/8x1`` — every batched-supported system replayed over one gcc
-  build through :func:`repro.sim.batched.fused_replay` (shared trace
-  columns and per-program precompute) against the same panel through
-  the scalar loop, at longer cells where fusion matters; whole-result
-  identity asserted per cell.
+* ``fused/12x1`` — the twelve systems replayed over one gcc build
+  through :func:`repro.sim.batched.simulate_batched` with one shared
+  replay context (shared trace columns and per-program precompute)
+  against the same panel through the scalar loop, at longer cells where
+  fusion matters; whole-result identity asserted per cell.
 
 ``--compare-reference`` runs the frozen pre-overhaul engine
 (``tests/reference_engine.py``) on identical grids with the same
@@ -186,34 +186,20 @@ def measure_grids(jobs: int, branches: int, compare_reference: bool) -> list[dic
     return rows
 
 
-#: The fused-replay panel: every batched-supported shape from SYSTEMS
-#: (the tage / yags / local / plain-critic entries fall back to scalar
-#: and would measure the fallback, not the fusion).
-FUSED_SYSTEMS: tuple[SystemSpec, ...] = (
-    SystemSpec.single("gshare", 8),
-    SystemSpec.single("gshare", 4),
-    SystemSpec.single("2bc-gskew", 8),
-    SystemSpec.single("2bc-gskew", 16),
-    SystemSpec.single("perceptron", 4),
-    SystemSpec(kind="single", prophet=PredictorSpec("bimodal")),
-    SystemSpec.hybrid("2bc-gskew", 8, "tagged-gshare", 8, future_bits=8),
-    SystemSpec.hybrid("gshare", 8, "tagged-gshare", 8, future_bits=4),
-)
-
-
 def measure_fused(branches: int) -> dict:
     """The fused same-program scenario: K systems down one shared trace.
 
-    Replays every batched-supported system over a single gcc build
-    through :func:`repro.sim.batched.fused_replay` (per-program
-    precompute — trace columns, flat CFG, pc-derived rows — paid once
-    for the whole panel) and compares against the same panel run
+    Replays every system of :data:`SYSTEMS` over a single gcc build
+    through :func:`repro.sim.batched.simulate_batched` with one shared
+    replay context (per-program precompute — trace columns, flat CFG,
+    pc-derived rows — paid once for the whole panel) and compares
+    against the same panel run
     cell-by-cell through the scalar loop. Whole-result identity is
     asserted per cell; longer cells than the grid scenarios are used
     because fusion amortizes per-program cost that short cells
     under-weight.
     """
-    from repro.sim.batched import FusedReplayContext, fused_replay
+    from repro.sim.batched import FusedReplayContext, simulate_batched
     from repro.sim.driver import simulate
 
     n = max(4 * branches, 4_000)
@@ -226,29 +212,30 @@ def measure_fused(branches: int) -> dict:
     # Untimed warm-up run: builds the architectural trace and the shared
     # per-program columns (steady-state sweep regime, as in the kernel
     # bench), plus CFG compilation for the scalar side.
-    fused_replay(program, [(s.build(), config) for s in FUSED_SYSTEMS[:1]], shared)
-    simulate(program, FUSED_SYSTEMS[0].build(), scalar_config)
+    simulate_batched(program, SYSTEMS[0].build(), config, shared)
+    simulate(program, SYSTEMS[0].build(), scalar_config)
 
+    grid = f"fused/{len(SYSTEMS)}x1"
     timing, results = profiling.repeat({
-        "fused": lambda: fused_replay(
-            program, [(s.build(), config) for s in FUSED_SYSTEMS], shared
-        ),
+        "fused": lambda: [
+            simulate_batched(program, s.build(), config, shared) for s in SYSTEMS
+        ],
         "scalar": lambda: [
-            simulate(program, s.build(), scalar_config) for s in FUSED_SYSTEMS
+            simulate(program, s.build(), scalar_config) for s in SYSTEMS
         ],
     }, times=1)
     profiling.assert_identical(
-        "fused/8x1 fused vs scalar", results["fused"], results["scalar"],
+        f"{grid} fused vs scalar", results["fused"], results["scalar"],
         "tests/sim/test_differential_kernel.py",
     )
     fused_elapsed, scalar_elapsed = timing["fused"]["best"], timing["scalar"]["best"]
     row = {
-        "grid": "fused/8x1",
-        "cells": len(FUSED_SYSTEMS),
+        "grid": grid,
+        "cells": len(SYSTEMS),
         "branches_per_cell": n,
         "seconds": round(fused_elapsed, 4),
-        "cells_per_sec": round(len(FUSED_SYSTEMS) / fused_elapsed, 2),
-        "scalar_cells_per_sec": round(len(FUSED_SYSTEMS) / scalar_elapsed, 2),
+        "cells_per_sec": round(len(SYSTEMS) / fused_elapsed, 2),
+        "scalar_cells_per_sec": round(len(SYSTEMS) / scalar_elapsed, 2),
         "speedup_fused_vs_scalar": round(scalar_elapsed / fused_elapsed, 3),
     }
     profiling.show(row, KEY, "cells_per_sec", "speedup_fused_vs_scalar")
