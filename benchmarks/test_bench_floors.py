@@ -58,9 +58,8 @@ def test_committed_snapshot_passes_committed_floor(name):
 
 #: (profiler, row id, field, a value the floor accepts, one it rejects)
 GATES = [
-    # ratio floors carry the 25 % band: floor 1.8 -> 1.35 allowed.
-    ("kernel", "gcc/hybrid-8+8", "speedup_vs_reference", 1.36, 1.34),
-    ("kernel", "gcc/perceptron-8+tagged-8", "speedup_batched_vs_scalar", 2.26, 2.24),
+    # ratio floors carry the 25 % band: floor 4.68 -> 3.51 allowed.
+    ("kernel", "gcc/hybrid-8+8", "speedup_batched_vs_reference", 3.52, 3.50),
     ("kernel", "gcc/hybrid-8+8", "speedup_timing_vs_reference", 2.63, 2.62),
     ("sweep", "steady/12x4", "speedup_vs_reference", 1.6, 1.4),
     # a scalar floor applies to the row that carries the field.
@@ -90,7 +89,7 @@ UNMEASURED = [
     # checks this replaces walked the rows and passed it silently.
     ("kernel", "gcc/perceptron-8+tagged-8", None),
     # --check-floor without --compare-reference.
-    ("kernel", "gcc/2bc-gskew-16", "speedup_vs_reference"),
+    ("kernel", "gcc/2bc-gskew-16", "speedup_batched_vs_reference"),
     ("kernel", "gcc/2bc-gskew-16", "speedup_timing_vs_reference"),
     ("sweep", "dup-heavy/4x12", None),
     ("serve", "dup-heavy/8-client", None),

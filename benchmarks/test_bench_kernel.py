@@ -10,21 +10,22 @@ gates on ``benchmarks/BENCH_kernel_floor.json``.
 ``REPRO_SCALE`` scales the simulated branch count as in every other
 bench (via the session-scoped ``scale`` fixture).
 
-The ``*_batched`` benches time the batched structure-of-arrays backend
-on the same cells with the memoized architectural trace warm (an
-untimed batched run precedes the timed one), mirroring the third column
-of ``tools/profile_kernel.py``; bit-identity with the scalar backend is
-asserted on every run.
+Each bench times the batched kernel with the memoized architectural
+trace warm (an untimed run precedes the timed one), as
+``tools/profile_kernel.py`` does; bit-identity with the frozen reference
+kernel (``tests/reference_kernel.py``) is asserted on every run.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
 
-def _throughput_cell(
-    benchmark, system_spec, bench_name: str, scale: float, backend: str = "scalar"
-):
-    from dataclasses import replace
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+
+def _throughput_cell(benchmark, system_spec, bench_name: str, scale: float):
+    from reference_kernel import reference_simulate
     from repro.sim.driver import SimulationConfig, simulate
     from repro.sim.specs import ProgramSpec
 
@@ -33,15 +34,12 @@ def _throughput_cell(
         n_branches=n_branches,
         warmup=max(400, n_branches // 10),
         collect_predictor_stats=False,
-        backend=backend,
     )
     program = ProgramSpec(benchmark=bench_name).build()
-    # Untimed warm-up compiles the CFG transition tables.
-    simulate(program, system_spec.build(), SimulationConfig(n_branches=2_000, warmup=200))
-    if backend == "batched":
-        # Steady-state methodology: populate the memoized architectural
-        # trace so the timed run measures replay, not the executor walk.
-        simulate(program, system_spec.build(), config)
+    # Steady-state methodology: compile the CFG tables and populate the
+    # memoized architectural trace so the timed run measures replay, not
+    # the executor walk.
+    simulate(program, system_spec.build(), config)
 
     stats = benchmark.pedantic(
         lambda: simulate(program, system_spec.build(), config),
@@ -50,35 +48,19 @@ def _throughput_cell(
     )
     elapsed = benchmark.stats.stats.mean
     rate = n_branches / elapsed
-    print(f"\n{bench_name} [{backend}]: {rate:,.0f} branches/sec ({n_branches} branches)")
+    print(f"\n{bench_name} [batched]: {rate:,.0f} branches/sec ({n_branches} branches)")
     benchmark.extra_info["branches"] = n_branches
     benchmark.extra_info["branches_per_sec"] = round(rate, 1)
-    benchmark.extra_info["backend"] = backend
     assert stats.branches == n_branches - config.warmup
-    if backend == "batched":
-        scalar_stats = simulate(
-            program, system_spec.build(), replace(config, backend="scalar")
-        )
-        assert (stats.mispredicts, stats.committed_uops, stats.fetched_uops) == (
-            scalar_stats.mispredicts,
-            scalar_stats.committed_uops,
-            scalar_stats.fetched_uops,
-        )
-
-
-def test_bench_kernel_hybrid_headline(benchmark, scale):
-    """The acceptance cell: 8K+8K prophet/critic hybrid on gcc."""
-    from repro.sim.specs import SystemSpec
-
-    _throughput_cell(
-        benchmark,
-        SystemSpec.hybrid("2bc-gskew", 8, "tagged-gshare", 8, future_bits=8),
-        "gcc",
-        scale,
+    ref = reference_simulate(program, system_spec.build(), config)
+    assert (stats.mispredicts, stats.committed_uops, stats.fetched_uops) == (
+        ref.mispredicts,
+        ref.committed_uops,
+        ref.fetched_uops,
     )
 
 
-def test_bench_kernel_baseline_headline(benchmark, scale):
+def test_bench_kernel_baseline_batched(benchmark, scale):
     """The 16KB 2Bc-gskew baseline on gcc."""
     from repro.sim.specs import SystemSpec
 
@@ -90,21 +72,8 @@ def test_bench_kernel_baseline_headline(benchmark, scale):
     )
 
 
-def test_bench_kernel_baseline_batched(benchmark, scale):
-    """The 16KB 2Bc-gskew baseline on gcc, batched SoA backend."""
-    from repro.sim.specs import SystemSpec
-
-    _throughput_cell(
-        benchmark,
-        SystemSpec.single("2bc-gskew", 16),
-        "gcc",
-        scale,
-        backend="batched",
-    )
-
-
 def test_bench_kernel_hybrid_batched(benchmark, scale):
-    """The 8K+8K prophet/critic hybrid on gcc, batched SoA backend."""
+    """The acceptance cell: 8K+8K prophet/critic hybrid on gcc."""
     from repro.sim.specs import SystemSpec
 
     _throughput_cell(
@@ -112,5 +81,4 @@ def test_bench_kernel_hybrid_batched(benchmark, scale):
         SystemSpec.hybrid("2bc-gskew", 8, "tagged-gshare", 8, future_bits=8),
         "gcc",
         scale,
-        backend="batched",
     )

@@ -9,8 +9,7 @@ Public API highlights
 * :mod:`repro.core` — the prophet/critic hybrid itself.
 * :mod:`repro.workloads` — synthetic-program substrate standing in for the
   paper's proprietary LIT traces.
-* :mod:`repro.engine` — BTB/RAS and the speculative (wrong-path) fetch
-  walker plus the architectural executor.
+* :mod:`repro.engine` — BTB/RAS and the architectural executor.
 * :mod:`repro.sim` — functional accuracy simulation and metrics.
 * :mod:`repro.pipeline` — Table-2 machine timing model (uPC), FTQ included.
 * :mod:`repro.experiments` — one module per paper table/figure.

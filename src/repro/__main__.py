@@ -44,12 +44,6 @@ cell, so they do not apply):
     Print one line per finished sweep cell to stderr (``[done/total]
     system × benchmark``) — cells stream in as they complete, so this is
     live feedback even for long pooled sweeps.
-``--backend {scalar,batched}``
-    Kernel backend for every cell (``bench`` accepts it too). The
-    default, the batched structure-of-arrays kernel, is proven
-    bit-identical to the scalar loop on every system and several times
-    faster on most, so results and cache keys are unchanged either way.
-    For ``serve`` it is the default of jobs that name no backend.
 
 With ``--jobs N`` the worker pool is persistent: it spawns once and is
 reused by every grid the invocation runs, and each worker memoizes
@@ -527,8 +521,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     }
     if args.warmup is not None:
         payload["warmup"] = args.warmup
-    if args.backend is not None:
-        payload["backend"] = args.backend
     if args.priority:
         payload["priority"] = args.priority
     client = SweepClient(args.url)
@@ -716,22 +708,6 @@ def _add_engine_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
         default=False if top_level else argparse.SUPPRESS,
         help="print one stderr line per finished sweep cell (streamed)",
     )
-    _add_backend_option(parser, top_level=top_level)
-
-
-def _add_backend_option(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
-    """The ``--backend`` flag, uniform across every simulating verb.
-
-    Selects the kernel (scalar reference loop vs. the batched
-    structure-of-arrays kernel); results are bit-identical, so this is
-    purely a throughput knob and never changes cache keys.
-    """
-    parser.add_argument(
-        "--backend", choices=("scalar", "batched"),
-        default=None if top_level else argparse.SUPPRESS,
-        help="kernel backend (default batched: bit-identical to 'scalar' "
-             "and several times faster on supported system shapes)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -757,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("benchmark", choices=benchmark_names())
     _add_system_options(bench_parser)
     bench_parser.add_argument("--branches", type=int, default=50_000)
-    _add_backend_option(bench_parser)
     bench_parser.set_defaults(func=_cmd_bench)
 
     sweep_parser = sub.add_parser(
@@ -980,11 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="warmup branches per cell (default: branches / 5)",
     )
     submit_parser.add_argument(
-        "--backend", choices=("scalar", "batched"), default=None,
-        help="kernel backend for the job's cells (default: the daemon's, "
-             "batched unless it runs with --backend scalar)",
-    )
-    submit_parser.add_argument(
         "--priority", type=int, default=0,
         help="queue priority; higher runs first (default 0)",
     )
@@ -1026,15 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Install the kernel backend before any command builds a
-    # SimulationConfig: new configs default to the process-wide
-    # selection, so one flag reaches every cell an experiment or sweep
-    # constructs internally. (`submit` keeps its own --backend — there
-    # it names the backend the *daemon* should run the job with.)
-    if args.func is not _cmd_submit and getattr(args, "backend", None):
-        from repro.sim.driver import set_default_backend
-
-        set_default_backend(args.backend)
     return args.func(args)
 
 

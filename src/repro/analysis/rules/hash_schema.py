@@ -10,8 +10,8 @@ caches). A field *added* to any dataclass reachable from the hash
 payload re-keys every cache entry on the next run — correct but
 invisible, which is exactly how a fleet of daemons ends up recomputing
 a warehouse of results nobody meant to throw away. A field added to the
-payload *without* entering the hash (like ``backend``) is worse: two
-behaviourally different cells could share an entry.
+payload *without* entering the hash is worse: two behaviourally
+different cells could share an entry.
 
 The machine-checked contract: every field of every dataclass reachable
 from ``SweepCell.content_hash()`` / ``ProgramSpec.build_key()`` is
@@ -19,11 +19,12 @@ either **pinned** in the checked-in manifest
 (``src/repro/analysis/hash_schema.json``) at the current
 ``SPEC_FORMAT_VERSION``, or listed there as **explicitly excluded**
 from hashing (with the exclusion implemented in code, e.g.
-``specs._described_config`` popping ``backend``). Any drift — a new
-field, a removed field, a version/manifest mismatch — is a REP003
+``SweepCell.describe()`` leaving out the display labels). Any drift — a
+new field, a removed field, a version/manifest mismatch — is a REP003
 finding until the author either bumps ``SPEC_FORMAT_VERSION`` and
 regenerates the manifest (``repro lint --update-schema``), or declares
-the field excluded.
+the field excluded. Removing an *excluded* field needs no bump: it never
+reached a hash, so only the manifest is regenerated.
 
 Reachability is computed statically: starting from ``SweepCell`` and
 ``ProgramSpec`` in ``src/repro/sim/specs.py``, any project dataclass
@@ -205,12 +206,16 @@ class HashSchemaRule(Rule):
                         "explicit hash exclusion",
                     )
             for fname in sorted(known - set(fields)):
-                kind = "excluded" if fname in excluded else "pinned"
+                if fname in excluded:
+                    kind = "excluded"
+                    fix = "regenerate (no bump: excluded fields never reached a hash)"
+                else:
+                    kind = "pinned"
+                    fix = f"bump {VERSION_NAME} and regenerate"
                 yield self.finding(
                     sf, lineno,
                     f"manifest lists {kind} field `{name}.{fname}` but the "
-                    f"dataclass no longer declares it; bump {VERSION_NAME} "
-                    f"and regenerate (`{UPDATE_HINT}`)",
+                    f"dataclass no longer declares it; {fix} (`{UPDATE_HINT}`)",
                 )
         for name in sorted(set(pinned_classes) - set(current)):
             yield self.finding(

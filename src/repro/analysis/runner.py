@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 from repro.analysis.framework import Baseline, Finding, Project, Rule, SourceFile
 
 #: Directory trees scanned by default, relative to the project root.
-#: tests/ and tools/ are parsed too, so an unparseable file there fails
-#: the run; the rules themselves restrict their findings to src/repro.
-DEFAULT_SCAN = ("src/repro", "tests", "tools")
+#: Every rule checks src/repro only; CI's ``ruff check .`` and pytest
+#: collection already parse tests/ and tools/.
+DEFAULT_SCAN = ("src/repro",)
 
 #: Default baseline location, relative to the project root.
 BASELINE_REL = ".repro-lint-baseline.json"

@@ -1,8 +1,11 @@
 """Prediction systems: the prophet/critic hybrid and the single-predictor baseline.
 
-A *prediction system* owns the speculative history registers and exposes
-the four operations the simulation driver needs, mirroring the hardware
-events of §3 and §5:
+A *prediction system* owns the speculative history registers and the
+predictor tables. The batched accuracy kernel and the timing model fuse
+its operations into their replay loops; the object API below is the
+same machine one event at a time, as the frozen reference loops
+(``tests/reference_kernel.py``, ``tests/reference_timing.py``) drive it,
+mirroring the hardware events of §3 and §5:
 
 ``predict(pc)``
     Prophet predicts at fetch; the prediction is speculatively inserted
@@ -20,9 +23,8 @@ events of §3 and §5:
     non-speculatively; on a resolved mispredict restore the checkpoints
     and insert the actual outcome (§3.2, §3.3).
 
-Hot-path variant: the driver pools :class:`InflightBranch` handles in a
-ring and calls ``predict_into(handle, pc)`` / ``predict_static_into``
-instead of the allocating ``predict``/``predict_static``. Prophets and
+``predict``/``predict_static`` fill a fresh handle through
+``predict_into(handle, pc)`` / ``predict_static_into``. Prophets and
 unfiltered critics are driven through their packed calls,
 ``predict_packed``/``update_packed`` (pure index/hash state carried on
 the handle from fetch to commit; the base predictor's defaults carry
@@ -43,18 +45,13 @@ from repro.predictors.base import DirectionPredictor
 
 @dataclass(slots=True)
 class InflightBranch:
-    """Everything a dynamic branch carries between fetch and commit.
-
-    Instances are pooled by the driver: ``predict_into`` re-initialises
-    every field a later stage may read, so a recycled handle can never
-    leak state from its previous occupant.
-    """
+    """Everything a dynamic branch carries between fetch and commit."""
 
     pc: int
     prophet_pred: bool
     bhr_before: int
     bor_before: int
-    #: Sequence number of this branch's BOR insertion (driver-managed).
+    #: Sequence number of this branch's BOR insertion (caller-managed).
     seq: int = 0
     #: BTB miss: no dynamic prediction was made (implicit not-taken).
     is_static: bool = False
@@ -67,9 +64,6 @@ class InflightBranch:
     #: Opaque walker snapshot; only the frozen reference loops
     #: (tests/reference_kernel.py, tests/reference_timing.py) set it.
     walker_snapshot: object = None
-    #: Flat walker checkpoint (block id + RAS tuple), driver-managed.
-    snap_block: int = -1
-    snap_ras: tuple = ()
     #: Prophet fast-path state (pure hash/index data from predict time).
     prophet_state: object = None
     #: Critic fast-path state: filter hash pair from critique time.
@@ -352,7 +346,7 @@ class ProphetCriticSystem(PredictionSystem):
         )
         if not handle.critiqued:
             # Flushed before critique would mean never resolved; reaching
-            # here implies a driver sequencing bug.
+            # here implies a caller sequencing bug.
             raise RuntimeError("resolving a branch that was never critiqued")
         if self._insert_on_final:
             final_mispredict = handle.final_pred != taken

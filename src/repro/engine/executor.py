@@ -3,14 +3,14 @@
 Walks the program CFG following **actual branch outcomes**, resolving each
 conditional branch's behaviour model exactly once, in program order. The
 committed path, committed uop counts, and architectural context all live
-here. The speculative front end never touches this object; the driver
-consumes resolved branches strictly in order and checks that the front
-end's committed stream matches (a strong cross-validation of the whole
-engine).
+here. The speculative front end never touches this object; the batched
+kernel resolves the committed stream through it once, up front, into
+trace columns, and checks that the front end's committed stream matches
+(a strong cross-validation of the whole engine).
 
-Like the walker, the executor traverses the precompiled transition table:
-per straight-line run it advances the context clock by the segment's
-block count, replays the scripted RAS/caller-stack traffic, and records
+The executor traverses the precompiled transition table: per
+straight-line run it advances the context clock by the segment's block
+count, replays the scripted RAS/caller-stack traffic, and records
 watched-block executions from the segment's precomputed offsets — all
 observable context state evolves exactly as the block-by-block walk did.
 """

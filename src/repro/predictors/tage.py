@@ -86,6 +86,7 @@ class TagePredictor(DirectionPredictor):
                 length = max(1, int(round(min_history * ratio)))
             self.components.append(_TageComponent(component_entries, tag_bits, length))
         self.history_length = self.components[-1].history_length
+        self._seed = seed
         self._alloc_state = mix64(seed)
 
     # -- base bimodal ---------------------------------------------------------
@@ -248,6 +249,7 @@ class TagePredictor(DirectionPredictor):
         self._base = [2] * self.base_entries
         for comp in self.components:
             comp.table = [_TageEntry() for _ in range(comp.entries)]
+        self._alloc_state = mix64(self._seed)
 
 @dataclass(frozen=True)
 class TageParams:

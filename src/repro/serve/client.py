@@ -173,7 +173,6 @@ class SweepClient:
         benchmarks: Any,
         branches: int | None = None,
         warmup: int | None = None,
-        backend: str | None = None,
         priority: int = 0,
         retry_after_budget: float = 0.0,
     ) -> str:
@@ -183,8 +182,6 @@ class SweepClient:
             payload["branches"] = branches
         if warmup is not None:
             payload["warmup"] = warmup
-        if backend is not None:
-            payload["backend"] = backend
         if priority:
             payload["priority"] = priority
         return self.submit_payload(payload, retry_after_budget=retry_after_budget)

@@ -142,7 +142,6 @@ class Job:
             "benchmarks": self.meta["benchmarks"],
             "branches": self.meta["branches"],
             "warmup": self.meta["warmup"],
-            "backend": self.meta["backend"],
             "cells_executed": self.cells_executed,
             "cells_from_cache": self.cells_from_cache,
             "cells_deduped": self.cells_deduped,

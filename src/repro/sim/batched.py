@@ -1,10 +1,10 @@
-"""Batched structure-of-arrays simulation kernel.
+"""Batched structure-of-arrays simulation kernel: the one accuracy kernel.
 
-An alternative backend for :func:`repro.sim.driver.simulate`, selected
-via ``SimulationConfig.backend = "batched"``. Same machines, same event
-order, same numbers — the differential tests pin it bit-for-bit against
-the scalar loop and the frozen reference kernel — but organised around
-flat parallel arrays instead of pooled handle objects:
+Every :func:`repro.sim.driver.simulate` call runs here. Same machines,
+same event order, same numbers as the frozen reference kernel
+(``tests/reference_kernel.py``) — the differential tests pin it bit for
+bit — but organised around flat parallel arrays instead of per-branch
+handle objects:
 
 * the committed branch stream is prediction-independent, so the
   architectural executor resolves it **once, up front**, into
@@ -23,7 +23,7 @@ flat parallel arrays instead of pooled handle objects:
 Memory note: a batched run holds its program's trace columns and the
 per-program precompute built from them, a handful of machine words per
 branch of the longest window the program has been replayed at, where
-the scalar loop is O(window). That is the deliberate trade for
+the reference loop is O(window). That is the deliberate trade for
 throughput, and it is bounded twice over: a program's precompute
 context (``program._replay_ctx``) has one set of entries however many
 windows it is replayed at, and only the last ``_LIVE_CTX_LIMIT``
@@ -42,9 +42,9 @@ filtered critic (its own ``lookup``/``train``), and any unfiltered
 critic (its packed calls; the perceptron through the loop's integer
 perceptron ops). Both system shapes run through one
 replay loop, :func:`_replay`: a single predictor is the prophet/critic
-machine with no critic, exactly as in the scalar driver. The loop has
+machine with no critic, exactly as in the reference kernel. The loop has
 one fetch step for aligned and wrong-path fetches and one critique
-drain, which runs the scalar loop's critique arm at the only points
+drain, which runs the reference kernel's critique phase at the only points
 where it can fire: when a fetch gives the oldest uncritiqued branch its
 future bits, and when a full window forces a critique (see the
 replay-loop section comment).
@@ -81,8 +81,8 @@ from repro.predictors.tagged_gshare import TaggedGsharePredictor
 from repro.sim.driver import SimulationDesyncError
 from repro.sim.metrics import RunStats
 
-#: Must match SpeculativeWalker/ArchitecturalExecutor defaults: the
-#: compiled-CFG pair limit and the drop-oldest RAS bound.
+#: Must match the ArchitecturalExecutor default: the compiled-CFG pair
+#: limit and the drop-oldest RAS bound of the fused wrong-path walker.
 _RAS_CAPACITY = 64
 
 _PACKED, _GSKEW, _GSHARE, _PERC = 0, 1, 2, 3
@@ -660,8 +660,8 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 
 # -- the replay loop --------------------------------------------------------
 #
-# One loop runs both system shapes. It keeps the scalar driver's event
-# order exactly -- future bits make the interleaving of critiques,
+# One loop runs both system shapes. It keeps the reference kernel's
+# event order exactly -- future bits make the interleaving of critiques,
 # fetches and resolves data-dependent -- but fuses every operation:
 # walker traversal, BTB, prophet predict, the critic's fold hash + tag
 # filter + counter train, and both history registers as plain local
@@ -676,17 +676,17 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 #   when the oldest uncritiqued entry has its future bits, or when the
 #   window is at hard_cap with nothing critiqued (a forced critique,
 #   §5). The drain critiques every consecutively-eligible entry. That is
-#   scalar order: the scalar loop's critique arm runs before its fetch
-#   and its resolve, and a critique changes no other entry's
+#   reference order: the reference kernel's critique phase runs before
+#   its resolve and its fetch, and a critique changes no other entry's
 #   eligibility. A critic override flushes every uncritiqued entry, so
 #   it ends the drain. The burst then resolves if the window is at
 #   depth + 1, and otherwise fetches on under that bound -- where the
-#   scalar fetch guard stands once something is critiqued.
-# * resolve burst -- the scalar resolve arm, repeated while the window
-#   stays deep and nothing flushes.
+#   reference fetch guard stands once something is critiqued.
+# * resolve burst -- the reference resolve phase, repeated while the
+#   window stays deep and nothing flushes.
 #
 # No separate critique arm is needed: every exit from the fetch burst
-# leaves no eligible or forced critique and the scalar fetch guard shut,
+# leaves no eligible or forced critique and the reference fetch guard shut,
 # and a resolve burst only flushes or shrinks the window, which makes no
 # critique eligible and reopens the guard.
 #
@@ -1002,9 +1002,9 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
             else:
                 have_candidate = False
             # ``head`` is constant for the whole burst (only the resolve
-            # burst advances it), so the scalar loop's two fetch-exit
-            # conditions (pending >= hard_cap; critiqued > 0 and pending
-            # > depth) collapse into one precomputed tail bound per
+            # burst advances it), so the two fetch-exit conditions
+            # (pending >= hard_cap; critiqued > 0 and pending > depth)
+            # collapse into one precomputed tail bound per
             # critiqued-regime: ONE compare per fetch. Critic-less, every
             # fetch is critiqued on the spot, so the bound is depth + 1
             # from the first fetch on.
@@ -1220,8 +1220,8 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                     w_block = tkb if pred else ftb
                 # -- burst exit checks. A candidate that has just gone
                 #    bits-ready is critiqued before the window bound is
-                #    checked: the scalar critique arm runs before its fetch
-                #    guard.
+                #    checked: the reference critique phase runs before its
+                #    fetch guard.
                 if not ckind:
                     if tail < fetch_limit:
                         continue
@@ -1536,7 +1536,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 # Filtered perceptron: a hit trains it, an
                                 # allocate primes it toward the outcome
                                 # (critic stats count hits only). The
-                                # scalar path dots the weight row twice
+                                # object API dots the weight row twice
                                 # (predict, then update's recompute)
                                 # against weights nothing mutates in
                                 # between, so one dot is bit-identical.

@@ -594,21 +594,6 @@ def _simulation_config_from_dict(config: Mapping) -> SimulationConfig:
     return SimulationConfig(**config)
 
 
-def _described_config(config: SimulationConfig) -> dict:
-    """The hashed form of a :class:`SimulationConfig`.
-
-    ``backend`` is dropped entirely: the batched kernel is proven
-    bit-identical to the scalar loop (tests/sim/test_differential_kernel),
-    so the backend is an execution detail like worker count or process
-    scheduling — two cells differing only in backend must share a cache
-    entry, and pre-existing scalar hashes must survive the field's
-    introduction unchanged.
-    """
-    described = asdict(config)
-    described.pop("backend", None)
-    return described
-
-
 @dataclass
 class SweepCell:
     """One self-contained unit of sweep work.
@@ -638,7 +623,7 @@ class SweepCell:
             "mode": self.mode,
             "system": self.system.describe(),
             "program": self.program.describe(),
-            "config": _described_config(self.config),
+            "config": asdict(self.config),
         }
 
     def content_hash(self) -> str:

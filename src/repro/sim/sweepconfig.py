@@ -16,7 +16,7 @@ The payload vocabulary is PR 4's (see ``docs/CONFIG.md``):
   ``{label: config}`` mapping;
 * **benchmarks** — a comma-separated string or a list of tokens, each a
   registered benchmark name or a recorded trace path;
-* **branches / warmup / backend** — the per-cell
+* **branches / warmup** — the per-cell
   :class:`~repro.sim.driver.SimulationConfig` knobs.
 
 :func:`cells_from_job` is the one-call form the daemon uses: a full job
@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from typing import Any, Mapping, Sequence
 
-from repro.sim.driver import SimulationConfig, get_default_backend
+from repro.sim.driver import SimulationConfig
 from repro.sim.specs import ProgramSpec, SweepCell, SystemSpec
 from repro.workloads import benchmark_names
 from repro.workloads.trace_io import TraceFormatError, read_trace_header
@@ -37,7 +37,7 @@ from repro.workloads.trace_io import TraceFormatError, read_trace_header
 DEFAULT_BRANCHES = 16_000
 
 #: Top-level keys a job payload may carry.
-JOB_KEYS = ("systems", "benchmarks", "branches", "warmup", "backend", "priority")
+JOB_KEYS = ("systems", "benchmarks", "branches", "warmup", "priority")
 
 
 class SweepConfigError(ValueError):
@@ -200,7 +200,7 @@ def cells_from_job(payload: Any) -> tuple[list[SweepCell], dict]:
     The returned metadata dict carries the display vocabulary callers
     need to file and render results: ``labels`` (system label order),
     ``benchmarks`` (bench name order), and the validated ``branches`` /
-    ``warmup`` / ``backend`` values.
+    ``warmup`` values.
     """
     if not isinstance(payload, Mapping):
         raise SweepConfigError(
@@ -217,12 +217,7 @@ def cells_from_job(payload: Any) -> tuple[list[SweepCell], dict]:
                 f"job payload needs {required!r}", section=required
             )
     branches, warmup = window_from_config(payload)
-    backend = payload.get("backend", get_default_backend())
-    try:
-        config = SimulationConfig(n_branches=branches, warmup=warmup, backend=backend)
-    except ValueError as exc:
-        # The window is already checked above, so only the backend is left.
-        raise SweepConfigError(str(exc), section="backend") from None
+    config = SimulationConfig(n_branches=branches, warmup=warmup)
     systems = systems_from_config(payload["systems"])
     benchmarks = benchmarks_from_config(payload["benchmarks"], branches)
     cells = [
@@ -241,6 +236,5 @@ def cells_from_job(payload: Any) -> tuple[list[SweepCell], dict]:
         "benchmarks": [name for name, _ in benchmarks],
         "branches": branches,
         "warmup": warmup,
-        "backend": backend,
     }
     return cells, meta

@@ -269,12 +269,12 @@ class Program:
         """The precompiled traversal table for this program.
 
         Built lazily on first use and shared by every traverser of this
-        program instance (walker, executor, timing model) that uses the
-        same ``pair_limit`` — which must not exceed the traverser's RAS
-        capacity (the engine default, 64, is also the default here). The
-        CFG is treated as structurally immutable after construction;
-        behaviours remain free to mutate (segments reference blocks, not
-        outcomes).
+        program instance (executor, batched kernel, timing model) that
+        uses the same ``pair_limit`` — which must not exceed the
+        traverser's RAS capacity (the engine default, 64, is also the
+        default here). The CFG is treated as structurally immutable after
+        construction; behaviours remain free to mutate (segments
+        reference blocks, not outcomes).
         """
         table = self._compiled.get(pair_limit)
         if table is None:
@@ -343,7 +343,7 @@ class Program:
     # -- structural (de)serialisation -----------------------------------------
     #
     # The on-disk trace format (workloads/trace_io.py) persists a program's
-    # *shape* — everything the speculative walker and executor traverse —
+    # *shape* — everything the speculative front end and executor traverse —
     # without its behaviour models, which are replaced on replay by
     # scripted behaviours that feed back the recorded outcome stream.
 

@@ -6,7 +6,7 @@ file carries everything :func:`repro.sim.driver.simulate` needs to replay
 a recorded run **bit-for-bit**, wrong-path fetch included:
 
 * the program's **CFG structure** (blocks, pcs, uop counts, edges — no
-  behaviour models), which the speculative walker traverses down both
+  behaviour models), which the speculative front end traverses down both
   correct and wrong paths; and
 * the **committed branch stream** — one fixed-width
   :class:`~repro.workloads.trace.BranchRecord` per architecturally

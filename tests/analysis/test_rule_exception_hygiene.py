@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis.rules import RULES_BY_CODE
-from repro.analysis.runner import lint_project
+from repro.analysis.runner import collect_project, lint_project
 
 RULE = RULES_BY_CODE["REP006"]
 
@@ -168,16 +168,21 @@ class TestPasses:
         })
         assert _findings(project) == []
 
-    def test_out_of_scope_files_ignored(self, make_project):
-        project = make_project({
-            "tools/x.py": (
-                "def f():\n"
-                "    try:\n"
-                "        g()\n"
-                "    except Exception:\n"
-                "        pass\n"
-            ),
-        })
+    def test_out_of_scope_files_ignored(self, tmp_path):
+        # The default scan parses src/repro only, so scan tools/ on
+        # purpose: the rule itself must leave it alone.
+        path = tmp_path / "tools" / "x.py"
+        path.parent.mkdir()
+        path.write_text(
+            "def f():\n"
+            "    try:\n"
+            "        g()\n"
+            "    except Exception:\n"
+            "        pass\n",
+            encoding="utf-8",
+        )
+        project = collect_project(tmp_path, scan=("src/repro", "tools"))
+        assert project.file("tools/x.py") is not None
         assert _findings(project) == []
 
 

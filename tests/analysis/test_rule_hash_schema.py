@@ -103,8 +103,27 @@ class TestFires:
         project.replace_file(
             "src/repro/sim/specs.py", SPECS.replace("    seed: int\n", "")
         )
-        findings = _findings(project)
-        assert any("ProgramSpec.seed" in f.message for f in findings)
+        (f,) = _findings(project)
+        assert "ProgramSpec.seed" in f.message
+        assert "bump SPEC_FORMAT_VERSION" in f.message
+
+    def test_removed_excluded_field_needs_no_bump(self, tmp_path):
+        """An excluded field never reached a hash, so removing it only
+        asks for the manifest to be regenerated: a bump would re-key
+        every cache entry for nothing."""
+
+        def exclude_mode(manifest):
+            cell = manifest["classes"]["SweepCell"]
+            cell["hashed"].remove("mode")
+            cell["excluded"].append("mode")
+
+        project = _project_with_manifest(tmp_path, mutate=exclude_mode)
+        project.replace_file(
+            "src/repro/sim/specs.py", SPECS.replace("    mode: str\n", "")
+        )
+        (f,) = _findings(project)
+        assert "excluded field `SweepCell.mode`" in f.message
+        assert "no bump" in f.message and "bump SPEC_FORMAT_VERSION" not in f.message
 
     def test_newly_reachable_dataclass_flagged(self, tmp_path):
         project = _project_with_manifest(tmp_path)

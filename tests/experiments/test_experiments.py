@@ -188,7 +188,7 @@ class TestNoSilentScalarFallback:
             BENCHMARKS["gcc"], name="fallback-census",
             static_branch_target=60, n_functions=3,
         ))
-        config = SimulationConfig(n_branches=200, warmup=0, backend="batched")
+        config = SimulationConfig(n_branches=200, warmup=0)
         for spec, label in specs.items():
             stats = batched.simulate_batched(program, spec.build(), config)
             assert stats.branches == config.n_branches, label

@@ -4,7 +4,7 @@ Satellite of the PR-10 hardening: flip/truncate bytes at every
 structurally distinct offset of (a) a :class:`LocalDirBackend` result
 entry and (b) a :class:`TraceColumnStore` RTRC record, then prove the
 read path detects the damage, evicts the entry, and a recompute returns
-bit-identical results — under both simulation kernels.
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from repro.sim.cache import (
 from repro.sim.specs import ProgramSpec, SweepCell, SystemSpec
 
 
-def _cell(backend: str) -> SweepCell:
-    config = SimulationConfig(n_branches=600, warmup=120, backend=backend)
+def _cell() -> SweepCell:
+    config = SimulationConfig(n_branches=600, warmup=120)
     return SweepCell(
         "gshare-2", "swim", SystemSpec.single("gshare", 2),
         ProgramSpec(benchmark="swim"), config,
@@ -55,10 +55,8 @@ class TestResultEntryCorruption:
     @pytest.mark.parametrize(
         "region", ["header", "payload", "key_field", "checksum"]
     )
-    def test_flipped_byte_evicts_and_recomputes_identically(
-        self, tmp_path, kernel_backend, region
-    ):
-        cell = _cell(kernel_backend)
+    def test_flipped_byte_evicts_and_recomputes_identically(self, tmp_path, region):
+        cell = _cell()
         key = cell.content_hash()
         reference = run_cell(cell)
 
@@ -77,8 +75,8 @@ class TestResultEntryCorruption:
         assert fetched is not None
         assert stats_to_dict(fetched) == stats_to_dict(reference)
 
-    def test_truncated_entry_is_evicted(self, tmp_path, kernel_backend):
-        cell = _cell(kernel_backend)
+    def test_truncated_entry_is_evicted(self, tmp_path):
+        cell = _cell()
         key = cell.content_hash()
         cache = ResultCache(LocalDirBackend(tmp_path))
         cache.put(key, run_cell(cell))
@@ -92,7 +90,7 @@ class TestResultEntryCorruption:
     def test_swapped_entry_under_wrong_key_is_rejected(self, tmp_path):
         # A structurally valid entry filed under the wrong key (a rename
         # gone wrong) must fail the key-field check, not serve bad data.
-        cell = _cell("scalar")
+        cell = _cell()
         key = cell.content_hash()
         other = "f" * 64
         cache = ResultCache(LocalDirBackend(tmp_path))
@@ -103,7 +101,7 @@ class TestResultEntryCorruption:
 
     def test_checksumless_legacy_entry_still_hits(self, tmp_path):
         # Pre-PR-10 entries carry no checksum; they must keep hitting.
-        cell = _cell("scalar")
+        cell = _cell()
         key = cell.content_hash()
         cache = ResultCache(LocalDirBackend(tmp_path))
         cache.put(key, run_cell(cell))

@@ -46,8 +46,8 @@ _PINNED_ENTRY_SHA256 = (
 )
 
 
-def _canonical_cell(backend: str) -> SweepCell:
-    config = SimulationConfig(n_branches=1200, warmup=240, backend=backend)
+def _canonical_cell() -> SweepCell:
+    config = SimulationConfig(n_branches=1200, warmup=240)
     return SweepCell(
         "baseline", "swim", SystemSpec.single("2bc-gskew", 16),
         ProgramSpec(benchmark="swim"), config,
@@ -76,7 +76,7 @@ def _legacy_put(root, key: str, result) -> None:
 
 
 class TestByteIdenticalLayout:
-    def test_backend_writes_the_legacy_bytes(self, tmp_path, kernel_backend):
+    def test_backend_writes_the_legacy_bytes(self, tmp_path):
         """Today's entry is the legacy entry plus a trailing checksum.
 
         PR 10 appended an integrity ``checksum`` as the *last* field, so
@@ -84,7 +84,7 @@ class TestByteIdenticalLayout:
         legacy writer produced; strip the one new field and the
         documents must re-serialize to identical bytes.
         """
-        cell = _canonical_cell(kernel_backend)
+        cell = _canonical_cell()
         key = cell.content_hash()
         result = run_cell(cell)
 
@@ -106,9 +106,9 @@ class TestByteIdenticalLayout:
         stripped = json.dumps(document, separators=(",", ":")).encode("utf-8")
         assert stripped == legacy_bytes
 
-    def test_legacy_directory_keeps_hitting(self, tmp_path, kernel_backend):
+    def test_legacy_directory_keeps_hitting(self, tmp_path):
         """A cache dir written by the pre-refactor code resumes cleanly."""
-        cell = _canonical_cell(kernel_backend)
+        cell = _canonical_cell()
         key = cell.content_hash()
         result = run_cell(cell)
         _legacy_put(tmp_path, key, result)
@@ -132,17 +132,17 @@ class TestByteIdenticalLayout:
 class TestPinnedDigests:
     """PR-6-style content pins: drift fails here before it bites users."""
 
-    def test_content_hash_is_pinned(self, kernel_backend):
-        cell = _canonical_cell(kernel_backend)
+    def test_content_hash_is_pinned(self):
+        cell = _canonical_cell()
         assert cell.content_hash() == _PINNED_CONTENT_HASH, (
             "the canonical cell's content hash moved — existing caches "
             "would silently stop hitting; if intentional, bump "
             "SPEC_FORMAT_VERSION and re-pin"
         )
 
-    def test_entry_bytes_are_pinned(self, kernel_backend):
+    def test_entry_bytes_are_pinned(self):
         """sha256 of the on-disk entry: codec + separators + field order."""
-        cell = _canonical_cell(kernel_backend)
+        cell = _canonical_cell()
         result = run_cell(cell)
         data = serialize_entry(cell.content_hash(), result)
         assert hashlib.sha256(data).hexdigest() == _PINNED_ENTRY_SHA256, (
@@ -151,9 +151,9 @@ class TestPinnedDigests:
             "intentional, bump CACHE_SCHEMA_VERSION and re-pin"
         )
 
-    def test_entry_document_fields_in_order(self, kernel_backend):
+    def test_entry_document_fields_in_order(self):
         """The JSON document's insertion order is part of the format."""
-        cell = _canonical_cell(kernel_backend)
+        cell = _canonical_cell()
         data = serialize_entry(cell.content_hash(), run_cell(cell))
         document = json.loads(data)
         assert list(document) == ["type", "payload", "key",

@@ -4,8 +4,7 @@ Everything here drives a genuine daemon (asyncio server on an ephemeral
 port) with the genuine :class:`~repro.serve.client.SweepClient`:
 
 * a sweep submitted over HTTP is **bit-identical** to the same grid run
-  locally through :func:`~repro.sim.sweep.run_sweep` — under both
-  simulation backends (the ``kernel_backend`` matrix);
+  locally through :func:`~repro.sim.sweep.run_sweep`;
 * duplicate concurrent jobs simulate each cell once — the rest come out
   of the shared cache;
 * a full queue answers 429 (and counts the rejection), malformed
@@ -56,9 +55,9 @@ def _payload(**overrides):
 
 
 class TestSubmitStreamFetch:
-    def test_http_sweep_bit_identical_to_run_sweep(self, client, kernel_backend):
+    def test_http_sweep_bit_identical_to_run_sweep(self, client):
         """submit → stream → fetch equals a local run_sweep, bit for bit."""
-        job = client.submit_payload(_payload(backend=kernel_backend))
+        job = client.submit_payload(_payload())
         events = list(client.events(job))
         assert events[-1]["event"] == "done"
         cell_events = [e for e in events if e["event"] == "cell"]
@@ -66,10 +65,9 @@ class TestSubmitStreamFetch:
         assert cell_events[-1]["done"] == len(cell_events)
 
         remote = client.sweep_result(job)
+        assert "backend" not in client.status(job)
         specs = {label: SystemSpec.from_config(c) for label, c in SYSTEMS.items()}
-        config = SimulationConfig(
-            n_branches=BRANCHES, warmup=WARMUP, backend=kernel_backend
-        )
+        config = SimulationConfig(n_branches=BRANCHES, warmup=WARMUP)
         local = run_sweep(specs, {n: n for n in BENCH_NAMES}, config=config)
         for label in specs:
             for bench in BENCH_NAMES:
@@ -188,7 +186,8 @@ class TestRejections:
              "unknown benchmark"),
             (_payload(branches=0), "branches", "positive"),
             (_payload(warmup=BRANCHES), "warmup", "measurement window"),
-            (_payload(backend="cuda"), "backend", "unknown backend"),
+            # The retired kernel knob is an unknown key like any other.
+            (_payload(backend="batched"), None, "'backend'"),
             (_payload(bogus_key=1), None, "unknown job key"),
         ],
     )

@@ -1,27 +1,23 @@
-"""The batched structure-of-arrays backend: identity, memoization, ops.
+"""The batched structure-of-arrays kernel: identity, memoization, ops.
 
 The batched kernel (:mod:`repro.sim.batched`) is admissible only because
-it is bit-for-bit identical to the scalar loop and to the frozen
-reference kernel — the full seeds × suites × systems matrix runs in
-``tests/sim/test_differential_kernel.py`` under both backends via the
-``kernel_backend`` fixture. This module covers what that matrix does
-not:
+it is bit-for-bit identical to the frozen reference kernel — the full
+seeds × suites × systems matrix runs in
+``tests/sim/test_differential_kernel.py``. This module covers what that
+matrix does not:
 
 * deep windows (long aligned run-ahead, the batched fast path);
-* the memoized architectural trace: repeat runs, prefix reuse, and
-  scalar runs staying oblivious to the cache;
+* the memoized architectural trace: repeat runs and prefix reuse;
 * the per-pc prophet constants from the trace gather and the flat CFG
   extractor against each other, and the critic's split fold images
   against the critic's own hash over every window value;
 * what the kernel keeps alive between replays: precompute entries per
   program, live contexts per process, and the fold images' size;
 * the integer perceptron ops against the numpy perceptron;
-* backend dispatch: unknown names (rejected at construction), a prophet
-  and a filtered critic without a fused arm, and systems the kernel
-  refuses;
-* the hash-stability constraint: ``backend`` is an execution detail and
-  must not perturb ``SweepCell.content_hash`` (pinned to its PR-5
-  value).
+* dispatch: the retired scalar kernel refused by name, a prophet and a
+  filtered critic without a fused arm, and systems the kernel refuses;
+* the hash-stability constraint: ``SweepCell.content_hash`` stays pinned
+  to its PR-5 value.
 """
 
 from __future__ import annotations
@@ -104,10 +100,8 @@ class TestDeepWindow:
             _CONFIG, inflight_depth=64, use_btb=use_btb,
             btb_entries=256, btb_ways=4,
         )
-        scalar = simulate(program, build(), replace(config, backend="scalar"))
-        batch = simulate(program, build(), replace(config, backend="batched"))
+        batch = simulate(program, build(), config)
         ref = reference_simulate(program, build(), config)
-        _assert_identical(batch, scalar)
         _assert_identical(batch, ref)
 
     @pytest.mark.parametrize("future_bits", [0, 8])
@@ -117,10 +111,8 @@ class TestDeepWindow:
             "2bc-gskew", 2, "tagged-gshare", 2, future_bits=future_bits
         )
         config = replace(_CONFIG, inflight_depth=64)
-        scalar = simulate(program, spec.build(), replace(config, backend="scalar"))
-        batch = simulate(program, spec.build(), replace(config, backend="batched"))
+        batch = simulate(program, spec.build(), config)
         ref = reference_simulate(program, spec.build(), config)
-        _assert_identical(batch, scalar)
         _assert_identical(batch, ref)
 
 
@@ -131,24 +123,20 @@ class TestTraceMemoization:
     def test_repeat_runs_bit_identical(self):
         program = _program("gcc", 11)
         spec = SystemSpec.single("2bc-gskew", 2)
-        config = replace(_CONFIG, backend="batched")
-        first = simulate(program, spec.build(), config)
+        first = simulate(program, spec.build(), _CONFIG)
         assert getattr(program, "_trace_cache", None) is not None
-        second = simulate(program, spec.build(), config)
+        second = simulate(program, spec.build(), _CONFIG)
         _assert_identical(second, first)
 
     def test_cache_shared_across_systems(self):
         """One walk serves every system swept over the same program."""
         program = _program("flash", 12)
-        config = replace(_CONFIG, backend="batched")
-        simulate(program, SystemSpec.single("gshare", 2).build(), config)
+        simulate(program, SystemSpec.single("gshare", 2).build(), _CONFIG)
         cache = program._trace_cache
-        stats = simulate(program, SystemSpec.single("2bc-gskew", 2).build(), config)
+        stats = simulate(program, SystemSpec.single("2bc-gskew", 2).build(), _CONFIG)
         assert program._trace_cache is cache  # not rebuilt
-        fresh = simulate(
-            _program("flash", 12),
-            SystemSpec.single("2bc-gskew", 2).build(),
-            replace(config, backend="scalar"),
+        fresh = reference_simulate(
+            _program("flash", 12), SystemSpec.single("2bc-gskew", 2).build(), _CONFIG
         )
         _assert_identical(stats, fresh)
 
@@ -156,29 +144,13 @@ class TestTraceMemoization:
         """A shorter run is served as a slice of the longest cached trace."""
         program = _program("swim", 13)
         spec = SystemSpec.single("gshare", 2)
-        long_cfg = replace(_CONFIG, backend="batched")
-        short_cfg = replace(
-            _CONFIG, n_branches=500, warmup=100, backend="batched"
-        )
-        simulate(program, spec.build(), long_cfg)
+        short_cfg = replace(_CONFIG, n_branches=500, warmup=100)
+        simulate(program, spec.build(), _CONFIG)
         assert program._trace_cache[0] == _CONFIG.n_branches
         short = simulate(program, spec.build(), short_cfg)
         assert program._trace_cache[0] == _CONFIG.n_branches  # kept, not shrunk
-        fresh = simulate(
-            _program("swim", 13), spec.build(),
-            replace(short_cfg, backend="scalar"),
-        )
+        fresh = reference_simulate(_program("swim", 13), spec.build(), short_cfg)
         _assert_identical(short, fresh)
-
-    def test_scalar_runs_unaffected_by_cache(self):
-        program = _program("tpcc", 14)
-        spec = SystemSpec.single("2bc-gskew", 2)
-        simulate(program, spec.build(), replace(_CONFIG, backend="batched"))
-        after = simulate(program, spec.build(), replace(_CONFIG, backend="scalar"))
-        fresh = simulate(
-            _program("tpcc", 14), spec.build(), replace(_CONFIG, backend="scalar")
-        )
-        _assert_identical(after, fresh)
 
 
 class TestTraceColumnStore:
@@ -261,14 +233,13 @@ class TestTraceColumnStore:
         batched.set_trace_store(store)
         try:
             spec = SystemSpec.single("2bc-gskew", 2)
-            config = replace(_CONFIG, backend="batched")
             warm_program = _program("gcc", 31)
             warm_program._build_key = "bk-gcc-31"
-            warm = simulate(warm_program, spec.build(), config)
+            warm = simulate(warm_program, spec.build(), _CONFIG)
             assert store.misses >= 1 and store.hits == 0
             cold_program = _program("gcc", 31)  # no memoized state at all
             cold_program._build_key = "bk-gcc-31"
-            served = simulate(cold_program, spec.build(), config)
+            served = simulate(cold_program, spec.build(), _CONFIG)
             assert store.hits >= 1
             _assert_identical(served, warm)
         finally:
@@ -283,10 +254,7 @@ class TestTraceColumnStore:
         batched.set_trace_store(store)
         try:
             spec = SystemSpec.single("gshare", 2)
-            simulate(
-                _program("swim", 32), spec.build(),
-                replace(_CONFIG, backend="batched"),
-            )
+            simulate(_program("swim", 32), spec.build(), _CONFIG)
             assert store.hits == 0 and store.misses == 0
         finally:
             batched.set_trace_store(None)
@@ -316,7 +284,7 @@ class TestPickleHygiene:
         program = _program("gcc", 33)
         program._build_key = "bk-gcc-33"
         spec = SystemSpec.single("2bc-gskew", 2)
-        simulate(program, spec.build(), replace(_CONFIG, backend="batched"))
+        simulate(program, spec.build(), _CONFIG)
         assert getattr(program, "_trace_cache", None) is not None
         assert getattr(program, "_replay_ctx", None) is not None
         clone = pickle.loads(pickle.dumps(program))
@@ -324,13 +292,9 @@ class TestPickleHygiene:
         assert not hasattr(clone, "_replay_ctx")
         assert clone._build_key == "bk-gcc-33"
         # the clone still simulates identically (state rebuilds lazily)
-        fresh = simulate(
-            clone, spec.build(), replace(_CONFIG, backend="batched")
-        )
-        scalar = simulate(
-            _program("gcc", 33), spec.build(), replace(_CONFIG, backend="scalar")
-        )
-        _assert_identical(fresh, scalar)
+        fresh = simulate(clone, spec.build(), _CONFIG)
+        ref = reference_simulate(_program("gcc", 33), spec.build(), _CONFIG)
+        _assert_identical(fresh, ref)
 
 
 def _random_inputs(rng, count=256):
@@ -414,7 +378,7 @@ class TestReplayMemory:
     def test_context_entries_independent_of_window(self):
         many = _program("gcc", 61)
         for n in range(1000, 2001, 100):
-            config = replace(_CONFIG, n_branches=n, warmup=n // 5, backend="batched")
+            config = replace(_CONFIG, n_branches=n, warmup=n // 5)
             last = simulate(many, self._SPEC.build(), config)
         single = _program("gcc", 61)
         alone = simulate(single, self._SPEC.build(), config)
@@ -424,7 +388,7 @@ class TestReplayMemory:
     def test_live_contexts_bounded(self):
         limit = batched._LIVE_CTX_LIMIT
         programs = [_program("swim", 70 + i) for i in range(limit + 2)]
-        config = replace(_CONFIG, n_branches=1000, warmup=200, backend="batched")
+        config = replace(_CONFIG, n_branches=1000, warmup=200)
         for program in programs:
             simulate(program, self._SPEC.build(), config)
         live = [getattr(p, "_replay_ctx", None) is not None for p in programs]
@@ -475,33 +439,28 @@ class TestPerceptronOps:
 
 
 class TestBackendDispatch:
-    def test_unknown_backend_rejected(self):
-        program = _program("gcc", 21)
-        spec = SystemSpec.single("gshare", 2)
-        with pytest.raises(ValueError, match="backend"):
-            simulate(program, spec.build(), replace(_CONFIG, backend="vector"))
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_retired_backends_refused(self, backend):
+        """``set_default_backend`` only accepts the one kernel."""
+        from repro.sim.driver import set_default_backend
 
-    def test_unknown_backend_rejected_at_construction(self):
-        """``backend`` is left out of the content hash, so a bad value
-        must fail where it is written, naming the field."""
-        with pytest.raises(ValueError, match="backend"):
-            SimulationConfig(backend="vector")
+        with pytest.raises(ValueError, match="retired"):
+            set_default_backend(backend)
+        set_default_backend("batched")
 
-    def test_tage_runs_batched_and_equals_scalar(self):
+    def test_tage_runs_batched_and_equals_reference(self):
         """tage has no fused arm: the kernel drives it through its packed
-        calls, and the result matches the scalar loop exactly."""
+        calls, and the result matches the frozen reference exactly."""
         program = _program("gcc", 22)
         spec = SystemSpec.single("tage", 2)
         batch = batched.simulate_batched(program, spec.build(), _CONFIG)
-        fresh = simulate(
-            _program("gcc", 22), spec.build(), replace(_CONFIG, backend="scalar")
-        )
+        fresh = reference_simulate(_program("gcc", 22), spec.build(), _CONFIG)
         _assert_identical(batch, fresh)
 
     def test_filtered_critic_of_another_type(self):
         """A filtered critic the loop does not fuse goes through its own
         ``lookup``/``train``, with the filter's stats and learned state
-        identical to the scalar loop's."""
+        identical to the frozen reference's."""
         from repro.core import ProphetCriticSystem
         from repro.predictors import TaggedGsharePredictor, TwoBcGskewPredictor
 
@@ -515,12 +474,12 @@ class TestBackendDispatch:
             )
 
         program = _program("gcc", 25)
-        batch_system, scalar_system = build(), build()
+        batch_system, ref_system = build(), build()
         batch = batched.simulate_batched(program, batch_system, _CONFIG)
-        scalar = simulate(program, scalar_system, replace(_CONFIG, backend="scalar"))
-        _assert_identical(batch, scalar)
+        ref = reference_simulate(program, ref_system, _CONFIG)
+        _assert_identical(batch, ref)
         assert batch.critic_redirects > 0
-        ours, theirs = batch_system.critic, scalar_system.critic
+        ours, theirs = batch_system.critic, ref_system.critic
         assert ours.filter.stats == theirs.filter.stats
         assert ours.filter._tags == theirs.filter._tags
         assert ours._counters_raw == theirs._counters_raw
@@ -528,8 +487,8 @@ class TestBackendDispatch:
 
     def test_other_systems_are_refused_by_the_kernel(self):
         """The kernel inlines the two systems' events, so a subclass, which
-        could override them, is a TypeError naming it, not a silent
-        scalar run; the scalar loop still runs it."""
+        could override them, is a TypeError naming it, not a silently
+        wrong run."""
         from repro.core import SinglePredictorSystem
 
         class Custom(SinglePredictorSystem):
@@ -540,22 +499,20 @@ class TestBackendDispatch:
         with pytest.raises(TypeError, match="Custom"):
             batched.simulate_batched(program, system, _CONFIG)
         with pytest.raises(TypeError, match="Custom"):
-            simulate(program, system, replace(_CONFIG, backend="batched"))
-        assert simulate(program, system, replace(_CONFIG, backend="scalar")).branches
+            simulate(program, system, _CONFIG)
 
 
 class TestPredictorStatsSwitch:
     """``collect_predictor_stats=False`` silences every predictor, the
-    filtered critic's inner perceptron included, on both backends."""
+    filtered critic's inner perceptron included."""
 
-    @pytest.mark.parametrize("backend", ["scalar", "batched"])
-    def test_filtered_perceptron_inner_stats(self, backend):
+    def test_filtered_perceptron_inner_stats(self):
         program = _program("gcc", 24)
         spec = SystemSpec.hybrid(
             "2bc-gskew", 2, "filtered-perceptron", 2, future_bits=4
         )
         quiet = spec.build()
-        config = replace(_CONFIG, backend=backend, collect_predictor_stats=False)
+        config = replace(_CONFIG, collect_predictor_stats=False)
         simulate(program, quiet, config)
         assert quiet.critic.stats.predictions == 0
         assert quiet.critic.perceptron.stats.predictions == 0
@@ -567,30 +524,24 @@ class TestPredictorStatsSwitch:
 
 
 class TestContentHashStability:
-    """``backend`` is an execution detail: it must not change result
-    identity, and pre-existing scalar hashes must survive the field's
-    introduction (the PR-3/PR-4 cache-invalidation mistake, not again)."""
+    """Result identity survives kernel changes: a cell hashes as it did
+    at PR 5, before a ``backend`` field came and went (the PR-3/PR-4
+    cache-invalidation mistake, not again)."""
 
-    #: content_hash of the canonical cell below, computed at PR 5 —
-    #: before SimulationConfig grew the ``backend`` field.
+    #: content_hash of the canonical cell below, computed at PR 5.
     _PR5_HASH = "4fe51eab9d29759c5c0bc9eb9f8f36a54c5b7d9e5a8893688d9258fe407c3bff"
 
-    def _cell(self, warmup=2000, backend="scalar"):
+    def _cell(self, warmup=2000):
         return SweepCell(
             system_label="baseline",
             bench_name="gcc",
             system=SystemSpec.single("2bc-gskew", 16),
             program=ProgramSpec(benchmark="gcc"),
-            config=SimulationConfig(
-                n_branches=20000, warmup=warmup, backend=backend
-            ),
+            config=SimulationConfig(n_branches=20000, warmup=warmup),
         )
 
-    def test_default_backend_hash_pinned_to_pr5(self):
+    def test_hash_pinned_to_pr5(self):
         assert self._cell().content_hash() == self._PR5_HASH
-
-    def test_backend_excluded_from_hash(self):
-        assert self._cell(backend="batched").content_hash() == self._PR5_HASH
 
     def test_other_config_fields_still_hash(self):
         assert self._cell(warmup=2001).content_hash() != self._PR5_HASH

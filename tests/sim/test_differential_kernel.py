@@ -1,7 +1,7 @@
 """Differential proof that the optimized kernel matches the frozen reference.
 
-The hot-path overhaul (precompiled CFG traversal, pooled in-flight
-handles, predictor fast paths) is only admissible because it is
+The batched kernel (precompiled CFG traversal, structure-of-arrays
+rings, fused predictor arms) is only admissible because it is
 **bit-for-bit identical** to the straightforward kernel it replaced.
 These tests run the same (program, system, config) cell through both
 :func:`repro.sim.driver.simulate` and
@@ -13,13 +13,6 @@ exactly equal across a randomized matrix of seeds × suite archetypes ×
 Any intentional semantic change to the simulation must be applied to
 ``tests/reference_kernel.py`` as well, with the reasoning documented
 there; these tests then pin the new semantics.
-
-Every case runs under each simulation backend (the ``kernel_backend``
-fixture: scalar and batched), so the batched structure-of-arrays kernel
-is held to the same bit-for-bit standard against the same frozen
-reference. Backends the batched kernel does not support fall back to
-scalar inside ``simulate`` — running them under ``backend="batched"``
-still proves the fallback path. Use ``--backend`` to restrict.
 """
 
 from __future__ import annotations
@@ -30,6 +23,7 @@ from dataclasses import replace
 import pytest
 
 from reference_kernel import reference_simulate
+from repro.predictors.registry import critic_capable_kinds
 from repro.sim.driver import SimulationConfig, simulate
 from repro.sim.metrics import RunStats
 from repro.sim.specs import SystemSpec
@@ -70,18 +64,18 @@ _CONFIG = SimulationConfig(
 
 
 def _program(suite: str, seed: int):
+    return _profile_program(_ARCHETYPES[suite], seed, f"diff-{suite}-{seed}")
+
+
+def _profile_program(benchmark: str, seed: int, name: str):
     profile = replace(
-        BENCHMARKS[_ARCHETYPES[suite]],
-        name=f"diff-{suite}-{seed}",
+        BENCHMARKS[benchmark],
+        name=name,
         seed=seed,
         static_branch_target=150,
         n_functions=5,
     )
     return generate_program(profile)
-
-
-def _simulate(program, system, config, backend):
-    return simulate(program, system, replace(config, backend=backend))
 
 
 def assert_bit_identical(new: RunStats, ref: RunStats) -> None:
@@ -97,42 +91,55 @@ class TestDifferentialMatrix:
     @pytest.mark.parametrize("suite", sorted(_ARCHETYPES))
     @pytest.mark.parametrize("system_kind", sorted(_SYSTEMS))
     @pytest.mark.parametrize("use_btb", [True, False])
-    def test_kernel_matches_reference(self, suite, system_kind, use_btb, kernel_backend):
+    def test_kernel_matches_reference(self, suite, system_kind, use_btb):
         # Deterministic per-cell seed variation (crc32, not hash(): the
         # matrix must exercise the same seeds on every run and machine).
         seed = 1000 + zlib.crc32(f"{suite}/{system_kind}".encode()) % 7
         program = _program(suite, seed)
         config = replace(_CONFIG, use_btb=use_btb, btb_entries=256, btb_ways=4)
-        new = _simulate(program, _SYSTEMS[system_kind].build(), config, kernel_backend)
+        new = simulate(program, _SYSTEMS[system_kind].build(), config)
         ref = reference_simulate(program, _SYSTEMS[system_kind].build(), config)
         assert new.mispredicts > 0  # a trivial run would prove nothing
         assert_bit_identical(new, ref)
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
-    def test_random_seeds_hybrid(self, seed, kernel_backend):
+    def test_random_seeds_hybrid(self, seed):
         """Fresh random programs (same archetype, new seeds) stay identical."""
         program = _program("INT00", seed)
         system = SystemSpec.hybrid(
             "2bc-gskew", 2, "tagged-gshare", 2, future_bits=8
         )
-        new = _simulate(program, system.build(), _CONFIG, kernel_backend)
+        new = simulate(program, system.build(), _CONFIG)
         ref = reference_simulate(program, system.build(), _CONFIG)
+        assert_bit_identical(new, ref)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    @pytest.mark.parametrize("system_kind", sorted(_SYSTEMS))
+    def test_every_benchmark_profile_matches_reference(self, name, system_kind):
+        """Beyond the four archetypes: every suite profile's behaviour
+        mix, shrunk the same way, stays identical under both systems."""
+        seed = 1100 + zlib.crc32(f"{name}/{system_kind}".encode()) % 7
+        program = _profile_program(name, seed, f"diff-{name}-{seed}")
+        config = replace(_CONFIG, use_btb=True, btb_entries=256, btb_ways=4)
+        new = simulate(program, _SYSTEMS[system_kind].build(), config)
+        ref = reference_simulate(program, _SYSTEMS[system_kind].build(), config)
+        assert new.mispredicts > 0
         assert_bit_identical(new, ref)
 
 
 class TestDifferentialCriticShapes:
     """Critic variants exercise every prediction-system fast path."""
 
-    def test_filtered_perceptron_critic(self, kernel_backend):
+    def test_filtered_perceptron_critic(self):
         program = _program("MM", 21)
         spec = SystemSpec.hybrid(
             "2bc-gskew", 2, "filtered-perceptron", 2, future_bits=4
         )
-        new = _simulate(program, spec.build(), _CONFIG, kernel_backend)
+        new = simulate(program, spec.build(), _CONFIG)
         ref = reference_simulate(program, spec.build(), _CONFIG)
         assert_bit_identical(new, ref)
 
-    def test_unfiltered_critic_and_insert_on_prophet(self, kernel_backend):
+    def test_unfiltered_critic_and_insert_on_prophet(self):
         from repro.core.hybrid import ProphetCriticSystem
         from repro.predictors.budget import make_prophet
 
@@ -146,12 +153,12 @@ class TestDifferentialCriticShapes:
                 insert_on="prophet",
             )
 
-        new = _simulate(program, build(), _CONFIG, kernel_backend)
+        new = simulate(program, build(), _CONFIG)
         ref = reference_simulate(program, build(), _CONFIG)
         assert_bit_identical(new, ref)
 
     @pytest.mark.parametrize("critic", ["tagged-gshare", "filtered-perceptron"])
-    def test_filtered_critic_insert_on_prophet(self, critic, kernel_backend):
+    def test_filtered_critic_insert_on_prophet(self, critic):
         """ablation-insert-policy's shape: a filtered critic with
         ``insert_on="prophet"``, through the allocate path both filtered
         critics share. The two policies give equal results by
@@ -162,23 +169,23 @@ class TestDifferentialCriticShapes:
         spec = SystemSpec.hybrid(
             "2bc-gskew", 8, critic, 8, future_bits=8, insert_on="prophet"
         )
-        new = _simulate(program, spec.build(), _CONFIG, kernel_backend)
+        new = simulate(program, spec.build(), _CONFIG)
         ref = reference_simulate(program, spec.build(), _CONFIG)
         assert_bit_identical(new, ref)
 
-    def test_zero_future_bits_conventional_hybrid(self, kernel_backend):
+    def test_zero_future_bits_conventional_hybrid(self):
         program = _program("FP00", 23)
         spec = SystemSpec.hybrid("gshare", 2, "tagged-gshare", 2, future_bits=0)
-        new = _simulate(program, spec.build(), _CONFIG, kernel_backend)
+        new = simulate(program, spec.build(), _CONFIG)
         ref = reference_simulate(program, spec.build(), _CONFIG)
         assert_bit_identical(new, ref)
 
-    def test_single_predictor_prophets(self, kernel_backend):
+    def test_single_predictor_prophets(self):
         """Every prophet family goes through the packed fast path."""
         program = _program("INT00", 31)
         for kind in ("gshare", "perceptron", "tage"):
             spec = SystemSpec.single(kind, 2)
-            new = _simulate(program, spec.build(), _CONFIG, kernel_backend)
+            new = simulate(program, spec.build(), _CONFIG)
             ref = reference_simulate(program, spec.build(), _CONFIG)
             assert_bit_identical(new, ref)
 
@@ -254,15 +261,15 @@ class TestDifferentialEdges:
     def test_call_nesting_deeper_than_ras_capacity(self):
         """Static call/return pairing must fall back to live-RAS pops
         when nesting exceeds capacity (drop-oldest would evict the
-        paired entry): walker and executor must reproduce the reference
-        traversal exactly, underflow fallback included."""
-        from reference_kernel import _ReferenceExecutor, _ReferenceWalker
+        paired entry): the executor must reproduce the reference
+        traversal exactly, underflow fallback included, and the kernel's
+        wrong-path walk must match the reference kernel's."""
+        from reference_kernel import _ReferenceExecutor
         from repro.engine.executor import ArchitecturalExecutor
-        from repro.engine.frontend import SpeculativeWalker
         from repro.workloads.behaviors import PatternBehavior
         from repro.workloads.program import BasicBlock, BlockKind, Program
 
-        def deep_call_program():
+        def deep_call_program(fallthrough=1):
             # COND -> CALL f1 -> CALL f2 -> CALL f3 -> RETURN x3 -> back.
             # With a capacity-2 RAS the first return point is dropped, so
             # the third RETURN underflows to the entry.
@@ -270,7 +277,8 @@ class TestDifferentialEdges:
                 name="deep-calls",
                 blocks=[
                     BasicBlock(0, 0x1000, 4, BlockKind.COND, taken_target=1,
-                               fallthrough=1, behavior=PatternBehavior("TN")),
+                               fallthrough=fallthrough,
+                               behavior=PatternBehavior("TN")),
                     BasicBlock(1, 0x1010, 1, BlockKind.CALL, taken_target=2, fallthrough=10),
                     BasicBlock(2, 0x1020, 1, BlockKind.CALL, taken_target=3, fallthrough=11),
                     BasicBlock(3, 0x1030, 1, BlockKind.CALL, taken_target=4, fallthrough=12),
@@ -283,20 +291,6 @@ class TestDifferentialEdges:
             )
 
         for capacity in (2, 3, 64):
-            program = deep_call_program()
-            walker = SpeculativeWalker(program, ras_capacity=capacity)
-            ref_walker = _ReferenceWalker(deep_call_program(), ras_capacity=capacity)
-            for _ in range(40):
-                before = walker.fetched_uops
-                pc = walker.next_branch_block().pc
-                expected = ref_walker.next_branch()
-                assert (pc, walker.fetched_uops - before) == (
-                    expected.pc, expected.uops
-                ), capacity
-                walker.advance(True)
-                ref_walker.advance(True)
-            assert walker.fetched_uops == ref_walker.fetched_uops
-
             executor = ArchitecturalExecutor(deep_call_program(), ras_capacity=capacity)
             ref_executor = _ReferenceExecutor(deep_call_program(), ras_capacity=capacity)
             for _ in range(40):
@@ -305,20 +299,29 @@ class TestDifferentialEdges:
                     expected.pc, expected.taken, expected.uops
                 ), capacity
 
-    def test_tiny_window_forces_critiques(self, kernel_backend):
+        # A not-taken edge that skips the calls puts the call chain on
+        # the wrong path of every cold mispredict.
+        config = SimulationConfig(n_branches=200, warmup=0, collect_per_site=True)
+        spec = SystemSpec.single("gshare", 2)
+        new = simulate(deep_call_program(10), spec.build(), config)
+        ref = reference_simulate(deep_call_program(10), spec.build(), config)
+        assert new.mispredicts > 0
+        assert_bit_identical(new, ref)
+
+    def test_tiny_window_forces_critiques(self):
         """A shallow window exercises the forced-critique path."""
         program = _program("INT00", 41)
         config = replace(_CONFIG, inflight_depth=2, collect_per_site=False)
         spec = SystemSpec.hybrid("2bc-gskew", 2, "tagged-gshare", 2, future_bits=8)
-        new = _simulate(program, spec.build(), config, kernel_backend)
+        new = simulate(program, spec.build(), config)
         ref = reference_simulate(program, spec.build(), config)
         assert_bit_identical(new, ref)
 
-    def test_zero_warmup(self, kernel_backend):
+    def test_zero_warmup(self):
         program = _program("MM", 42)
         config = replace(_CONFIG, warmup=0)
         spec = SystemSpec.single("2bc-gskew", 2)
-        new = _simulate(program, spec.build(), config, kernel_backend)
+        new = simulate(program, spec.build(), config)
         ref = reference_simulate(program, spec.build(), config)
         assert_bit_identical(new, ref)
 
@@ -346,7 +349,7 @@ class TestPackedProphetArm:
         assert got.critic_redirects > 0
 
 
-#: Every registered predictor kind, as literals, so scalar/batched
+#: Every registered predictor kind, as literals, so kernel/reference
 #: agreement is exercised for all of them on every run; the
 #: registry-equality test below keeps this list from rotting.
 _ALL_KINDS = (
@@ -367,10 +370,10 @@ _ALL_KINDS = (
 
 
 class TestAllRegisteredKinds:
-    """Scalar/batched differential across the *entire* predictor registry.
+    """Kernel/reference differential across the *entire* predictor registry.
 
     Every kind runs batched, through a fused arm or the packed-call arm,
-    and gets a genuine SoA-vs-scalar bit-identity check. Every
+    and gets a genuine bit-identity check against the frozen reference. Every
     registered kind is pinned here: adding a predictor without extending
     this matrix fails ``test_kind_list_matches_registry``.
     """
@@ -381,14 +384,42 @@ class TestAllRegisteredKinds:
         assert list(_ALL_KINDS) == registered_kinds()
 
     @pytest.mark.parametrize("kind", _ALL_KINDS)
-    def test_single_system_scalar_batched_identical(self, kind):
+    def test_single_system_matches_reference(self, kind):
         from repro.sim.specs import PredictorSpec
 
         spec = SystemSpec(kind="single", prophet=PredictorSpec(kind))
-        program = _program("INT00", 23)
         config = replace(_CONFIG, collect_per_site=False)
-        scalar = _simulate(program, spec.build(), config, "scalar")
-        batched = _simulate(program, spec.build(), config, "batched")
+        ref = reference_simulate(_program("INT00", 23), spec.build(), config)
+        batched = simulate(_program("INT00", 23), spec.build(), config)
         if kind not in ("always-taken", "always-not-taken"):
-            assert scalar.mispredicts > 0
-        assert_bit_identical(batched, scalar)
+            assert ref.mispredicts > 0
+        assert_bit_identical(batched, ref)
+
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    def test_prophet_behind_critic_matches_reference(self, kind):
+        """Each kind as the prophet of a hybrid: its wrong-path fetches,
+        the critic's overrides and the flushes all reach it."""
+        from repro.sim.specs import PredictorSpec
+
+        spec = SystemSpec(
+            kind="hybrid", prophet=PredictorSpec(kind),
+            critic=PredictorSpec("tagged-gshare", budget_kb=2), future_bits=4,
+        )
+        ref = reference_simulate(_program("INT00", 25), spec.build(), _CONFIG)
+        got = simulate(_program("INT00", 25), spec.build(), _CONFIG)
+        assert ref.critic_redirects > 0
+        assert_bit_identical(got, ref)
+
+    @pytest.mark.parametrize("kind", critic_capable_kinds())
+    def test_critic_matches_reference(self, kind):
+        """Each critic-capable kind as the critic, reading future bits."""
+        from repro.sim.specs import PredictorSpec
+
+        spec = SystemSpec(
+            kind="hybrid", prophet=PredictorSpec("2bc-gskew", budget_kb=2),
+            critic=PredictorSpec(kind), future_bits=4,
+        )
+        ref = reference_simulate(_program("SERV", 26), spec.build(), _CONFIG)
+        got = simulate(_program("SERV", 26), spec.build(), _CONFIG)
+        assert ref.critic_redirects > 0
+        assert_bit_identical(got, ref)

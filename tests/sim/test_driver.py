@@ -1,8 +1,7 @@
 """Tests for the functional accuracy driver.
 
-They cover the scalar loop in ``sim/driver.py``, so every config here
-pins ``backend="scalar"``; the batched kernel is held equal to it by
-the differential and property suites.
+``simulate`` runs the one accuracy kernel (``sim/batched.py``); the
+differential and property suites hold it equal to the frozen reference.
 """
 
 from dataclasses import replace
@@ -29,7 +28,7 @@ def pattern_program(pattern="TTN") -> Program:
 
 
 def small_config(**kw) -> SimulationConfig:
-    defaults = dict(n_branches=3000, warmup=500, backend="scalar")
+    defaults = dict(n_branches=3000, warmup=500)
     defaults.update(kw)
     return SimulationConfig(**defaults)
 
@@ -55,7 +54,7 @@ class TestDriverBasics:
             simulate(
                 pattern_program(),
                 SinglePredictorSystem(BimodalPredictor(64)),
-                SimulationConfig(n_branches=100, warmup=100, backend="scalar"),
+                SimulationConfig(n_branches=100, warmup=100),
             )
 
     def test_deterministic(self):
@@ -83,7 +82,7 @@ class TestDriverBasics:
         stats = simulate(
             program,
             SinglePredictorSystem(GsharePredictor(256, 8)),
-            SimulationConfig(n_branches=2000, warmup=10, backend="scalar"),
+            SimulationConfig(n_branches=2000, warmup=10),
         )
         # Early cold misses land inside the (tiny) measurement window.
         assert stats.static_branches >= 0  # accounted, never negative
@@ -131,10 +130,9 @@ class TestConfigValidation:
             ("inflight_depth", dict(inflight_depth=-3)),
         ],
     )
-    @pytest.mark.parametrize("backend", ["scalar", "batched"])
-    def test_rejected_naming_the_field(self, field, kw, backend):
+    def test_rejected_naming_the_field(self, field, kw):
         with pytest.raises(ValueError, match=field):
-            small_config(backend=backend, **kw)
+            small_config(**kw)
 
     def test_rejected_through_replace_and_spec_config(self):
         with pytest.raises(ValueError, match="btb_ways"):
@@ -208,7 +206,7 @@ class TestDriverWithHybrid:
 class TestGeneratedProgramIntegrity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_no_desync_on_generated_programs(self, seed):
-        """The walker/executor cross-check runs inside simulate(); any
+        """The front-end/executor cross-check runs inside simulate(); any
         divergence raises SimulationDesyncError."""
         program = generate_program(
             WorkloadProfile(name="t", seed=seed, static_branch_target=120)
@@ -220,7 +218,7 @@ class TestGeneratedProgramIntegrity:
                 TaggedGsharePredictor(sets=64, ways=4),
                 future_bits=4,
             ),
-            SimulationConfig(n_branches=4000, warmup=400, backend="scalar"),
+            SimulationConfig(n_branches=4000, warmup=400),
         )
         assert stats.branches == 3600
 

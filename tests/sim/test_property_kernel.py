@@ -1,4 +1,4 @@
-"""Property-based differential test: batched replay == scalar loop.
+"""Property-based differential test: batched replay == frozen reference.
 
 The kernel matrices in ``test_differential_kernel.py`` and
 ``test_batched_backend.py`` are hand-picked. Here hypothesis draws the
@@ -11,7 +11,8 @@ geometries, window depths and warmups, over a few archetype programs.
 Each drawn cell must give the same ``RunStats`` — every counter, the
 critique census and the per-site rows — and the same predictor
 telemetry and learned end state (perceptron weight bytes, counter and
-tag tables) from both backends.
+tag tables) from the batched kernel and from
+``reference_kernel.reference_simulate``.
 
 The loaded hypothesis profile governs the example count and seed: the
 tier-1 default replays the same 100 examples per test on every run, and
@@ -28,11 +29,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_kernel import reference_simulate
 from repro.core import ProphetCriticSystem, SinglePredictorSystem
 from repro.predictors.base import PredictorStats
 from repro.predictors.registry import ROLE_CRITIC, build_predictor
 from repro.sim import batched
-from repro.sim.driver import SimulationConfig, simulate
+from repro.sim.driver import SimulationConfig
 from repro.workloads.generator import generate_program
 from repro.workloads.suites import BENCHMARKS
 
@@ -212,27 +214,39 @@ def _end_state(value):
     })
 
 
-def _assert_backends_agree(program, build, config):
-    scalar_system = build()
+def _reference(program, system, config):
+    """The frozen reference run. It ignores ``collect_predictor_stats``,
+    so stats are switched off around the call when the config does."""
+    if config.collect_predictor_stats:
+        return reference_simulate(program, system, config)
+    system.set_stats_enabled(False)
+    try:
+        return reference_simulate(program, system, config)
+    finally:
+        system.set_stats_enabled(True)
+
+
+def _assert_kernel_matches_reference(program, build, config):
+    ref_system = build()
     batched_system = build()
-    scalar = simulate(program, scalar_system, replace(config, backend="scalar"))
+    ref = _reference(program, ref_system, config)
     batch = batched.simulate_batched(program, batched_system, config)
     for field in _FIELDS:
-        assert getattr(batch, field) == getattr(scalar, field), field
-    assert batch.census.counts == scalar.census.counts
-    assert batch.per_site == scalar.per_site
-    assert batched_system.bhr.value == scalar_system.bhr.value
+        assert getattr(batch, field) == getattr(ref, field), field
+    assert batch.census.counts == ref.census.counts
+    assert batch.per_site == ref.per_site
+    assert batched_system.bhr.value == ref_system.bhr.value
     for attr in ("predictor", "prophet", "critic"):
         ours = getattr(batched_system, attr, None)
         if ours is not None:
-            theirs = getattr(scalar_system, attr)
+            theirs = getattr(ref_system, attr)
             assert ours.stats == theirs.stats, attr
             assert _end_state(ours) == _end_state(theirs), attr
     if isinstance(batched_system, ProphetCriticSystem):
-        assert batched_system.bor.value == scalar_system.bor.value
+        assert batched_system.bor.value == ref_system.bor.value
         if hasattr(batched_system.critic, "filter"):
             assert (
-                batched_system.critic.filter.stats == scalar_system.critic.filter.stats
+                batched_system.critic.filter.stats == ref_system.critic.filter.stats
             )
 
 
@@ -248,7 +262,7 @@ def test_single_predictor_cells(prophet, config, benchmark):
     def build():
         return SinglePredictorSystem(build_predictor(kind, params))
 
-    _assert_backends_agree(_program(benchmark), build, config)
+    _assert_kernel_matches_reference(_program(benchmark), build, config)
 
 
 @given(
@@ -273,4 +287,4 @@ def test_prophet_critic_cells(
             insert_on=insert_on,
         )
 
-    _assert_backends_agree(_program(benchmark), build, config)
+    _assert_kernel_matches_reference(_program(benchmark), build, config)

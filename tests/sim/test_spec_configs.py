@@ -35,9 +35,7 @@ from repro.sim import (
     run_sweep,
     simulate,
 )
-from repro.sim import driver
 from repro.sim.cache import stats_to_dict
-from repro.sim.sweepconfig import cells_from_job
 from repro.workloads.generator import WorkloadProfile
 
 #: One non-default geometry per registered kind (the "geometry sample"
@@ -194,25 +192,22 @@ class TestConfigRejections:
                 {"format": 99, "kind": "single", "prophet": "gshare"}
             )
 
-    def test_unknown_simulation_config_key(self):
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("branches", 1),  # the real key is n_branches
+            ("backend", "batched"),  # the retired kernel knob
+        ],
+    )
+    def test_unknown_simulation_config_key(self, key, value):
+        """An unknown key fails at restore, naming it, rather than being
+        served from cache or failing inside a pool worker."""
         cell_config = SweepCell(
             "label", "swim", SystemSpec.single("gshare", 2),
             ProgramSpec(benchmark="swim"),
         ).to_config()
-        cell_config["config"]["branches"] = 1  # the real key is n_branches
-        with pytest.raises(ValueError, match="valid keys"):
-            SweepCell.from_config(cell_config)
-
-    def test_unknown_backend_in_cell_config(self):
-        """``backend`` is left out of the content hash, so a cell with a
-        bad one must fail at restore, naming the field, not be served
-        from cache or fail inside a pool worker."""
-        cell_config = SweepCell(
-            "label", "swim", SystemSpec.single("gshare", 2),
-            ProgramSpec(benchmark="swim"),
-        ).to_config()
-        cell_config["config"]["backend"] = "vector"
-        with pytest.raises(ValueError, match="backend"):
+        cell_config["config"][key] = value
+        with pytest.raises(ValueError, match=rf"\['{key}'\].*valid keys"):
             SweepCell.from_config(cell_config)
 
     def test_program_config_needs_one_source(self):
@@ -248,29 +243,6 @@ class TestProgramAndCellRoundTrips:
         restored = SweepCell.from_config(json_round_trip(cell.to_config()))
         assert restored.content_hash() == cell.content_hash()
         assert restored.system_label == cell.system_label
-
-
-class TestJobBackendDefault:
-    """A job payload that names no backend runs with the process default
-    (batched unless the daemon was started with ``--backend scalar``)."""
-
-    PAYLOAD: ClassVar[dict] = {
-        "systems": {"g": {"kind": "single", "prophet": "gshare"}},
-        "benchmarks": "swim",
-        "branches": 1000,
-    }
-
-    def test_default_is_batched(self):
-        cells, meta = cells_from_job(self.PAYLOAD)
-        assert meta["backend"] == "batched"
-        assert {cell.config.backend for cell in cells} == {"batched"}
-
-    def test_follows_the_process_default(self, monkeypatch):
-        monkeypatch.setattr(driver, "_DEFAULT_BACKEND", "scalar")
-        _, meta = cells_from_job(self.PAYLOAD)
-        assert meta["backend"] == "scalar"
-        _, meta = cells_from_job({**self.PAYLOAD, "backend": "batched"})
-        assert meta["backend"] == "batched"
 
 
 class TestRedesignDifferential:

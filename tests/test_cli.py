@@ -46,6 +46,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "doom"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "table3", "--backend", "batched"],
+        ["--backend", "batched", "run", "table3"],
+        ["bench", "swim", "--backend", "scalar"],
+        ["submit", "--systems", "s.json", "--benchmarks", "gcc", "--backend", "batched"],
+    ])
+    def test_retired_backend_flag_rejected(self, argv):
+        """There is one accuracy kernel, so no verb takes ``--backend``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
 
 class TestConfigCli:
     """`bench --config` and the config-file driven `sweep` verb."""

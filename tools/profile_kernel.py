@@ -10,33 +10,29 @@ checked-in floor.
 Methodology (see docs/PERFORMANCE.md; repeats, identity and the floor
 rule are shared with the other profilers through ``tools/profiling.py``):
 
-* throughput = resolved branches / wall-clock of one ``simulate`` call,
-  after a separate untimed warm-up run has compiled the CFG transition
-  tables and settled allocator state. Each backend is timed 3 times,
-  interleaved with the other backends, and the fastest run counts; the
-  row's ``timing`` also records each backend's median and IQR;
+* throughput = resolved branches / wall-clock of one ``simulate`` call
+  (the batched kernel). The timed runs measure steady-state replay: an
+  untimed run at the same branch count first compiles the CFG tables
+  and populates the memoized architectural trace (the regime a sweep
+  lives in, where one program is simulated across many systems). Each
+  kernel is timed 3 times, interleaved with the others, and the fastest
+  run counts; the row's ``timing`` also records each one's median and
+  IQR;
 * per-predictor ``PredictorStats`` accounting is off during timed runs
   (``collect_predictor_stats=False``), matching how sweeps run;
-* every cell is additionally run through the batched structure-of-arrays
-  backend (``SimulationConfig.backend = "batched"``) and reported as a
-  third column with its speedup over the scalar backend. The timed
-  batched run measures steady-state replay: an untimed batched run at
-  the same branch count first populates the memoized architectural
-  trace (the regime a sweep lives in, where one program is simulated
-  across many systems). The batched and the reference results must
-  each equal the scalar one as a whole;
 * ``--compare-reference`` times the frozen pre-optimization kernel
-  (``tests/reference_kernel.py``) on the same cells in the same process
-  and reports the speedup ratio. Ratios are much more stable across
-  machines than absolute branches/sec, so the CI floor is expressed in
-  ratios. On the cells marked ``timed`` it also times the Table-2
-  timing model, ``TimedMachine.run``, against its frozen loop
-  (``tests/reference_timing.py``) at the same window, warm trace memo
-  and replay context, and requires their two results to be equal;
-* ``--check-floor FILE`` fails (exit 1) when a cell's speedup — over the
-  reference kernel or timing machine, or of the batched backend over
-  scalar — falls more than 25% below its floor value, or when a floored
-  cell is not measured.
+  (``tests/reference_kernel.py``) on the same cells in the same process,
+  requires its result to equal the batched one as a whole, and reports
+  the speedup ratio ``speedup_batched_vs_reference``. Ratios are much
+  more stable across machines than absolute branches/sec, so the CI
+  floor is expressed in ratios. On the cells marked ``timed`` it also
+  times the Table-2 timing model, ``TimedMachine.run``, against its
+  frozen loop (``tests/reference_timing.py``) at the same window, warm
+  trace memo and replay context, and requires their two results to be
+  equal;
+* ``--check-floor FILE`` fails (exit 1) when a cell's speedup over the
+  reference kernel or timing machine falls more than 25% below its
+  floor value, or when a floored cell is not measured.
 
 Usage::
 
@@ -47,8 +43,6 @@ Usage::
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import profiling
 from repro.pipeline.machine import TimedMachine
@@ -129,10 +123,9 @@ CELLS: list[dict] = [
 
 KEY = "cell"
 
-#: Where to look when a backend's result differs from the scalar loop's.
+#: Where to look when a kernel's result differs from its frozen reference.
 _DIFFERENTIAL_TESTS = {
-    "batched": "tests/sim/test_batched_backend.py",
-    "reference": "tests/sim/test_differential_kernel.py",
+    "batched": "tests/sim/test_differential_kernel.py",
     "timed": "tests/pipeline/test_differential_timing.py",
 }
 
@@ -157,29 +150,15 @@ def measure_cell(
         n_branches=n_branches,
         warmup=warmup_branches,
         collect_predictor_stats=False,
-        backend="scalar",
     )
     program = ProgramSpec(benchmark=cell["benchmark"]).build()
 
-    # Untimed warm-up: compiles CFG segments, touches every table once.
-    warm_cfg = SimulationConfig(
-        n_branches=max(2_000, n_branches // 10),
-        warmup=200,
-        collect_predictor_stats=False,
-        backend="scalar",
-    )
-    simulate(program, cell["system"].build(), warm_cfg)
-
-    batched_cfg = replace(config, backend="batched")
-    # Untimed batched run at the full branch count: populates the
-    # memoized architectural trace and the flat CFG tables, so the
-    # timed runs below measure steady-state replay (the sweep regime:
-    # one program, many systems).
-    simulate(program, cell["system"].build(), batched_cfg)
-    runs = {
-        "scalar": lambda system: simulate(program, system, config),
-        "batched": lambda system: simulate(program, system, batched_cfg),
-    }
+    # Untimed run at the full branch count: compiles the flat CFG tables
+    # and populates the memoized architectural trace, so the timed runs
+    # below measure steady-state replay (the sweep regime: one program,
+    # many systems).
+    simulate(program, cell["system"].build(), config)
+    runs = {"batched": lambda system: simulate(program, system, config)}
     if compare_reference:
         runs["reference"] = lambda system: _reference_run(program, system, config)
         if cell.get("timed"):
@@ -197,38 +176,36 @@ def measure_cell(
             runs["timed_reference"] = timed(ReferenceTimedMachine)
 
     timing, results = profiling.repeat(runs, setup=cell["system"].build)
-    for backend, oracle in (
-        ("batched", "scalar"), ("reference", "scalar"), ("timed", "timed_reference"),
-    ):
-        if backend in results:
+    for kernel, oracle in (("batched", "reference"), ("timed", "timed_reference")):
+        if oracle in results:
             profiling.assert_identical(
-                f"{cell['id']} {backend} vs {oracle}", [results[backend]],
-                [results[oracle]], _DIFFERENTIAL_TESTS[backend],
+                f"{cell['id']} {kernel} vs {oracle}", [results[kernel]],
+                [results[oracle]], _DIFFERENTIAL_TESTS[kernel],
             )
 
-    best = {backend: spread["best"] for backend, spread in timing.items()}
+    best = {kernel: spread["best"] for kernel, spread in timing.items()}
     row = {
         "cell": cell["id"],
         "benchmark": cell["benchmark"],
         "headline": cell["headline"],
         "branches": n_branches,
-        "seconds": round(best["scalar"], 4),
-        "branches_per_sec": round(n_branches / best["scalar"], 1),
-        "mispredicts": results["scalar"].mispredicts,
-        "batched_branches_per_sec": round(n_branches / best["batched"], 1),
-        "speedup_batched_vs_scalar": round(best["scalar"] / best["batched"], 3),
+        "seconds": round(best["batched"], 4),
+        "branches_per_sec": round(n_branches / best["batched"], 1),
+        "mispredicts": results["batched"].mispredicts,
     }
     if "reference" in best:
         row["reference_branches_per_sec"] = round(n_branches / best["reference"], 1)
-        row["speedup_vs_reference"] = round(best["reference"] / best["scalar"], 3)
+        row["speedup_batched_vs_reference"] = round(
+            best["reference"] / best["batched"], 3
+        )
     if "timed" in best:
         row["timed_branches_per_sec"] = round(n_branches / best["timed"], 1)
         row["speedup_timing_vs_reference"] = round(
             best["timed_reference"] / best["timed"], 3
         )
     row["timing"] = {
-        backend: {stat: round(value, 4) for stat, value in spread.items()}
-        for backend, spread in timing.items()
+        kernel: {stat: round(value, 4) for stat, value in spread.items()}
+        for kernel, spread in timing.items()
     }
     return row
 
@@ -242,8 +219,8 @@ def measure(args) -> tuple[dict, list[dict]]:
         if cell["quick"] or not args.quick:
             rows.append(measure_cell(cell, n_branches, warmup_branches, compare))
             profiling.show(
-                rows[-1], KEY, "branches_per_sec", "speedup_batched_vs_scalar",
-                "speedup_vs_reference", "speedup_timing_vs_reference",
+                rows[-1], KEY, "branches_per_sec", "speedup_batched_vs_reference",
+                "speedup_timing_vs_reference",
             )
     return {"branches_per_run": n_branches, "quick": args.quick}, rows
 
@@ -267,6 +244,6 @@ def _options(parser) -> None:
 
 if __name__ == "__main__":
     raise SystemExit(profiling.main(
-        "kernel", __doc__, measure, schema="bench-kernel/2", key=KEY,
+        "kernel", __doc__, measure, schema="bench-kernel/3", key=KEY,
         options=_options,
     ))

@@ -30,8 +30,9 @@ interaction matters.
 * ``fused/12x1`` — the twelve systems replayed over one gcc build
   through :func:`repro.sim.batched.simulate_batched` with one shared
   replay context (shared trace columns and per-program precompute)
-  against the same panel through the scalar loop, at longer cells where
-  fusion matters; whole-result identity asserted per cell.
+  against the same panel through the frozen reference kernel
+  (``tests/reference_kernel.py``), at longer cells where fusion matters;
+  whole-result identity asserted per cell.
 
 ``--compare-reference`` runs the frozen pre-overhaul engine
 (``tests/reference_engine.py``) on identical grids with the same
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import copy
 import tempfile
-from dataclasses import replace
 
 import profiling
 from repro.sim.cache import ResultCache, clone_result
@@ -193,52 +193,54 @@ def measure_fused(branches: int) -> dict:
     through :func:`repro.sim.batched.simulate_batched` with one shared
     replay context (per-program precompute — trace columns, flat CFG,
     pc-derived rows — paid once for the whole panel) and compares
-    against the same panel run
-    cell-by-cell through the scalar loop. Whole-result identity is
-    asserted per cell; longer cells than the grid scenarios are used
-    because fusion amortizes per-program cost that short cells
-    under-weight.
+    against the same panel run cell by cell through the frozen reference
+    kernel. Whole-result identity is asserted per cell; longer cells
+    than the grid scenarios are used because fusion amortizes
+    per-program cost that short cells under-weight.
     """
+    from reference_kernel import reference_simulate
     from repro.sim.batched import FusedReplayContext, simulate_batched
-    from repro.sim.driver import simulate
+
+    def reference(system):
+        # The frozen kernel predates the stats switch; disable by hand so
+        # both sides do identical accounting work.
+        system.set_stats_enabled(False)
+        return reference_simulate(program, system, config)
 
     n = max(4 * branches, 4_000)
     config = SimulationConfig(
         n_branches=n, warmup=n // 5, collect_predictor_stats=False
     )
-    scalar_config = replace(config, backend="scalar")
     program = ProgramSpec(benchmark="gcc").build()
     shared = FusedReplayContext()
     # Untimed warm-up run: builds the architectural trace and the shared
     # per-program columns (steady-state sweep regime, as in the kernel
-    # bench), plus CFG compilation for the scalar side.
+    # bench).
     simulate_batched(program, SYSTEMS[0].build(), config, shared)
-    simulate(program, SYSTEMS[0].build(), scalar_config)
 
     grid = f"fused/{len(SYSTEMS)}x1"
     timing, results = profiling.repeat({
         "fused": lambda: [
             simulate_batched(program, s.build(), config, shared) for s in SYSTEMS
         ],
-        "scalar": lambda: [
-            simulate(program, s.build(), scalar_config) for s in SYSTEMS
-        ],
+        "reference": lambda: [reference(s.build()) for s in SYSTEMS],
     }, times=1)
     profiling.assert_identical(
-        f"{grid} fused vs scalar", results["fused"], results["scalar"],
+        f"{grid} fused vs reference", results["fused"], results["reference"],
         "tests/sim/test_differential_kernel.py",
     )
-    fused_elapsed, scalar_elapsed = timing["fused"]["best"], timing["scalar"]["best"]
+    fused_elapsed = timing["fused"]["best"]
+    reference_elapsed = timing["reference"]["best"]
     row = {
         "grid": grid,
         "cells": len(SYSTEMS),
         "branches_per_cell": n,
         "seconds": round(fused_elapsed, 4),
         "cells_per_sec": round(len(SYSTEMS) / fused_elapsed, 2),
-        "scalar_cells_per_sec": round(len(SYSTEMS) / scalar_elapsed, 2),
-        "speedup_fused_vs_scalar": round(scalar_elapsed / fused_elapsed, 3),
+        "reference_cells_per_sec": round(len(SYSTEMS) / reference_elapsed, 2),
+        "speedup_fused_vs_reference": round(reference_elapsed / fused_elapsed, 3),
     }
-    profiling.show(row, KEY, "cells_per_sec", "speedup_fused_vs_scalar")
+    profiling.show(row, KEY, "cells_per_sec", "speedup_fused_vs_reference")
     return row
 
 
@@ -293,6 +295,6 @@ def _options(parser) -> None:
 
 if __name__ == "__main__":
     raise SystemExit(profiling.main(
-        "sweep", __doc__, measure, schema="bench-sweep/2", key=KEY,
+        "sweep", __doc__, measure, schema="bench-sweep/3", key=KEY,
         options=_options,
     ))
