@@ -35,17 +35,21 @@ on the same program:
   prophet's and critic's pc constants (``_make_pc_consts``), so the BTB
   probe runs inline on ``self.btb._sets``.
 * **Prophet.** 2Bc-gskew predicts inline from those constants and the
-  ``_gskew_xor_tables`` images, the perceptron through
-  ``_PerceptronOps``. Any other prophet is called through its own
+  ``_gskew_xor_tables`` images, the perceptron through the bit-sliced
+  ``_PerceptronOps`` bundle: a ``dot`` over the fetch-time BHR, which
+  the ring keeps as the prophet's state for the resolve-time ``train``.
+  Any other prophet is called through its own
   ``predict_packed``/``update_packed``: the system's calls without the
   system hop.
 * **Critic.** The tagged-gshare and filtered-perceptron critics share an
   inline hash (the ``_critic_fold_tables`` images, or ``_fold_hash``
   outside their width gate) and filter probe; the opinion is a counter
-  read or a ``_PerceptronOps`` dot. Unfiltered critics use their packed
-  calls, any other filtered critic its ``lookup``/``train``. Training
-  runs at resolve, once per committed branch: one call, or a
-  ``_PerceptronOps`` train step for a perceptron.
+  read or a ``_PerceptronOps`` ``dot`` over the BOR. Unfiltered critics
+  use their packed calls, any other filtered critic its
+  ``lookup``/``train``. Training runs at resolve, once per committed
+  branch: one call, or a ``_PerceptronOps`` ``train`` over the
+  critique-time BOR for a perceptron. Both bundles write their trained
+  rows back to the int16 weights when ``run`` returns.
 * **In-flight ring.** Fetched branches are tuples in one power-of-two
   ring, indexed by three running counters, oldest first: ``head`` (the
   resolve queue), ``cons`` (the FTQ head, the first entry the cache has
@@ -68,7 +72,6 @@ included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from repro.core.hybrid import PredictionSystem, ProphetCriticSystem, SinglePredictorSystem
 from repro.engine.btb import BranchTargetBuffer
@@ -242,7 +245,7 @@ class TimedMachine:
         perc_ops = []
         if perc:
             perc_ops.append(batched._PerceptronOps(prophet))
-            pp_rows, pp_inputs, pp_train = perc_ops[0].rows, perc_ops[0].inputs, perc_ops[0].train
+            pp_dot, pp_train = perc_ops[0].dot, perc_ops[0].train
         if fused:
             filt = critic.filter
             f_tags = filt._tags
@@ -264,8 +267,7 @@ class TimedMachine:
             else:
                 fp = critic.perceptron
                 perc_ops.append(batched._PerceptronOps(fp))
-                fp_rows = perc_ops[-1].rows
-                fp_inputs, fp_train = perc_ops[-1].inputs, perc_ops[-1].train
+                fp_dot, fp_train = perc_ops[-1].dot, perc_ops[-1].train
                 fp_n = fp.n_perceptrons
         elif plain:
             c_predict, c_update = critic.predict_packed, critic.update_packed
@@ -401,8 +403,8 @@ class TimedMachine:
                                     pred = bim
                                 pstate = None  # trained through update
                             elif perc:
-                                pstate = pp_inputs(bhr_val)
-                                pred = sum(map(mul, pp_rows[fs[8]], pstate)) >= 0
+                                pstate = bhr_val
+                                pred = pp_dot(fs[8], pstate) >= 0
                             else:
                                 pred, pstate = p_predict(fs[2], bhr_val)
                             r_fe[tail & cmask] = (
@@ -466,9 +468,7 @@ class TimedMachine:
                             if tagged:
                                 final = c_counters[si * c_ways + way] > 1
                             else:
-                                final = sum(map(
-                                    mul, fp_rows[k0 % fp_n], fp_inputs(bor_value)
-                                )) >= 0
+                                final = fp_dot(k0 % fp_n, bor_value) >= 0
                         else:
                             final = ppred  # filter miss: implicit agree
                         r_cq[s] = (final, si, tg, bor_value)
@@ -570,7 +570,7 @@ class TimedMachine:
                                         filt._touch(si, frow.index(tg))
                                     else:
                                         filt.insert(si, tg)
-                                    y = fp_train((pc >> 2) % fp_n, fp_inputs(borc), taken)
+                                    y = fp_train((pc >> 2) % fp_n, borc, taken)
                                     if fp.stats_enabled:
                                         fp.stats.record((y >= 0) == taken)
                                         if hit:

@@ -39,7 +39,7 @@ other prophet (TAGE, YAGS, local, tournament, ...) is called through its
 own ``predict_packed``/``update_packed``. Critics come in four shapes:
 the tagged-gshare and filtered-perceptron critics (fused), any other
 filtered critic (its own ``lookup``/``train``), and any unfiltered
-critic (its packed calls; the perceptron through the loop's integer
+critic (its packed calls; the perceptron through the loop's bit-sliced
 perceptron ops). Both system shapes run through one
 replay loop, :func:`_replay`: a single predictor is the prophet/critic
 machine with no critic, exactly as in the reference kernel. The loop has
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import weakref
 from itertools import repeat
-from operator import add, mul, sub
 
 import numpy as np
 
@@ -297,89 +296,163 @@ def _gskew_xor_tables(prophet):
     return hit
 
 
-# -- integer perceptron ops ---------------------------------------------------
+# -- bit-sliced perceptron ops ------------------------------------------------
 #
 # Every perceptron the loop drives -- prophet, the filtered critic's
 # inner perceptron, an unfiltered perceptron critic -- goes through one
-# bundle of plain-int operations instead of a few small numpy calls per
-# predict and train: a list-of-lists mirror of the int16 weight table,
-# ±1 input tuples assembled from 8-bit chunk tables, and
-# ``sum(map(mul, row, x))`` dots. This is exact: a training step moves
-# each weight by ±1 and saturates at [WEIGHT_MIN, WEIGHT_MAX], so every
-# weight fits int16 and every dot is the integer the numpy predictor
-# computes. ``PerceptronPredictor`` stays the oracle the differential
-# tests compare against.
-
-_CHUNK_TBL_CACHE: dict = {}
-
-
-def _pm1_chunk_table(width: int, bias: bool) -> tuple:
-    """±1 inputs for each 8-bit history chunk value: its low ``width``
-    bits (bit 0 first), preceded by the bias input when ``bias``.
-    Module-level: at most 16 small tables, shared by every run."""
-    key = (width, bias)
-    hit = _CHUNK_TBL_CACHE.get(key)
-    if hit is None:
-        head = (1,) if bias else ()
-        _CHUNK_TBL_CACHE[key] = hit = tuple(
-            head + tuple(1 if (v >> b) & 1 else -1 for b in range(width))
-            for v in range(256)
-        )
-    return hit
+# bundle of plain-int operations instead of small numpy calls. A weight
+# row is ``(w0, s, p0, ..., p7)``: the bias weight, the sum of the h
+# history weights, and the bit planes of ``u = w + 128`` (``pk`` is an
+# h-bit int holding bit k of every history weight's u; lane j is
+# history bit j). Over the masked history ``b`` the ±1 dot
+#
+#     w0 + sum(w, j in b) - sum(w, j not in b)
+#       = w0 - s + 2 * (sum(2**k * popcount(pk & b)) - 128 * popcount(b))
+#
+# needs no input vector. A training step is a bit-sliced ripple: +1 on
+# the lanes whose input agrees with the outcome, -1 on the others,
+# minus the lanes at 255 (w = 127) or 0 (w = -128), which saturate;
+# ``s`` moves by the net count. This is exact: u stays in [0, 255], so
+# eight planes hold every weight in [WEIGHT_MIN, WEIGHT_MAX] and every
+# dot is the integer the numpy predictor (the differential tests'
+# oracle) computes. Setup stays O(rows): an all-zero table loads as one
+# shared row, and write-back converts only the trained rows through
+# numpy's packbits/unpackbits.
 
 
 class _PerceptronOps:
-    """Integer op bundle over one :class:`PerceptronPredictor`.
+    """Bit-sliced integer op bundle over one :class:`PerceptronPredictor`
+    (see the section comment).
 
     ``rows`` mirrors ``weights`` for the duration of a replay;
-    :meth:`write_back` stores it into the int16 array (the loop does
-    that in its ``finally``). ``inputs(history)`` is ``_inputs`` as a
-    tuple; ``train(row, x, taken)`` is ``update_packed`` minus the stats
-    (the dot is recomputed against current weights) and returns the dot.
+    :meth:`write_back` stores the trained rows into the int16 array (the
+    loop does that in its ``finally``). ``dot(row, history)`` is the
+    predictor's output; ``train(row, history, taken)`` is
+    ``update_packed`` minus the stats (the dot is recomputed against
+    current weights) and returns the dot. A weight outside [WEIGHT_MIN,
+    WEIGHT_MAX], which eight planes cannot hold, raises ``ValueError``.
     """
 
-    __slots__ = ("_perceptron", "rows", "n", "inputs", "train")
+    __slots__ = ("_perceptron", "_loaded", "rows", "n", "dot", "train")
 
     def __init__(self, perceptron) -> None:
+        weights = perceptron.weights
+        w_min, w_max = perceptron.WEIGHT_MIN, perceptron.WEIGHT_MAX
+        if weights.min() < w_min or weights.max() > w_max:
+            raise ValueError(
+                f"{perceptron.name} weights must lie in [{w_min}, {w_max}]"
+            )
         self._perceptron = perceptron
-        self.n = perceptron.n_perceptrons
-        self.rows = rows = perceptron.weights.tolist()
-        n_full, rem = divmod(perceptron.history_length, 8)
-        widths = [8] * n_full + ([rem] if rem else [])
-        first = _pm1_chunk_table(widths[0], True)
-        rest = tuple(_pm1_chunk_table(w, False) for w in widths[1:])
-
-        def inputs(history):
-            x = first[history & 255]
-            for table in rest:
-                history >>= 8
-                x += table[history & 255]
-            return x
-
+        self.n = n = perceptron.n_perceptrons
+        h = perceptron.history_length
+        hmask = (1 << h) - 1
+        if weights.any():
+            self.rows = rows = _perceptron_rows(weights)
+        else:
+            # All-zero table: u = 128 in every lane, i.e. only plane 7.
+            self.rows = rows = [(0, 0, 0, 0, 0, 0, 0, 0, 0, hmask)] * n
+        self._loaded = list(rows)
         thresh = perceptron.threshold
-        w_max = perceptron.WEIGHT_MAX
-        w_min = perceptron.WEIGHT_MIN
-        over = w_max + 1
-        under = w_min - 1
 
-        def train(wi, x, taken):
-            w = rows[wi]
-            y = sum(map(mul, w, x))
+        def dot(r, history):
+            w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[r]
+            b = history & hmask
+            return w0 - s + 2 * (
+                (p0 & b).bit_count() + 2 * (p1 & b).bit_count()
+                + 4 * (p2 & b).bit_count() + 8 * (p3 & b).bit_count()
+                + 16 * (p4 & b).bit_count() + 32 * (p5 & b).bit_count()
+                + 64 * (p6 & b).bit_count()
+                + 128 * ((p7 & b).bit_count() - b.bit_count())
+            )
+
+        def train(r, history, taken):
+            w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[r]
+            b = history & hmask
+            # dot(r, history), inlined: the planes are needed below.
+            y = w0 - s + 2 * (
+                (p0 & b).bit_count() + 2 * (p1 & b).bit_count()
+                + 4 * (p2 & b).bit_count() + 8 * (p3 & b).bit_count()
+                + 16 * (p4 & b).bit_count() + 32 * (p5 & b).bit_count()
+                + 64 * (p6 & b).bit_count()
+                + 128 * ((p7 & b).bit_count() - b.bit_count())
+            )
             if (y >= 0) != taken or -thresh <= y <= thresh:
-                new = list(map(add if taken else sub, w, x))
-                if over in new or under in new:
-                    new = [
-                        w_max if v > w_max else w_min if v < w_min else v
-                        for v in new
-                    ]
-                rows[wi] = new
+                if taken:
+                    c, d = b, hmask ^ b
+                    w0 += w0 < w_max
+                else:
+                    c, d = hmask ^ b, b
+                    w0 -= w0 > w_min
+                # +1 on c, -1 on d, minus the lanes already saturated.
+                c &= ~(p0 & p1 & p2 & p3 & p4 & p5 & p6 & p7)
+                d &= p0 | p1 | p2 | p3 | p4 | p5 | p6 | p7
+                s += c.bit_count() - d.bit_count()
+                p0, c, d = p0 ^ c ^ d, c & p0, d & ~p0
+                p1, c, d = p1 ^ c ^ d, c & p1, d & ~p1
+                p2, c, d = p2 ^ c ^ d, c & p2, d & ~p2
+                p3, c, d = p3 ^ c ^ d, c & p3, d & ~p3
+                p4, c, d = p4 ^ c ^ d, c & p4, d & ~p4
+                p5, c, d = p5 ^ c ^ d, c & p5, d & ~p5
+                p6, c, d = p6 ^ c ^ d, c & p6, d & ~p6
+                rows[r] = (w0, s, p0, p1, p2, p3, p4, p5, p6, p7 ^ c ^ d)
             return y
 
-        self.inputs = inputs
+        self.dot = dot
         self.train = train
 
     def write_back(self) -> None:
-        self._perceptron.weights[:] = self.rows
+        """Store the rows trained since loading into ``weights``."""
+        rows = self.rows
+        trained = [
+            i for i, (row, loaded) in enumerate(zip(rows, self._loaded))
+            if row is not loaded
+        ]
+        if not trained:
+            return
+        w0, _, *planes = zip(*[rows[i] for i in trained])
+        weights = self._perceptron.weights
+        h = weights.shape[1] - 1
+        n_words = (h + 63) // 64
+        if n_words == 1:
+            words = np.array(planes, dtype="<u8")[..., None]
+        else:
+            words = np.array(
+                [[[(p >> k) & 0xFFFF_FFFF_FFFF_FFFF for k in range(0, 64 * n_words, 64)]
+                  for p in plane] for plane in planes],
+                dtype="<u8",
+            )
+        # (8, m, words) planes -> (8, m, h) bits -> w per lane. Packing
+        # and unpacking run flat: along a short axis they are slower.
+        bits = np.unpackbits(words.view(np.uint8), axis=None, bitorder="little")
+        bits = bits.reshape(8, len(trained), 64 * n_words)[..., :h]
+        weights[trained, 0] = w0
+        weights[trained, 1:] = np.einsum("k,kmh->mh", _PLANE_VALUES, bits) - 128
+
+
+_PLANE_SHIFTS = np.arange(8, dtype=np.uint8)[:, None, None]
+_PLANE_VALUES = np.array([1 << k for k in range(8)], dtype=np.int16)
+
+
+def _perceptron_rows(weights) -> list:
+    """Bit-sliced ``(w0, s, p0, ..., p7)`` rows of an int16 weight table
+    whose weights lie in [-128, 127]."""
+    n, h = weights.shape[0], weights.shape[1] - 1
+    n_words = (h + 63) // 64
+    u = (weights[:, 1:] + 128).astype(np.uint8)
+    # (n, h) -> (8, n, h) bits, lane-padded to whole 64-bit words and
+    # packed flat (see write_back).
+    bits = np.zeros((8, n, 64 * n_words), dtype=np.uint8)
+    bits[..., :h] = (u >> _PLANE_SHIFTS) & 1
+    words = np.packbits(bits, axis=None, bitorder="little").view("<u8").reshape(8, n, -1)
+    planes = words[..., 0].tolist()
+    for k in range(1, n_words):
+        planes = [
+            [p | (q << (64 * k)) for p, q in zip(plane, high)]
+            for plane, high in zip(planes, words[..., k].tolist())
+        ]
+    return list(zip(
+        weights[:, 0].tolist(), weights[:, 1:].sum(axis=1).tolist(), *planes
+    ))
 
 
 def _make_flattener(compiled, use_btb: bool, set_mask: int, set_bits: int, pc_consts):
@@ -852,8 +925,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         gs_mid = prophet._midpoint
     elif kind == _PERC:
         pp_ops = _perc_ops(prophet)
-        pp_rows = pp_ops.rows
-        pp_inputs = pp_ops.inputs
+        pp_dot = pp_ops.dot
         pp_train = pp_ops.train
         pp_n = pp_ops.n
     else:
@@ -869,12 +941,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
     # filtered critic is its own lookup/train pair.
     f_ins = f_evc = 0
     f_lookups = f_hits = 0
-    cp_rows = None
+    cp_dot = None
     if ckind == _CR_PLAIN:
         if type(critic) is PerceptronPredictor:
             cp_ops = _perc_ops(critic)
-            cp_rows = cp_ops.rows
-            cp_inputs = cp_ops.inputs
+            cp_dot = cp_ops.dot
             cp_train = cp_ops.train
             cp_n = cp_ops.n
         else:
@@ -918,8 +989,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
     elif ckind == _CR_FPERC:
         fp = critic.perceptron
         fp_ops = _perc_ops(fp)
-        fp_rows = fp_ops.rows
-        fp_inputs = fp_ops.inputs
+        fp_dot = fp_ops.dot
         fp_train = fp_ops.train
         fp_n = fp_ops.n
 
@@ -1149,9 +1219,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                     (fs[8] ^ (bhr_val & gs_hmask)) & gs_imask
                                 ] > gs_mid
                             elif kind == _PERC:
-                                pred = sum(map(
-                                    mul, pp_rows[fs[8]], pp_inputs(bhr_val)
-                                )) >= 0
+                                pred = pp_dot(fs[8], bhr_val) >= 0
                             else:
                                 pred = p_predict(fs[2], bhr_val)[0]
                             bhr_val = ((bhr_val << 1) | pred) & bhr_mask
@@ -1190,8 +1258,8 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                         state = (c ^ (bhr_val & gs_hmask)) & gs_imask
                         pred = gs_raw[state] > gs_mid
                     elif kind == _PERC:
-                        state = pp_inputs(bhr_val)
-                        pred = sum(map(mul, pp_rows[c], state)) >= 0
+                        state = bhr_val
+                        pred = pp_dot(c, state) >= 0
                     else:
                         pred, state = p_predict(pc, bhr_val)
                     r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, k0, k1,
@@ -1257,13 +1325,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                             # Unfiltered critic: an opinion on every
                             # branch, no filter (its packed state rides
                             # in ``si``).
-                            if cp_rows is None:
+                            if cp_dot is None:
                                 final, si = c_predict(fe[0], bor_value)
                             else:
-                                si = cp_inputs(bor_value)
-                                final = sum(map(
-                                    mul, cp_rows[(fe[0] >> 2) % cp_n], si
-                                )) >= 0
+                                si = bor_value
+                                final = cp_dot((fe[0] >> 2) % cp_n, si) >= 0
                             r_cq[s] = (final, True, final, si, 0, bor_value)
                         elif ckind == _CR_LOOKUP:
                             found = c_lookup(fe[0], bor_value)
@@ -1292,9 +1358,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 if ckind == _CR_TAGGED:
                                     final = c_counters[si * c_ways + way] > 1
                                 else:
-                                    final = sum(map(
-                                        mul, fp_rows[k0 % fp_n], fp_inputs(bor_value)
-                                    )) >= 0
+                                    final = fp_dot(k0 % fp_n, bor_value) >= 0
                                 r_cq[s] = (final, True, final, si, tg, bor_value)
                             else:
                                 final = ppred
@@ -1540,7 +1604,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 # (predict, then update's recompute)
                                 # against weights nothing mutates in
                                 # between, so one dot is bit-identical.
-                                y = fp_train(k0 % fp_n, fp_inputs(borc), taken)
+                                y = fp_train(k0 % fp_n, borc, taken)
                                 if c_stats_on:
                                     fp_sn += 1
                                     c_sn += hit
@@ -1551,7 +1615,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                         # Unfiltered critic: trains on every dynamic
                         # branch with the BOR and packed state from its
                         # critique (the state rides in the ``si`` slot).
-                        if cp_rows is None:
+                        if cp_dot is None:
                             c_update(pc, borc, taken, cpred, si)
                         else:
                             if c_stats_on:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.utils.bitops import mask
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
 
 
 def mix64(value: int) -> int:
@@ -19,9 +20,9 @@ def mix64(value: int) -> int:
     scrambling of an integer key (e.g. per-site RNG streams). Not meant to
     model hardware.
     """
-    value = (value + _GOLDEN64) & mask(64)
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & mask(64)
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & mask(64)
+    value = (value + _GOLDEN64) & _MASK64
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
     return value ^ (value >> 31)
 
 

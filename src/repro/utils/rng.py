@@ -14,7 +14,7 @@ reproducible from its seed. Two tools provide this:
 
 from __future__ import annotations
 
-from repro.utils.hashing import mix64
+from repro.utils.hashing import _GOLDEN64, _MASK64, mix64
 
 _TWO64 = float(1 << 64)
 
@@ -28,12 +28,17 @@ class DeterministicRng:
     """
 
     def __init__(self, seed: int) -> None:
-        self._state = mix64(seed & ((1 << 64) - 1))
+        self._state = mix64(seed & _MASK64)
 
     def next_u64(self) -> int:
-        """Return the next 64-bit value in the stream."""
-        self._state = (self._state + 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
-        return mix64(self._state)
+        """Return the next 64-bit value in the stream: the state advanced
+        by the golden gamma, then :func:`mix64` of it (inlined, as this
+        is the program generator's innermost call)."""
+        self._state = value = (self._state + _GOLDEN64) & _MASK64
+        value = (value + _GOLDEN64) & _MASK64
+        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return value ^ (value >> 31)
 
     def random(self) -> float:
         """Return a float uniform in [0, 1)."""

@@ -13,7 +13,7 @@ matrix does not:
   against the critic's own hash over every window value;
 * what the kernel keeps alive between replays: precompute entries per
   program, live contexts per process, and the fold images' size;
-* the integer perceptron ops against the numpy perceptron;
+* the bit-sliced perceptron ops against the numpy perceptron;
 * dispatch: the retired scalar kernel refused by name, a prophet and a
   filtered critic without a fused arm, and systems the kernel refuses;
 * the hash-stability constraint: ``SweepCell.content_hash`` stays pinned
@@ -404,15 +404,16 @@ class TestReplayMemory:
 
 
 class TestPerceptronOps:
-    """The batched kernel's integer perceptron ops against the numpy
-    predictor: inputs, dot sign and training steps (saturation included,
-    from weights seeded at and next to both bounds), across the 8-bit
-    chunk edges of the history."""
+    """The batched kernel's bit-sliced perceptron ops against the numpy
+    predictor: the exact dot at every step and training steps
+    (saturation included, from weights seeded at and next to both
+    bounds), across plane widths up to and past one 64-bit word; the
+    load/write-back round trip; out-of-range weights refused."""
 
-    @pytest.mark.parametrize("history_length", [1, 7, 8, 9, 16, 24, 28, 33, 40, 47])
+    @pytest.mark.parametrize(
+        "history_length", [1, 7, 8, 9, 16, 24, 28, 33, 40, 47, 57, 63, 64, 65, 72]
+    )
     def test_matches_numpy_perceptron(self, history_length):
-        from operator import mul
-
         from repro.predictors.perceptron import PerceptronPredictor
 
         rng = np.random.default_rng(history_length)
@@ -425,17 +426,57 @@ class TestPerceptronOps:
         ops = batched._PerceptronOps(mirrored)
         for _ in range(300):
             pc = int(rng.integers(0, 1 << 20)) << 2
-            history = int(rng.integers(0, 1 << 62))  # wider than any h here
+            # Wider than any h here: the ops mask to the history length.
+            history = int(rng.integers(0, 1 << 62)) | int(rng.integers(0, 1 << 62)) << 62
             taken = bool(rng.integers(0, 2))
-            pred, x = oracle.predict_packed(pc, history)
-            ours = ops.inputs(history)
-            assert ours == tuple(x.tolist())
             row = (pc >> 2) % ops.n
-            assert (sum(map(mul, ops.rows[row], ours)) >= 0) == pred
+            y = int(
+                np.dot(oracle.weights[row].astype(np.int32), oracle._inputs(history))
+            )
+            assert ops.dot(row, history) == y
+            pred, x = oracle.predict_packed(pc, history)
             oracle.update_packed(pc, history, taken, pred, x)
-            ops.train(row, ours, taken)
+            assert ops.train(row, history, taken) == y
         ops.write_back()
         assert mirrored.weights.tobytes() == oracle.weights.tobytes()
+
+    @pytest.mark.parametrize("history_length", [1, 28, 57, 64, 65, 72])
+    @pytest.mark.parametrize("table", ["random", "zero"])
+    def test_load_write_back_round_trip(self, history_length, table):
+        """Every row re-encoded from its planes equals the loaded row,
+        bias column included; untouched rows are not written."""
+        from repro.predictors.perceptron import PerceptronPredictor
+
+        perceptron = PerceptronPredictor(37, history_length)
+        if table == "random":
+            rng = np.random.default_rng(history_length)
+            perceptron.weights[:] = rng.integers(
+                -128, 128, size=perceptron.weights.shape
+            )
+        loaded = perceptron.weights.tobytes()
+        ops = batched._PerceptronOps(perceptron)
+        perceptron.weights[:] = 99
+        ops.write_back()  # nothing trained: nothing written
+        assert not (perceptron.weights != 99).any()
+        # Equal rows under new identities count as trained.
+        ops.rows[:] = [row[:1] + row[1:] for row in ops.rows]
+        ops.write_back()
+        assert perceptron.weights.tobytes() == loaded
+
+    @pytest.mark.parametrize("weight", [128, -129])
+    @pytest.mark.parametrize("where", ["prophet", "critic"])
+    def test_out_of_range_weight_refused(self, weight, where):
+        """Eight planes hold [-128, 127] only: ``simulate`` refuses a
+        table with any other weight before it replays a branch."""
+        system = SystemSpec.hybrid(
+            "perceptron", 8, "filtered-perceptron", 8, future_bits=4
+        ).build()
+        perceptron = (
+            system.prophet if where == "prophet" else system.critic.perceptron
+        )
+        perceptron.weights[3, 5] = weight
+        with pytest.raises(ValueError, match=r"perceptron weights must lie in \[-128, 127\]"):
+            simulate(_program("gcc", 26), system, _CONFIG)
 
 
 class TestBackendDispatch:

@@ -85,11 +85,12 @@ def _gshare_params(bits: int):
     })
 
 
-#: Perceptron history lengths on both sides of the batched kernel's
-#: 8-bit input chunks: a lone partial chunk, whole chunks, and a partial
-#: fifth chunk.
+#: Perceptron history lengths across the widths of the batched kernel's
+#: bit planes: short planes, byte multiples, the Table-3 lengths (17, 24,
+#: 28, 47, 57), and planes at and past one 64-bit word.
 _PERCEPTRON_HISTORY = st.one_of(
-    st.integers(1, 7), st.sampled_from((8, 16, 24)), st.integers(33, 40)
+    st.integers(1, 7), st.sampled_from((8, 16, 17, 24, 28, 47, 57)),
+    st.integers(33, 40), st.sampled_from((63, 64, 65, 72)),
 )
 
 _GSKEW = st.tuples(st.just("2bc-gskew"), st.fixed_dictionaries({

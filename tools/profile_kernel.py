@@ -80,7 +80,8 @@ CELLS: list[dict] = [
     },
     # Perceptron cells: the perceptron as prophet (figures 5 and 9) and
     # as an unfiltered critic (figure 6a), both on the batched kernel's
-    # integer perceptron ops (the timing model's perceptron prophet too).
+    # bit-sliced perceptron ops, where a dot is popcounts over bit planes
+    # of the weights (the timing model's perceptron prophet too).
     {
         "id": "gcc/perceptron-8+tagged-8",
         "benchmark": "gcc",
