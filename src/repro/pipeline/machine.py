@@ -36,7 +36,7 @@ on the same program:
   probe runs inline on ``self.btb._sets``.
 * **Prophet.** 2Bc-gskew predicts inline from those constants and the
   ``_gskew_xor_tables`` images, the perceptron through the bit-sliced
-  ``_PerceptronOps`` bundle: a ``dot`` over the fetch-time BHR, which
+  ``PerceptronOps`` bundle: a ``dot`` over the fetch-time BHR, which
   the ring keeps as the prophet's state for the resolve-time ``train``.
   Any other prophet is called through its own
   ``predict_packed``/``update_packed``: the system's calls without the
@@ -44,10 +44,10 @@ on the same program:
 * **Critic.** The tagged-gshare and filtered-perceptron critics share an
   inline hash (the ``_critic_fold_tables`` images, or ``_fold_hash``
   outside their width gate) and filter probe; the opinion is a counter
-  read or a ``_PerceptronOps`` ``dot`` over the BOR. Unfiltered critics
+  read or a ``PerceptronOps`` ``dot`` over the BOR. Unfiltered critics
   use their packed calls, any other filtered critic its
   ``lookup``/``train``. Training runs at resolve, once per committed
-  branch: one call, or a ``_PerceptronOps`` ``train`` over the
+  branch: one call, or a ``PerceptronOps`` ``train`` over the
   critique-time BOR for a perceptron. Both bundles write their trained
   rows back to the int16 weights when ``run`` returns.
 * **In-flight ring.** Fetched branches are tuples in one power-of-two
@@ -77,6 +77,7 @@ from repro.core.hybrid import PredictionSystem, ProphetCriticSystem, SinglePredi
 from repro.engine.btb import BranchTargetBuffer
 from repro.pipeline.caches import MemoryModel
 from repro.pipeline.uarch import MachineConfig, TABLE2_MACHINE
+from repro.predictors.perceptron import PerceptronOps
 from repro.sim.driver import SimulationDesyncError
 from repro.workloads.program import Program
 
@@ -244,7 +245,7 @@ class TimedMachine:
         # weight mirrors written back in the ``finally`` below.
         perc_ops = []
         if perc:
-            perc_ops.append(batched._PerceptronOps(prophet))
+            perc_ops.append(PerceptronOps(prophet))
             pp_dot, pp_train = perc_ops[0].dot, perc_ops[0].train
         if fused:
             filt = critic.filter
@@ -266,7 +267,7 @@ class TimedMachine:
                 c_train = critic.train_hashed
             else:
                 fp = critic.perceptron
-                perc_ops.append(batched._PerceptronOps(fp))
+                perc_ops.append(PerceptronOps(fp))
                 fp_dot, fp_train = perc_ops[-1].dot, perc_ops[-1].train
                 fp_n = fp.n_perceptrons
         elif plain:

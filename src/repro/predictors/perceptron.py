@@ -98,6 +98,167 @@ class PerceptronPredictor(DirectionPredictor):
         super().reset()
         self.weights[:] = 0
 
+
+# -- bit-sliced perceptron ops ------------------------------------------------
+#
+# Every perceptron the batched kernel (``repro.sim.batched``) and the
+# timing model drive -- prophet, the filtered critic's inner perceptron,
+# an unfiltered perceptron critic -- goes through one bundle of
+# plain-int operations instead of small numpy calls. A weight row is ``(w0, s, p0, ..., p7)``: the bias weight, the sum of the h
+# history weights, and the bit planes of ``u = w + 128`` (``pk`` is an
+# h-bit int holding bit k of every history weight's u; lane j is
+# history bit j). Over the masked history ``b`` the ±1 dot
+#
+#     w0 + sum(w, j in b) - sum(w, j not in b)
+#       = w0 - s + 2 * (sum(2**k * popcount(pk & b)) - 128 * popcount(b))
+#
+# needs no input vector. A training step is a bit-sliced ripple: +1 on
+# the lanes whose input agrees with the outcome, -1 on the others,
+# minus the lanes at 255 (w = 127) or 0 (w = -128), which saturate;
+# ``s`` moves by the net count. This is exact: u stays in [0, 255], so
+# eight planes hold every weight in [WEIGHT_MIN, WEIGHT_MAX] and every
+# dot is the integer the numpy predictor (the differential tests'
+# oracle) computes. Setup stays O(rows): an all-zero table loads as one
+# shared row, and write-back converts only the trained rows through
+# numpy's packbits/unpackbits.
+
+
+class PerceptronOps:
+    """Bit-sliced integer op bundle over one :class:`PerceptronPredictor`
+    (see the section comment).
+
+    ``rows`` mirrors ``weights`` for the duration of a replay;
+    :meth:`write_back` stores the trained rows into the int16 array (a
+    replay loop does that in its ``finally``). ``dot(row, history)`` is the
+    predictor's output; ``train(row, history, taken)`` is
+    ``update_packed`` minus the stats (the dot is recomputed against
+    current weights) and returns the dot. A weight outside [WEIGHT_MIN,
+    WEIGHT_MAX], which eight planes cannot hold, raises ``ValueError``.
+    """
+
+    __slots__ = ("_perceptron", "_loaded", "rows", "n", "dot", "train")
+
+    def __init__(self, perceptron) -> None:
+        weights = perceptron.weights
+        w_min, w_max = perceptron.WEIGHT_MIN, perceptron.WEIGHT_MAX
+        if weights.min() < w_min or weights.max() > w_max:
+            raise ValueError(
+                f"{perceptron.name} weights must lie in [{w_min}, {w_max}]"
+            )
+        self._perceptron = perceptron
+        self.n = n = perceptron.n_perceptrons
+        h = perceptron.history_length
+        hmask = (1 << h) - 1
+        if weights.any():
+            self.rows = rows = _perceptron_rows(weights)
+        else:
+            # All-zero table: u = 128 in every lane, i.e. only plane 7.
+            self.rows = rows = [(0, 0, 0, 0, 0, 0, 0, 0, 0, hmask)] * n
+        self._loaded = list(rows)
+        thresh = perceptron.threshold
+
+        def dot(r, history):
+            w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[r]
+            b = history & hmask
+            return w0 - s + 2 * (
+                (p0 & b).bit_count() + 2 * (p1 & b).bit_count()
+                + 4 * (p2 & b).bit_count() + 8 * (p3 & b).bit_count()
+                + 16 * (p4 & b).bit_count() + 32 * (p5 & b).bit_count()
+                + 64 * (p6 & b).bit_count()
+                + 128 * ((p7 & b).bit_count() - b.bit_count())
+            )
+
+        def train(r, history, taken):
+            w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[r]
+            b = history & hmask
+            # dot(r, history), inlined: the planes are needed below.
+            y = w0 - s + 2 * (
+                (p0 & b).bit_count() + 2 * (p1 & b).bit_count()
+                + 4 * (p2 & b).bit_count() + 8 * (p3 & b).bit_count()
+                + 16 * (p4 & b).bit_count() + 32 * (p5 & b).bit_count()
+                + 64 * (p6 & b).bit_count()
+                + 128 * ((p7 & b).bit_count() - b.bit_count())
+            )
+            if (y >= 0) != taken or -thresh <= y <= thresh:
+                if taken:
+                    c, d = b, hmask ^ b
+                    w0 += w0 < w_max
+                else:
+                    c, d = hmask ^ b, b
+                    w0 -= w0 > w_min
+                # +1 on c, -1 on d, minus the lanes already saturated.
+                c &= ~(p0 & p1 & p2 & p3 & p4 & p5 & p6 & p7)
+                d &= p0 | p1 | p2 | p3 | p4 | p5 | p6 | p7
+                s += c.bit_count() - d.bit_count()
+                p0, c, d = p0 ^ c ^ d, c & p0, d & ~p0
+                p1, c, d = p1 ^ c ^ d, c & p1, d & ~p1
+                p2, c, d = p2 ^ c ^ d, c & p2, d & ~p2
+                p3, c, d = p3 ^ c ^ d, c & p3, d & ~p3
+                p4, c, d = p4 ^ c ^ d, c & p4, d & ~p4
+                p5, c, d = p5 ^ c ^ d, c & p5, d & ~p5
+                p6, c, d = p6 ^ c ^ d, c & p6, d & ~p6
+                rows[r] = (w0, s, p0, p1, p2, p3, p4, p5, p6, p7 ^ c ^ d)
+            return y
+
+        self.dot = dot
+        self.train = train
+
+    def write_back(self) -> None:
+        """Store the rows trained since loading into ``weights``."""
+        rows = self.rows
+        trained = [
+            i for i, (row, loaded) in enumerate(zip(rows, self._loaded))
+            if row is not loaded
+        ]
+        if not trained:
+            return
+        w0, _, *planes = zip(*[rows[i] for i in trained])
+        weights = self._perceptron.weights
+        h = weights.shape[1] - 1
+        n_words = (h + 63) // 64
+        if n_words == 1:
+            words = np.array(planes, dtype="<u8")[..., None]
+        else:
+            words = np.array(
+                [[[(p >> k) & 0xFFFF_FFFF_FFFF_FFFF for k in range(0, 64 * n_words, 64)]
+                  for p in plane] for plane in planes],
+                dtype="<u8",
+            )
+        # (8, m, words) planes -> (8, m, h) bits -> w per lane. Packing
+        # and unpacking run flat: along a short axis they are slower.
+        bits = np.unpackbits(words.view(np.uint8), axis=None, bitorder="little")
+        bits = bits.reshape(8, len(trained), 64 * n_words)[..., :h]
+        weights[trained, 0] = w0
+        weights[trained, 1:] = np.einsum("k,kmh->mh", _PLANE_VALUES, bits) - 128
+
+
+_PLANE_SHIFTS = np.arange(8, dtype=np.uint8)[:, None, None]
+_PLANE_VALUES = np.array([1 << k for k in range(8)], dtype=np.int16)
+
+
+def _perceptron_rows(weights) -> list:
+    """Bit-sliced ``(w0, s, p0, ..., p7)`` rows of an int16 weight table
+    whose weights lie in [-128, 127]."""
+    n, h = weights.shape[0], weights.shape[1] - 1
+    n_words = (h + 63) // 64
+    u = (weights[:, 1:] + 128).astype(np.uint8)
+    # (n, h) -> (8, n, h) bits, lane-padded to whole 64-bit words and
+    # packed flat (see write_back).
+    bits = np.zeros((8, n, 64 * n_words), dtype=np.uint8)
+    bits[..., :h] = (u >> _PLANE_SHIFTS) & 1
+    words = np.packbits(bits, axis=None, bitorder="little").view("<u8").reshape(8, n, -1)
+    planes = words[..., 0].tolist()
+    for k in range(1, n_words):
+        planes = [
+            [p | (q << (64 * k)) for p, q in zip(plane, high)]
+            for plane, high in zip(planes, words[..., k].tolist())
+        ]
+    return list(zip(
+        weights[:, 0].tolist(), weights[:, 1:].sum(axis=1).tolist(), *planes
+    ))
+
+
+
 @dataclass(frozen=True)
 class PerceptronParams:
     """Geometry schema for :class:`PerceptronPredictor` (defaults: Table-3 8KB)."""

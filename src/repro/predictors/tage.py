@@ -7,6 +7,14 @@ plus N partially-tagged components indexed with geometrically increasing
 history lengths, usefulness counters, and allocate-on-mispredict. The
 ablation bench compares a prophet/critic hybrid against a TAGE of equal
 budget (`experiments.ablations`).
+
+Each component keeps its entries as three flat lists, as the gskew and
+gshare banks keep ``_raw`` counter lists: ``tags`` (``INVALID`` marks an
+entry never allocated), ``ctrs`` (signed 3-bit, -4..3, >= 0 predicts
+taken) and ``useful`` (0..3). The object API (``predict_packed`` /
+``update_packed``) hashes with :func:`fold_bits` and is the oracle the
+differential tests hold :class:`TageOps`, the batched kernel's fused
+bundle over the same lists, to.
 """
 
 from __future__ import annotations
@@ -16,28 +24,23 @@ from dataclasses import dataclass
 from repro.predictors.base import DirectionPredictor
 from repro.predictors.registry import register_predictor
 from repro.utils.bitops import fold_bits, mask
-from repro.utils.hashing import mix64
+from repro.utils.hashing import _GOLDEN64, _MASK64, mix64
 
-
-@dataclass
-class _TageEntry:
-    tag: int = 0
-    ctr: int = 0  # signed 3-bit: -4..3; >= 0 predicts taken
-    useful: int = 0  # 0..3
-    valid: bool = False
+#: Tag of an entry that was never allocated: no folded tag equals it.
+INVALID = -1
 
 
 class _TageComponent:
-    """One partially-tagged TAGE bank."""
+    """One partially-tagged TAGE bank: its geometry and its flat lists."""
 
     def __init__(self, entries: int, tag_bits: int, history_length: int) -> None:
-        if entries & (entries - 1):
-            raise ValueError("entries must be a power of two")
         self.entries = entries
         self.index_bits = entries.bit_length() - 1
         self.tag_bits = tag_bits
         self.history_length = history_length
-        self.table = [_TageEntry() for _ in range(entries)]
+        self.tags = [INVALID] * entries
+        self.ctrs = [0] * entries
+        self.useful = [0] * entries
 
     def index(self, pc: int, history: int) -> int:
         folded = fold_bits(history, self.history_length, self.index_bits)
@@ -71,11 +74,24 @@ class TagePredictor(DirectionPredictor):
         super().__init__()
         if n_components < 1:
             raise ValueError("TAGE needs at least one tagged component")
+        for field, entries in (
+            ("base_entries", base_entries), ("component_entries", component_entries)
+        ):
+            if entries < 1 or entries & (entries - 1):
+                raise ValueError(f"{field} must be a power of two, got {entries}")
+        if min_history < 1:
+            raise ValueError(f"min_history must be at least 1, got {min_history}")
+        if max_history < min_history:
+            raise ValueError(
+                f"max_history ({max_history}) must be at least min_history "
+                f"({min_history})"
+            )
+        if tag_bits < 1:
+            raise ValueError(f"tag_bits must be at least 1, got {tag_bits}")
         self.base_entries = base_entries
         self._base_bits = base_entries.bit_length() - 1
-        if base_entries & (base_entries - 1):
-            raise ValueError("base_entries must be a power of two")
         self._base = [2] * base_entries  # 2-bit counters, weakly not-taken
+        self.tag_bits = tag_bits
         # Geometric history series L_i = min * (max/min)^(i/(n-1)).
         self.components: list[_TageComponent] = []
         for i in range(n_components):
@@ -133,8 +149,8 @@ class TagePredictor(DirectionPredictor):
         provider = None
         alternate = None
         for i in range(len(self.components) - 1, -1, -1):
-            entry = self.components[i].table[indices[i]]
-            if entry.valid and entry.tag == self._tag_of(i, pc, history, tags):
+            stored = self.components[i].tags[indices[i]]
+            if stored != INVALID and stored == self._tag_of(i, pc, history, tags):
                 if provider is None:
                     provider = i
                 else:
@@ -157,8 +173,7 @@ class TagePredictor(DirectionPredictor):
         provider, _alternate = self._find_cached(pc, history, indices, tags)
         if provider is None:
             return self._base_predict(pc), state
-        entry = self.components[provider].table[indices[provider]]
-        return entry.ctr >= 0, state
+        return self.components[provider].ctrs[indices[provider]] >= 0, state
 
     # -- update ------------------------------------------------------------------
 
@@ -177,9 +192,9 @@ class TagePredictor(DirectionPredictor):
             provider_pred = self._base_predict(pc)
             alt_pred = provider_pred
         else:
-            provider_pred = self.components[provider].table[indices[provider]].ctr >= 0
+            provider_pred = self.components[provider].ctrs[indices[provider]] >= 0
             if alternate is not None:
-                alt_pred = self.components[alternate].table[indices[alternate]].ctr >= 0
+                alt_pred = self.components[alternate].ctrs[indices[alternate]] >= 0
             else:
                 alt_pred = self._base_predict(pc)
 
@@ -187,17 +202,20 @@ class TagePredictor(DirectionPredictor):
         if provider is None:
             self._base_update(pc, taken)
         else:
-            entry = self.components[provider].table[indices[provider]]
-            if taken and entry.ctr < 3:
-                entry.ctr += 1
-            elif not taken and entry.ctr > -4:
-                entry.ctr -= 1
+            comp = self.components[provider]
+            idx = indices[provider]
+            ctr = comp.ctrs[idx]
+            if taken and ctr < 3:
+                comp.ctrs[idx] = ctr + 1
+            elif not taken and ctr > -4:
+                comp.ctrs[idx] = ctr - 1
             # Usefulness: the provider proved its worth when it beat the alt.
             if provider_pred != alt_pred:
-                if provider_pred == taken and entry.useful < 3:
-                    entry.useful += 1
-                elif provider_pred != taken and entry.useful > 0:
-                    entry.useful -= 1
+                useful = comp.useful[idx]
+                if provider_pred == taken and useful < 3:
+                    comp.useful[idx] = useful + 1
+                elif provider_pred != taken and useful > 0:
+                    comp.useful[idx] = useful - 1
             if alternate is None and provider == 0:
                 self._base_update(pc, taken)
 
@@ -218,38 +236,230 @@ class TagePredictor(DirectionPredictor):
         indices: list[int],
         tags: list[int | None],
     ) -> None:
-        candidates = []
-        for i in range(start, len(self.components)):
-            entry = self.components[i].table[indices[i]]
-            if not entry.valid or entry.useful == 0:
-                candidates.append(i)
+        comps = self.components
+        candidates = [
+            i for i in range(start, len(comps))
+            if comps[i].tags[indices[i]] == INVALID or comps[i].useful[indices[i]] == 0
+        ]
         if not candidates:
             # Pressure release: age everything on the allocation path.
-            for i in range(start, len(self.components)):
-                entry = self.components[i].table[indices[i]]
-                if entry.useful > 0:
-                    entry.useful -= 1
+            for i in range(start, len(comps)):
+                useful = comps[i].useful
+                if useful[indices[i]] > 0:
+                    useful[indices[i]] -= 1
             return
         # Prefer shorter histories with 2/3 probability (standard TAGE).
         self._alloc_state = mix64(self._alloc_state)
         pick = candidates[0]
         if len(candidates) > 1 and (self._alloc_state & 3) == 3:
             pick = candidates[1]
-        entry = self.components[pick].table[indices[pick]]
-        entry.valid = True
-        entry.tag = self._tag_of(pick, pc, history, tags)
-        entry.ctr = 0 if taken else -1
-        entry.useful = 0
+        comp = comps[pick]
+        idx = indices[pick]
+        comp.tags[idx] = self._tag_of(pick, pc, history, tags)
+        comp.ctrs[idx] = 0 if taken else -1
+        comp.useful[idx] = 0
 
     def storage_bits(self) -> int:
         return self.base_entries * 2 + sum(c.storage_bits() for c in self.components)
 
     def reset(self) -> None:
         super().reset()
-        self._base = [2] * self.base_entries
+        self._base[:] = [2] * self.base_entries
         for comp in self.components:
-            comp.table = [_TageEntry() for _ in range(comp.entries)]
+            comp.tags[:] = [INVALID] * comp.entries
+            comp.ctrs[:] = [0] * comp.entries
+            comp.useful[:] = [0] * comp.entries
         self._alloc_state = mix64(self._seed)
+
+
+# -- fused op bundle ----------------------------------------------------------
+#
+# The batched kernel predicts a TAGE at every fetch, wrong-path fill
+# included (about five predicts per committed branch), and trains it once
+# per resolve. ``TageOps`` binds the predictor's flat lists, so there is
+# nothing to load or write back, and replaces the ``fold_bits`` loops with
+# precomputed log-step plans: a fold of an L-bit value into w-bit chunks
+# XORs the upper half of the chunks onto the lower half,
+# ceil(log2(ceil(L / w))) times. The components share one index width, so
+# all their index folds run as one: the history is multiplied into one
+# lane per component, each lane masked to its component's history length
+# and padded to a power-of-two count of chunks, and each log-step then
+# halves every lane at once (SWAR). Tags are folded only for an entry
+# that is valid, as the object API hashes them lazily.
+
+
+def _fold_plan(length: int, width: int) -> tuple[int, tuple]:
+    """``(history mask, steps)`` folding ``length`` history bits into
+    ``width`` bits: ``x = history & mask``, then ``x = (x >> s) ^ (x & m)``
+    per step gives ``fold_bits(history, length, width)``."""
+    if width <= 0:
+        return 0, ()
+    steps = []
+    chunks = -(-length // width)
+    while chunks > 1:
+        chunks = (chunks + 1) // 2
+        steps.append((chunks * width, (1 << (chunks * width)) - 1))
+    return mask(length), tuple(steps)
+
+
+class TageOps:
+    """Fused op bundle over one :class:`TagePredictor` (see the section
+    comment), in the shape of :class:`~repro.predictors.perceptron.PerceptronOps`.
+
+    Both ops take ``w = pc >> 2``. ``predict(w, history)`` is the bit
+    ``predict_packed`` returns, searching from the longest component and
+    stopping at the first tag hit. ``train(w, history, taken)`` is
+    ``update_packed`` minus the stats: it recomputes the folds from the
+    fetch-time history and re-runs the provider search against current
+    tables. The ops read and write the predictor's own lists, so unlike
+    the perceptron bundle there is nothing to write back.
+    """
+
+    __slots__ = ("predict", "train")
+
+    def __init__(self, tage: TagePredictor) -> None:
+        comps = tage.components
+        n = len(comps)
+        ib = comps[0].index_bits
+        imask = mask(ib)
+        tmask = mask(tage.tag_bits)
+        base = tage._base
+        bmask = mask(tage._base_bits)
+        # SWAR index fold: lane i (from bit i * lane) holds component i's
+        # history, in a power-of-two count of ib-bit chunks.
+        hmask = mask(tage.history_length)
+        lane = max(ib, 1)
+        while lane < tage.history_length:
+            lane *= 2
+        rep = lanes = 0
+        for i, comp in enumerate(comps):
+            rep |= 1 << (i * lane)
+            lanes |= mask(comp.history_length) << (i * lane)
+        iplan = []
+        half = lane // 2
+        while ib and half >= ib:
+            iplan.append((half, rep * mask(half)))
+            half //= 2
+        if not ib:
+            rep = lanes = 0
+        iplan = tuple(iplan)
+        shifts = [i * lane for i in range(n)]
+        tag_plans = [
+            _fold_plan(c.history_length, tage.tag_bits)
+            + _fold_plan(c.history_length, tage.tag_bits - 1)
+            for c in comps
+        ]
+        tags = [c.tags for c in comps]
+        ctrs = [c.ctrs for c in comps]
+        useful = [c.useful for c in comps]
+        # Longest component first, as the provider search runs.
+        search = tuple(zip(range(n), shifts, tags, ctrs))[::-1]
+
+        def index_lanes(w, history):
+            """Every component's index, lane i at bit ``shifts[i]``."""
+            v = ((history & hmask) * rep) & lanes
+            for s, m in iplan:
+                v = (v ^ (v >> s)) & m
+            return v ^ ((w ^ (w >> ib)) & imask) * rep
+
+        def tag_of(i, w, history):
+            l1, p1, l2, p2 = tag_plans[i]
+            x = history & l1
+            for s, m in p1:
+                x = (x >> s) ^ (x & m)
+            y = history & l2
+            for s, m in p2:
+                y = (y >> s) ^ (y & m)
+            return (w ^ x ^ (y << 1)) & tmask
+
+        def predict(w, history):
+            v = index_lanes(w, history)
+            for i, sh, ctags, cctrs in search:
+                idx = (v >> sh) & imask
+                t = ctags[idx]
+                if t >= 0 and t == tag_of(i, w, history):
+                    return cctrs[idx] >= 0
+            return base[w & bmask] >= 2
+
+        def train(w, history, taken):
+            v = index_lanes(w, history)
+            idxs = [(v >> sh) & imask for sh in shifts]
+            memo = [INVALID] * n
+            provider = alternate = -1
+            for i in range(n - 1, -1, -1):
+                t = tags[i][idxs[i]]
+                if t >= 0:
+                    memo[i] = tag = tag_of(i, w, history)
+                    if t == tag:
+                        if provider < 0:
+                            provider = i
+                        else:
+                            alternate = i
+                            break
+            bi = w & bmask
+            if provider < 0:
+                provider_pred = base[bi] >= 2
+            else:
+                idx = idxs[provider]
+                pctrs = ctrs[provider]
+                ctr = pctrs[idx]
+                provider_pred = ctr >= 0
+                if alternate >= 0:
+                    alt_pred = ctrs[alternate][idxs[alternate]] >= 0
+                else:
+                    alt_pred = base[bi] >= 2
+                if taken:
+                    if ctr < 3:
+                        pctrs[idx] = ctr + 1
+                elif ctr > -4:
+                    pctrs[idx] = ctr - 1
+                if provider_pred != alt_pred:
+                    pu = useful[provider]
+                    u = pu[idx]
+                    if provider_pred == taken:
+                        if u < 3:
+                            pu[idx] = u + 1
+                    elif u > 0:
+                        pu[idx] = u - 1
+            # The base trains when no component hit, and alongside a
+            # shortest-history provider that has no alternate.
+            if provider < 0 or (provider == 0 and alternate < 0):
+                bv = base[bi]
+                if taken:
+                    if bv < 3:
+                        base[bi] = bv + 1
+                elif bv > 0:
+                    base[bi] = bv - 1
+            if provider_pred == taken:
+                return
+            # Allocate a longer-history entry on a provider mispredict.
+            candidates = [
+                i for i in range(provider + 1, n)
+                if tags[i][idxs[i]] < 0 or useful[i][idxs[i]] == 0
+            ]
+            if not candidates:
+                for i in range(provider + 1, n):
+                    cu = useful[i]
+                    if cu[idxs[i]] > 0:
+                        cu[idxs[i]] -= 1
+                return
+            # mix64(tage._alloc_state), inlined.
+            a = (tage._alloc_state + _GOLDEN64) & _MASK64
+            a = ((a ^ (a >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            a = ((a ^ (a >> 27)) * 0x94D049BB133111EB) & _MASK64
+            tage._alloc_state = a = a ^ (a >> 31)
+            pick = candidates[0]
+            if len(candidates) > 1 and (a & 3) == 3:
+                pick = candidates[1]
+            idx = idxs[pick]
+            tag = memo[pick]
+            tags[pick][idx] = tag if tag >= 0 else tag_of(pick, w, history)
+            ctrs[pick][idx] = 0 if taken else -1
+            useful[pick][idx] = 0
+
+        self.predict = predict
+        self.train = train
+
 
 @dataclass(frozen=True)
 class TageParams:

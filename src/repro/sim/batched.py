@@ -34,13 +34,15 @@ critic history of h bits.
 ``simulate_batched`` runs every exact :class:`SinglePredictorSystem`
 and :class:`ProphetCriticSystem`, the shapes ``TimedMachine`` runs too,
 and raises ``TypeError`` for any other system. The prophets the sweeps
-run most — 2bc-gskew, gshare and the perceptron — have fused arms; every
-other prophet (TAGE, YAGS, local, tournament, ...) is called through its
-own ``predict_packed``/``update_packed``. Critics come in four shapes:
+run most — 2bc-gskew, gshare, the perceptron and TAGE — have fused arms
+(the perceptron and TAGE through op bundles that live beside their
+predictors, ``PerceptronOps`` and ``TageOps``); every other prophet
+(YAGS, local, tournament, ...) is called through its own
+``predict_packed``/``update_packed``. Critics come in four shapes:
 the tagged-gshare and filtered-perceptron critics (fused), any other
 filtered critic (its own ``lookup``/``train``), and any unfiltered
-critic (its packed calls; the perceptron through the loop's bit-sliced
-perceptron ops). Both system shapes run through one
+critic (its packed calls; the perceptron through its bit-sliced
+``PerceptronOps``). Both system shapes run through one
 replay loop, :func:`_replay`: a single predictor is the prophet/critic
 machine with no critic, exactly as in the reference kernel. The loop has
 one fetch step for aligned and wrong-path fetches and one critique
@@ -75,7 +77,8 @@ from repro.engine.executor import ArchitecturalExecutor
 from repro.predictors.filtered_perceptron import FilteredPerceptronPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.gskew import TwoBcGskewPredictor
-from repro.predictors.perceptron import PerceptronPredictor
+from repro.predictors.perceptron import PerceptronOps, PerceptronPredictor
+from repro.predictors.tage import TageOps, TagePredictor
 from repro.predictors.tagged_gshare import TaggedGsharePredictor
 from repro.sim.driver import SimulationDesyncError
 from repro.sim.metrics import RunStats
@@ -84,7 +87,7 @@ from repro.sim.metrics import RunStats
 #: limit and the drop-oldest RAS bound of the fused wrong-path walker.
 _RAS_CAPACITY = 64
 
-_PACKED, _GSKEW, _GSHARE, _PERC = 0, 1, 2, 3
+_PACKED, _GSKEW, _GSHARE, _PERC, _TAGE = 0, 1, 2, 3, 4
 
 #: Prophets with a fused arm, by exact type: a subclass may override
 #: behaviour the arm inlines. Every other prophet is ``_PACKED``, called
@@ -93,6 +96,7 @@ _PROPHET_KINDS = {
     TwoBcGskewPredictor: _GSKEW,
     GsharePredictor: _GSHARE,
     PerceptronPredictor: _PERC,
+    TagePredictor: _TAGE,
 }
 
 #: Critic shapes. The two filtered critics are fused by exact type, like
@@ -294,165 +298,6 @@ def _gskew_xor_tables(prophet):
             _GSKEW_XOR_CACHE.clear()
         _GSKEW_XOR_CACHE[n] = hit = (hx, hv)
     return hit
-
-
-# -- bit-sliced perceptron ops ------------------------------------------------
-#
-# Every perceptron the loop drives -- prophet, the filtered critic's
-# inner perceptron, an unfiltered perceptron critic -- goes through one
-# bundle of plain-int operations instead of small numpy calls. A weight
-# row is ``(w0, s, p0, ..., p7)``: the bias weight, the sum of the h
-# history weights, and the bit planes of ``u = w + 128`` (``pk`` is an
-# h-bit int holding bit k of every history weight's u; lane j is
-# history bit j). Over the masked history ``b`` the ±1 dot
-#
-#     w0 + sum(w, j in b) - sum(w, j not in b)
-#       = w0 - s + 2 * (sum(2**k * popcount(pk & b)) - 128 * popcount(b))
-#
-# needs no input vector. A training step is a bit-sliced ripple: +1 on
-# the lanes whose input agrees with the outcome, -1 on the others,
-# minus the lanes at 255 (w = 127) or 0 (w = -128), which saturate;
-# ``s`` moves by the net count. This is exact: u stays in [0, 255], so
-# eight planes hold every weight in [WEIGHT_MIN, WEIGHT_MAX] and every
-# dot is the integer the numpy predictor (the differential tests'
-# oracle) computes. Setup stays O(rows): an all-zero table loads as one
-# shared row, and write-back converts only the trained rows through
-# numpy's packbits/unpackbits.
-
-
-class _PerceptronOps:
-    """Bit-sliced integer op bundle over one :class:`PerceptronPredictor`
-    (see the section comment).
-
-    ``rows`` mirrors ``weights`` for the duration of a replay;
-    :meth:`write_back` stores the trained rows into the int16 array (the
-    loop does that in its ``finally``). ``dot(row, history)`` is the
-    predictor's output; ``train(row, history, taken)`` is
-    ``update_packed`` minus the stats (the dot is recomputed against
-    current weights) and returns the dot. A weight outside [WEIGHT_MIN,
-    WEIGHT_MAX], which eight planes cannot hold, raises ``ValueError``.
-    """
-
-    __slots__ = ("_perceptron", "_loaded", "rows", "n", "dot", "train")
-
-    def __init__(self, perceptron) -> None:
-        weights = perceptron.weights
-        w_min, w_max = perceptron.WEIGHT_MIN, perceptron.WEIGHT_MAX
-        if weights.min() < w_min or weights.max() > w_max:
-            raise ValueError(
-                f"{perceptron.name} weights must lie in [{w_min}, {w_max}]"
-            )
-        self._perceptron = perceptron
-        self.n = n = perceptron.n_perceptrons
-        h = perceptron.history_length
-        hmask = (1 << h) - 1
-        if weights.any():
-            self.rows = rows = _perceptron_rows(weights)
-        else:
-            # All-zero table: u = 128 in every lane, i.e. only plane 7.
-            self.rows = rows = [(0, 0, 0, 0, 0, 0, 0, 0, 0, hmask)] * n
-        self._loaded = list(rows)
-        thresh = perceptron.threshold
-
-        def dot(r, history):
-            w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[r]
-            b = history & hmask
-            return w0 - s + 2 * (
-                (p0 & b).bit_count() + 2 * (p1 & b).bit_count()
-                + 4 * (p2 & b).bit_count() + 8 * (p3 & b).bit_count()
-                + 16 * (p4 & b).bit_count() + 32 * (p5 & b).bit_count()
-                + 64 * (p6 & b).bit_count()
-                + 128 * ((p7 & b).bit_count() - b.bit_count())
-            )
-
-        def train(r, history, taken):
-            w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[r]
-            b = history & hmask
-            # dot(r, history), inlined: the planes are needed below.
-            y = w0 - s + 2 * (
-                (p0 & b).bit_count() + 2 * (p1 & b).bit_count()
-                + 4 * (p2 & b).bit_count() + 8 * (p3 & b).bit_count()
-                + 16 * (p4 & b).bit_count() + 32 * (p5 & b).bit_count()
-                + 64 * (p6 & b).bit_count()
-                + 128 * ((p7 & b).bit_count() - b.bit_count())
-            )
-            if (y >= 0) != taken or -thresh <= y <= thresh:
-                if taken:
-                    c, d = b, hmask ^ b
-                    w0 += w0 < w_max
-                else:
-                    c, d = hmask ^ b, b
-                    w0 -= w0 > w_min
-                # +1 on c, -1 on d, minus the lanes already saturated.
-                c &= ~(p0 & p1 & p2 & p3 & p4 & p5 & p6 & p7)
-                d &= p0 | p1 | p2 | p3 | p4 | p5 | p6 | p7
-                s += c.bit_count() - d.bit_count()
-                p0, c, d = p0 ^ c ^ d, c & p0, d & ~p0
-                p1, c, d = p1 ^ c ^ d, c & p1, d & ~p1
-                p2, c, d = p2 ^ c ^ d, c & p2, d & ~p2
-                p3, c, d = p3 ^ c ^ d, c & p3, d & ~p3
-                p4, c, d = p4 ^ c ^ d, c & p4, d & ~p4
-                p5, c, d = p5 ^ c ^ d, c & p5, d & ~p5
-                p6, c, d = p6 ^ c ^ d, c & p6, d & ~p6
-                rows[r] = (w0, s, p0, p1, p2, p3, p4, p5, p6, p7 ^ c ^ d)
-            return y
-
-        self.dot = dot
-        self.train = train
-
-    def write_back(self) -> None:
-        """Store the rows trained since loading into ``weights``."""
-        rows = self.rows
-        trained = [
-            i for i, (row, loaded) in enumerate(zip(rows, self._loaded))
-            if row is not loaded
-        ]
-        if not trained:
-            return
-        w0, _, *planes = zip(*[rows[i] for i in trained])
-        weights = self._perceptron.weights
-        h = weights.shape[1] - 1
-        n_words = (h + 63) // 64
-        if n_words == 1:
-            words = np.array(planes, dtype="<u8")[..., None]
-        else:
-            words = np.array(
-                [[[(p >> k) & 0xFFFF_FFFF_FFFF_FFFF for k in range(0, 64 * n_words, 64)]
-                  for p in plane] for plane in planes],
-                dtype="<u8",
-            )
-        # (8, m, words) planes -> (8, m, h) bits -> w per lane. Packing
-        # and unpacking run flat: along a short axis they are slower.
-        bits = np.unpackbits(words.view(np.uint8), axis=None, bitorder="little")
-        bits = bits.reshape(8, len(trained), 64 * n_words)[..., :h]
-        weights[trained, 0] = w0
-        weights[trained, 1:] = np.einsum("k,kmh->mh", _PLANE_VALUES, bits) - 128
-
-
-_PLANE_SHIFTS = np.arange(8, dtype=np.uint8)[:, None, None]
-_PLANE_VALUES = np.array([1 << k for k in range(8)], dtype=np.int16)
-
-
-def _perceptron_rows(weights) -> list:
-    """Bit-sliced ``(w0, s, p0, ..., p7)`` rows of an int16 weight table
-    whose weights lie in [-128, 127]."""
-    n, h = weights.shape[0], weights.shape[1] - 1
-    n_words = (h + 63) // 64
-    u = (weights[:, 1:] + 128).astype(np.uint8)
-    # (n, h) -> (8, n, h) bits, lane-padded to whole 64-bit words and
-    # packed flat (see write_back).
-    bits = np.zeros((8, n, 64 * n_words), dtype=np.uint8)
-    bits[..., :h] = (u >> _PLANE_SHIFTS) & 1
-    words = np.packbits(bits, axis=None, bitorder="little").view("<u8").reshape(8, n, -1)
-    planes = words[..., 0].tolist()
-    for k in range(1, n_words):
-        planes = [
-            [p | (q << (64 * k)) for p, q in zip(plane, high)]
-            for plane, high in zip(planes, words[..., k].tolist())
-        ]
-    return list(zip(
-        weights[:, 0].tolist(), weights[:, 1:].sum(axis=1).tolist(), *planes
-    ))
 
 
 def _make_flattener(compiled, use_btb: bool, set_mask: int, set_bits: int, pc_consts):
@@ -781,10 +626,15 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 #   predictor single cells by 34-39 % (docs/PERFORMANCE.md);
 # * resolve -- no critic training and no filter stats.
 #
-# A prophet without a fused arm (``kind == _PACKED``) is called the way
-# ``ProphetCriticSystem`` calls it: ``predict_packed(pc, bhr)`` at every
-# fetch, wrong-path ones included, and ``update_packed`` at resolve with
-# the packed state from its fetch.
+# The perceptron and TAGE arms call their bundle's ops: a predict at
+# every fetch over the pc column ``c`` (the perceptron's row, or
+# ``pc >> 2``) and the live BHR, and at resolve ``train(c, bhrb,
+# taken)`` with ``c`` kept as the ring state. TAGE's train recomputes
+# its history folds from ``bhrb`` rather than carrying them in the
+# ring. A prophet without a fused arm (``kind == _PACKED``) is called
+# the way ``ProphetCriticSystem`` calls it: ``predict_packed(pc, bhr)``
+# at every fetch, wrong-path ones included, and ``update_packed`` at
+# resolve with the packed state from its fetch.
 #
 # An unfiltered critic (``ckind == _CR_PLAIN``, §7.2) keeps the hybrid
 # event loop and swaps only the critic's two calls, made in the same
@@ -907,7 +757,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         for ops in perc_ops:
             if ops._perceptron is perceptron:
                 return ops
-        perc_ops.append(_PerceptronOps(perceptron))
+        perc_ops.append(PerceptronOps(perceptron))
         return perc_ops[-1]
 
     if kind == _GSKEW:
@@ -926,8 +776,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
     elif kind == _PERC:
         pp_ops = _perc_ops(prophet)
         pp_dot = pp_ops.dot
-        pp_train = pp_ops.train
-        pp_n = pp_ops.n
+        p_train = pp_ops.train
+    elif kind == _TAGE:
+        tg_ops = TageOps(prophet)
+        tg_predict = tg_ops.predict
+        p_train = tg_ops.train
     else:
         p_predict = prophet.predict_packed
 
@@ -1058,7 +911,9 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         system.set_stats_enabled(False)
     # Hoist after the toggle so the stats gates are the live ones (the
     # filtered perceptron's flag is its inner perceptron's).
-    p_stats_on = (kind == _GSKEW or kind == _PERC) and prophet.stats_enabled
+    p_stats_on = (
+        kind == _GSKEW or kind == _PERC or kind == _TAGE
+    ) and prophet.stats_enabled
     c_stats_on = ckind and critic.stats_enabled
     p_sn = p_sc = c_sn = c_sc = fp_sn = fp_sc = 0
     depth1 = depth + 1
@@ -1220,6 +1075,8 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 ] > gs_mid
                             elif kind == _PERC:
                                 pred = pp_dot(fs[8], bhr_val) >= 0
+                            elif kind == _TAGE:
+                                pred = tg_predict(fs[8], bhr_val)
                             else:
                                 pred = p_predict(fs[2], bhr_val)[0]
                             bhr_val = ((bhr_val << 1) | pred) & bhr_mask
@@ -1258,8 +1115,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                         state = (c ^ (bhr_val & gs_hmask)) & gs_imask
                         pred = gs_raw[state] > gs_mid
                     elif kind == _PERC:
-                        state = bhr_val
-                        pred = pp_dot(c, state) >= 0
+                        state = c
+                        pred = pp_dot(c, bhr_val) >= 0
+                    elif kind == _TAGE:
+                        state = c
+                        pred = tg_predict(c, bhr_val)
                     else:
                         pred, state = p_predict(pc, bhr_val)
                     r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, k0, k1,
@@ -1547,12 +1407,14 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                     gk_meta[mi] = mv + 1
                             elif mv > 0:
                                 gk_meta[mi] = mv - 1
-                    elif kind == _PERC:
+                    elif kind == _PERC or kind == _TAGE:
+                        # A bundle's train: ``state`` is its fetch-time
+                        # pc column (perceptron row, or pc >> 2 for TAGE).
                         if p_stats_on:
                             p_sn += 1
                             if ppred == taken:
                                 p_sc += 1
-                        pp_train((pc >> 2) % pp_n, state, taken)
+                        p_train(state, bhrb, taken)
                     else:
                         prophet_update(pc, bhrb, taken, ppred, state)
                     # Critic training (critic-less: none). The filtered

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.predictors import TagePredictor
+from repro.predictors.tage import INVALID
 from tests.predictors.test_table_predictors import drive
 
 
@@ -61,15 +62,41 @@ class TestTage:
     def test_usefulness_protects_entries(self):
         p = TagePredictor(n_components=2, component_entries=16)
         comp = p.components[0]
-        entry = comp.table[0]
-        entry.valid = True
-        entry.useful = 3
-        entry_tag = entry.tag
+        comp.tags[0] = entry_tag = 0  # valid
+        comp.useful[0] = 3
         # Allocation pressure: many mispredicts elsewhere should not
         # instantly evict a maximally-useful entry at a different index.
         for i in range(20):
             pc = 0x8000 + 64 * i
             pred = p.predict(pc, 0)
             p.update(pc, 0, taken=not pred, predicted=pred)
-        assert comp.table[0].valid
-        assert comp.table[0].tag == entry_tag or comp.table[0].useful == 0
+        assert comp.tags[0] != INVALID
+        assert comp.tags[0] == entry_tag or comp.useful[0] == 0
+
+    @pytest.mark.parametrize(
+        ("params", "field"),
+        [
+            ({"min_history": 0}, "min_history"),
+            ({"min_history": -3}, "min_history"),
+            ({"min_history": 40, "max_history": 20}, "max_history"),
+            ({"n_components": 1, "min_history": 8, "max_history": 4}, "max_history"),
+            ({"tag_bits": 0}, "tag_bits"),
+            ({"tag_bits": -1}, "tag_bits"),
+            ({"component_entries": 0}, "component_entries"),
+            ({"base_entries": 3}, "base_entries"),
+        ],
+    )
+    def test_rejects_bad_geometry_naming_the_field(self, params, field):
+        """A geometry the predictor cannot run is a ValueError naming the
+        field, not a ZeroDivisionError or a silently odd history series."""
+        with pytest.raises(ValueError, match=field):
+            TagePredictor(**params)
+
+    def test_accepts_the_smallest_geometry(self):
+        p = TagePredictor(
+            n_components=2, base_entries=1, component_entries=1,
+            min_history=1, max_history=1, tag_bits=1,
+        )
+        assert [c.history_length for c in p.components] == [1, 1]
+        pred = p.predict(0x4000, 0b1)
+        p.update(0x4000, 0b1, taken=not pred, predicted=pred)

@@ -189,6 +189,13 @@ class TestRejections:
             # The retired kernel knob is an unknown key like any other.
             (_payload(backend="batched"), None, "'backend'"),
             (_payload(bogus_key=1), None, "unknown job key"),
+            # A TAGE geometry the predictor cannot run, named at submit.
+            (_payload(systems={"t": {"kind": "single", "prophet": {
+                "kind": "tage", "params": {"min_history": 0}}}}),
+             "systems", "min_history"),
+            (_payload(systems={"t": {"kind": "single", "prophet": {
+                "kind": "tage", "params": {"tag_bits": -1}}}}),
+             "systems", "tag_bits"),
         ],
     )
     def test_malformed_config_rejected_with_section(

@@ -414,7 +414,7 @@ class TestPerceptronOps:
         "history_length", [1, 7, 8, 9, 16, 24, 28, 33, 40, 47, 57, 63, 64, 65, 72]
     )
     def test_matches_numpy_perceptron(self, history_length):
-        from repro.predictors.perceptron import PerceptronPredictor
+        from repro.predictors.perceptron import PerceptronOps, PerceptronPredictor
 
         rng = np.random.default_rng(history_length)
         oracle = PerceptronPredictor(5, history_length)
@@ -423,7 +423,7 @@ class TestPerceptronOps:
         )
         mirrored = PerceptronPredictor(5, history_length)
         mirrored.weights[:] = oracle.weights
-        ops = batched._PerceptronOps(mirrored)
+        ops = PerceptronOps(mirrored)
         for _ in range(300):
             pc = int(rng.integers(0, 1 << 20)) << 2
             # Wider than any h here: the ops mask to the history length.
@@ -445,7 +445,7 @@ class TestPerceptronOps:
     def test_load_write_back_round_trip(self, history_length, table):
         """Every row re-encoded from its planes equals the loaded row,
         bias column included; untouched rows are not written."""
-        from repro.predictors.perceptron import PerceptronPredictor
+        from repro.predictors.perceptron import PerceptronOps, PerceptronPredictor
 
         perceptron = PerceptronPredictor(37, history_length)
         if table == "random":
@@ -454,7 +454,7 @@ class TestPerceptronOps:
                 -128, 128, size=perceptron.weights.shape
             )
         loaded = perceptron.weights.tobytes()
-        ops = batched._PerceptronOps(perceptron)
+        ops = PerceptronOps(perceptron)
         perceptron.weights[:] = 99
         ops.write_back()  # nothing trained: nothing written
         assert not (perceptron.weights != 99).any()
@@ -479,6 +479,71 @@ class TestPerceptronOps:
             simulate(_program("gcc", 26), system, _CONFIG)
 
 
+class TestTageOps:
+    """The batched kernel's fused TAGE ops against the object API: the
+    predicted bit and every training step (provider search, usefulness,
+    allocation draw, pressure release) at every step, then the end tables
+    and the allocation state, over geometries whose history lengths are
+    and are not multiples of the index and tag widths."""
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            # 1 component; L = 8 is a multiple of neither width.
+            {"n_components": 1, "min_history": 8, "component_entries": 64},
+            # 8 components, L = 3..200 (past 64 and 128 bits): 18 and 60
+            # are multiples of the 6-bit index width, 60 and 200 of the
+            # 4-bit tag width.
+            {"n_components": 8, "min_history": 3, "max_history": 200,
+             "component_entries": 64, "tag_bits": 4},
+            # L = 9, 27, 81: multiples of the 9-bit tag width.
+            {"n_components": 3, "min_history": 9, "max_history": 81,
+             "component_entries": 128},
+            # L = 10, 40, 160: multiples of the 10-bit index width.
+            {"n_components": 3, "min_history": 10, "max_history": 160,
+             "component_entries": 1024},
+            # The 16KB preset the workloads run: L = 5..130.
+            {"base_entries": 8192, "component_entries": 1024},
+            {"n_components": 4, "min_history": 5, "max_history": 130,
+             "component_entries": 16, "tag_bits": 1},
+            {"n_components": 3, "min_history": 2, "max_history": 70,
+             "base_entries": 1, "component_entries": 1, "tag_bits": 2},
+        ],
+        ids=["one-component", "eight-components", "tag-multiples",
+             "index-multiples", "preset-16kb", "tag-bits-1", "one-entry"],
+    )
+    def test_matches_object_api(self, geometry):
+        from repro.predictors.tage import TageOps, TagePredictor
+
+        rng = np.random.default_rng(len(repr(geometry)))
+        oracle = TagePredictor(**geometry)
+        fused = TagePredictor(**geometry)
+        ops = TageOps(fused)
+        h = oracle.history_length
+        pcs = [int(pc) << 2 for pc in rng.integers(0, 1 << 20, size=48)]
+        history = 0
+        for step in range(3000):
+            pc = pcs[int(rng.integers(0, len(pcs)))]
+            if step % 5 == 4:
+                # Bits above the longest history: both sides mask them.
+                history = int(rng.integers(0, 1 << 62)) << 80 | int(
+                    rng.integers(0, 1 << 62)
+                ) << 20 | history
+            pred, state = oracle.predict_packed(pc, history)
+            assert ops.predict(pc >> 2, history) == pred
+            taken = bool(rng.integers(0, 2)) if step % 3 else bool(history & 4)
+            oracle.update_packed(pc, history, taken, pred, state)
+            ops.train(pc >> 2, history, taken)
+            assert fused._alloc_state == oracle._alloc_state
+            history = ((history << 1) | taken) & ((1 << h) - 1)
+        assert fused._base == oracle._base
+        for ours, theirs in zip(fused.components, oracle.components):
+            assert ours.tags == theirs.tags
+            assert ours.ctrs == theirs.ctrs
+            assert ours.useful == theirs.useful
+        assert any(t >= 0 for comp in fused.components for t in comp.tags)
+
+
 class TestBackendDispatch:
     @pytest.mark.parametrize("backend", ["scalar", "vector"])
     def test_retired_backends_refused(self, backend):
@@ -490,8 +555,8 @@ class TestBackendDispatch:
         set_default_backend("batched")
 
     def test_tage_runs_batched_and_equals_reference(self):
-        """tage has no fused arm: the kernel drives it through its packed
-        calls, and the result matches the frozen reference exactly."""
+        """tage runs on its fused arm (``TageOps``), and the result
+        matches the frozen reference exactly."""
         program = _program("gcc", 22)
         spec = SystemSpec.single("tage", 2)
         batch = batched.simulate_batched(program, spec.build(), _CONFIG)

@@ -107,13 +107,18 @@ _PERCEPTRON = st.tuples(st.just("perceptron"), st.fixed_dictionaries({
     "n_perceptrons": st.integers(1, 300),
     "history_length": _PERCEPTRON_HISTORY,
 }))
+#: TAGE geometries up to and past the presets the workloads run (6
+#: components, 130 bits of history, 1 024-entry components): histories
+#: across one and two 64-bit words, one-bit tags, one-entry components.
 _TAGE = st.tuples(st.just("tage"), st.fixed_dictionaries({
-    "n_components": st.integers(1, 4),
-    "base_entries": _pow2(4, 10),
-    "component_entries": _pow2(4, 8),
+    "n_components": st.integers(1, 8),
+    "base_entries": _pow2(0, 13),
+    "component_entries": _pow2(0, 10),
     "min_history": st.integers(1, 6),
-    "max_history": st.integers(8, 40),
-    "tag_bits": st.integers(4, 10),
+    "max_history": st.one_of(
+        st.integers(8, 40), st.sampled_from((63, 64, 65, 130, 200))
+    ),
+    "tag_bits": st.integers(1, 12),
 }))
 _YAGS = st.tuples(st.just("yags"), st.fixed_dictionaries({
     "choice_entries": _pow2(4, 10),

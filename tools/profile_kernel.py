@@ -16,16 +16,18 @@ rule are shared with the other profilers through ``tools/profiling.py``):
   and populates the memoized architectural trace (the regime a sweep
   lives in, where one program is simulated across many systems). Each
   kernel is timed 3 times, interleaved with the others, and the fastest
-  run counts; the row's ``timing`` also records each one's median and
-  IQR;
+  run gives its throughput; the row's ``timing`` also records each
+  one's median and IQR;
 * per-predictor ``PredictorStats`` accounting is off during timed runs
   (``collect_predictor_stats=False``), matching how sweeps run;
 * ``--compare-reference`` times the frozen pre-optimization kernel
   (``tests/reference_kernel.py``) on the same cells in the same process,
   requires its result to equal the batched one as a whole, and reports
-  the speedup ratio ``speedup_batched_vs_reference``. Ratios are much
-  more stable across machines than absolute branches/sec, so the CI
-  floor is expressed in ratios. On the cells marked ``timed`` it also
+  the speedup ratio ``speedup_batched_vs_reference``: the median over
+  the 3 interleaved rounds of each round's reference ÷ batched seconds
+  (``profiling.paired_ratio``), since the two runs of a round share its
+  host noise. Ratios are much more stable across machines than absolute
+  branches/sec, so the CI floor is expressed in ratios. On the cells marked ``timed`` it also
   times the Table-2 timing model, ``TimedMachine.run``, against its
   frozen loop (``tests/reference_timing.py``) at the same window, warm
   trace memo and replay context, and requires their two results to be
@@ -97,8 +99,8 @@ CELLS: list[dict] = [
         "quick": True,
         "headline": False,
     },
-    # TAGE, the costliest prophet without a fused arm: the batched kernel
-    # calls its predict_packed/update_packed. No floor yet.
+    # TAGE on its fused arm: ``TageOps`` over the predictor's flat
+    # tables, with log-step history folds.
     {
         "id": "gcc/tage-16",
         "benchmark": "gcc",
@@ -197,15 +199,17 @@ def measure_cell(
     if "reference" in best:
         row["reference_branches_per_sec"] = round(n_branches / best["reference"], 1)
         row["speedup_batched_vs_reference"] = round(
-            best["reference"] / best["batched"], 3
+            profiling.paired_ratio(timing, "reference", "batched"), 3
         )
     if "timed" in best:
         row["timed_branches_per_sec"] = round(n_branches / best["timed"], 1)
         row["speedup_timing_vs_reference"] = round(
-            best["timed_reference"] / best["timed"], 3
+            profiling.paired_ratio(timing, "timed_reference", "timed"), 3
         )
     row["timing"] = {
-        kernel: {stat: round(value, 4) for stat, value in spread.items()}
+        kernel: {
+            stat: round(value, 4) for stat, value in spread.items() if stat != "rounds"
+        }
         for kernel, spread in timing.items()
     }
     return row

@@ -6,6 +6,7 @@ what they have in common (docs/PERFORMANCE.md, "Profiler methodology"):
 * path setup: ``src/`` for :mod:`repro`, ``tests/`` for the frozen
   reference kernel and engine;
 * :func:`repeat`: interleaved timed runs reporting best, median and IQR;
+* :func:`paired_ratio`: a speedup as the median of per-round ratios;
 * :func:`assert_identical`: whole-result identity through the cache
   codec, naming the differential test to run on a mismatch;
 * :func:`main`: one command line (``--check-floor``, ``--json``) and one
@@ -43,7 +44,8 @@ def repeat(
     Interleaving spreads host noise over every run alike, so ratios
     between them stay fair. With ``setup``, each run is called with a
     fresh ``setup()`` built outside the timed region. Returns each run's
-    ``{"best", "median", "iqr"}`` seconds and its last result.
+    ``{"best", "median", "iqr", "rounds"}`` seconds (``rounds`` lists
+    every timed run in round order) and its last result.
     """
     samples: dict[str, list[float]] = {name: [] for name in runs}
     results: dict[str, object] = {}
@@ -56,11 +58,21 @@ def repeat(
     return {name: _spread(seconds) for name, seconds in samples.items()}, results
 
 
-def _spread(seconds: list[float]) -> dict[str, float]:
+def _spread(seconds: list[float]) -> dict:
     if len(seconds) < 2:
-        return {"best": seconds[0], "median": seconds[0], "iqr": 0.0}
+        return {"best": seconds[0], "median": seconds[0], "iqr": 0.0, "rounds": seconds}
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
-    return {"best": min(seconds), "median": median, "iqr": q3 - q1}
+    return {"best": min(seconds), "median": median, "iqr": q3 - q1, "rounds": seconds}
+
+
+def paired_ratio(timing: dict, numerator: str, denominator: str) -> float:
+    """``numerator`` seconds over ``denominator`` seconds, as the median
+    of the per-round ratios of :func:`repeat`'s timing: the two runs of a
+    round share its host noise, so their ratio is steadier than the
+    ratio of two best runs taken from different rounds."""
+    return statistics.median(
+        a / b for a, b in zip(timing[numerator]["rounds"], timing[denominator]["rounds"])
+    )
 
 
 def assert_identical(what: str, got: Iterable, expected: Iterable, test: str) -> None:
