@@ -23,14 +23,12 @@ mirroring the hardware events of §3 and §5:
     non-speculatively; on a resolved mispredict restore the checkpoints
     and insert the actual outcome (§3.2, §3.3).
 
-``predict``/``predict_static`` fill a fresh handle through
-``predict_into(handle, pc)`` / ``predict_static_into``. Prophets and
-unfiltered critics are driven through their packed calls,
+Prophets and unfiltered critics are driven through their packed calls,
 ``predict_packed``/``update_packed`` (pure index/hash state carried on
 the handle from fetch to commit; the base predictor's defaults carry
-none), and filtered critics through ``lookup_into``/``train_hashed``
-when they have them. Packed and classic calls are bit-for-bit
-identical; the differential kernel tests enforce that.
+none), and filtered critics through ``lookup``/``train``. Packed and
+classic calls are bit-for-bit identical; the differential kernel tests
+enforce that.
 """
 
 from __future__ import annotations
@@ -64,12 +62,9 @@ class InflightBranch:
     #: Opaque walker snapshot; only the frozen reference loops
     #: (tests/reference_kernel.py, tests/reference_timing.py) set it.
     walker_snapshot: object = None
-    #: Prophet fast-path state (pure hash/index data from predict time).
+    #: Prophet packed state (pure hash/index data from predict time).
     prophet_state: object = None
-    #: Critic fast-path state: filter hash pair from critique time.
-    critic_ix: int = -1
-    critic_tag: int = 0
-    #: Unfiltered-critic fast-path state (pure, from critique time).
+    #: Unfiltered-critic packed state (pure, from critique time).
     critic_state: object = None
     #: uops fetched with this branch's block (the frozen timing loop in
     #: tests/reference_timing.py keeps it; TimedMachine has no handles).
@@ -88,25 +83,13 @@ class PredictionSystem(abc.ABC):
     #: Future bits the critic waits for (0 = conventional-hybrid timing).
     future_bits: int = 0
 
+    @abc.abstractmethod
     def predict(self, pc: int) -> InflightBranch:
         """Prophet prediction at fetch (speculative register update)."""
-        handle = InflightBranch(pc=pc, prophet_pred=False, bhr_before=0, bor_before=0)
-        self.predict_into(handle, pc)
-        return handle
 
+    @abc.abstractmethod
     def predict_static(self, pc: int) -> InflightBranch:
         """BTB miss: implicit not-taken, no register update, no training."""
-        handle = InflightBranch(pc=pc, prophet_pred=False, bhr_before=0, bor_before=0)
-        self.predict_static_into(handle, pc)
-        return handle
-
-    @abc.abstractmethod
-    def predict_into(self, handle: InflightBranch, pc: int) -> None:
-        """:meth:`predict` into a pooled handle, filled in place."""
-
-    @abc.abstractmethod
-    def predict_static_into(self, handle: InflightBranch, pc: int) -> None:
-        """:meth:`predict_static` into a pooled handle, filled in place."""
 
     @abc.abstractmethod
     def critique(self, handle: InflightBranch) -> bool:
@@ -151,29 +134,15 @@ class SinglePredictorSystem(PredictionSystem):
         self._predict_packed = predictor.predict_packed
         self._update_packed = predictor.update_packed
 
-    def predict_into(self, handle: InflightBranch, pc: int) -> None:
-        # Only the fields critique() does not unconditionally rewrite
-        # before any read need resetting on a pooled handle; critique
-        # owns final_pred/critic_* and bor_at_critique.
+    def predict(self, pc: int) -> InflightBranch:
         bhr = self.bhr
         bhr_before = bhr._value
         pred, state = self._predict_packed(pc, bhr_before)
         bhr._value = ((bhr_before << 1) | pred) & bhr._mask
-        handle.pc = pc
-        handle.prophet_pred = pred
-        handle.bhr_before = bhr_before
-        handle.bor_before = 0
-        handle.is_static = False
-        handle.critiqued = False
-        handle.prophet_state = state
+        return InflightBranch(pc, pred, bhr_before, 0, prophet_state=state)
 
-    def predict_static_into(self, handle: InflightBranch, pc: int) -> None:
-        handle.pc = pc
-        handle.prophet_pred = False
-        handle.bhr_before = self.bhr._value
-        handle.bor_before = 0
-        handle.is_static = True
-        handle.critiqued = False
+    def predict_static(self, pc: int) -> InflightBranch:
+        return InflightBranch(pc, False, self.bhr._value, 0, is_static=True)
 
     def critique(self, handle: InflightBranch) -> bool:
         handle.critiqued = True
@@ -252,18 +221,10 @@ class ProphetCriticSystem(PredictionSystem):
         self._prophet_update_packed = prophet.update_packed
         self._critic_predict_packed = critic.predict_packed
         self._critic_update_packed = critic.update_packed
-        # A filtered critic's hashed pair (None = its lookup/train).
-        self._critic_lookup_into = getattr(critic, "lookup_into", None)
-        self._critic_train_hashed = getattr(critic, "train_hashed", None)
-        if self._critic_train_hashed is None:
-            self._critic_lookup_into = None
 
     # -- fetch ------------------------------------------------------------------
 
-    def predict_into(self, handle: InflightBranch, pc: int) -> None:
-        # Only the fields critique() does not unconditionally rewrite
-        # before any read need resetting on a pooled handle; critique
-        # owns final_pred/critic_* and bor_at_critique.
+    def predict(self, pc: int) -> InflightBranch:
         bhr = self.bhr
         bor = self.bor
         bhr_before = bhr._value
@@ -274,21 +235,12 @@ class ProphetCriticSystem(PredictionSystem):
         bit = 1 if pred else 0
         bhr._value = ((bhr_before << 1) | bit) & bhr._mask
         bor._value = ((bor_before << 1) | bit) & bor._mask
-        handle.pc = pc
-        handle.prophet_pred = pred
-        handle.bhr_before = bhr_before
-        handle.bor_before = bor_before
-        handle.is_static = False
-        handle.critiqued = False
-        handle.prophet_state = state
+        return InflightBranch(pc, pred, bhr_before, bor_before, prophet_state=state)
 
-    def predict_static_into(self, handle: InflightBranch, pc: int) -> None:
-        handle.pc = pc
-        handle.prophet_pred = False
-        handle.bhr_before = self.bhr._value
-        handle.bor_before = self.bor._value
-        handle.is_static = True
-        handle.critiqued = False
+    def predict_static(self, pc: int) -> InflightBranch:
+        return InflightBranch(
+            pc, False, self.bhr._value, self.bor._value, is_static=True
+        )
 
     # -- critique ------------------------------------------------------------------
 
@@ -303,13 +255,7 @@ class ProphetCriticSystem(PredictionSystem):
         # the prophet saw (conventional-hybrid information timing).
         bor_value = self.bor._value if self.future_bits >= 1 else handle.bor_before
         handle.bor_at_critique = bor_value
-        lookup_into = self._critic_lookup_into
-        if lookup_into is not None:
-            if lookup_into(handle, handle.pc, bor_value):
-                final = handle.critic_pred
-            else:
-                final = handle.prophet_pred
-        elif self._critic_is_filtered:
+        if self._critic_is_filtered:
             result = self.critic.lookup(handle.pc, bor_value)
             handle.critic_hit = result.hit
             handle.critic_pred = result.prediction
@@ -352,12 +298,7 @@ class ProphetCriticSystem(PredictionSystem):
             final_mispredict = handle.final_pred != taken
         else:
             final_mispredict = handle.prophet_pred != taken
-        if self._critic_train_hashed is not None and handle.critic_ix >= 0:
-            self._critic_train_hashed(
-                handle.pc, handle.bor_at_critique, taken, final_mispredict,
-                handle.critic_ix, handle.critic_tag,
-            )
-        elif self._critic_is_filtered:
+        if self._critic_is_filtered:
             self.critic.train(handle.pc, handle.bor_at_critique, taken, final_mispredict)
         else:
             self._critic_update_packed(

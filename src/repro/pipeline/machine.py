@@ -35,21 +35,20 @@ on the same program:
   prophet's and critic's pc constants (``_make_pc_consts``), so the BTB
   probe runs inline on ``self.btb._sets``.
 * **Prophet.** 2Bc-gskew predicts inline from those constants and the
-  ``_gskew_xor_tables`` images, the perceptron through the bit-sliced
-  ``PerceptronOps`` bundle: a ``dot`` over the fetch-time BHR, which
-  the ring keeps as the prophet's state for the resolve-time ``train``.
-  Any other prophet is called through its own
-  ``predict_packed``/``update_packed``: the system's calls without the
-  system hop.
+  ``_gskew_xor_tables`` images. A prophet with an op bundle (the
+  batched kernel's ``_BUNDLES``: the perceptron and TAGE) goes through
+  it: ``predict(pc >> 2, bhr)`` at fetch and ``train(pc >> 2, bhr,
+  taken)`` at resolve over the ring's fetch-time BHR. Any other prophet
+  is called through its own ``predict_packed``/``update_packed``: the
+  system's calls without the system hop.
 * **Critic.** The tagged-gshare and filtered-perceptron critics share an
   inline hash (the ``_critic_fold_tables`` images, or ``_fold_hash``
   outside their width gate) and filter probe; the opinion is a counter
-  read or a ``PerceptronOps`` ``dot`` over the BOR. Unfiltered critics
-  use their packed calls, any other filtered critic its
-  ``lookup``/``train``. Training runs at resolve, once per committed
-  branch: one call, or a ``PerceptronOps`` ``train`` over the
-  critique-time BOR for a perceptron. Both bundles write their trained
-  rows back to the int16 weights when ``run`` returns.
+  read or a ``PerceptronOps`` ``predict`` over the BOR. An unfiltered
+  critic goes through its op bundle if it has one and its packed calls
+  otherwise; any other filtered critic through its ``lookup``/``train``.
+  Training runs at resolve, once per committed branch, over the
+  critique-time BOR. Every bundle is written back when ``run`` returns.
 * **In-flight ring.** Fetched branches are tuples in one power-of-two
   ring, indexed by three running counters, oldest first: ``head`` (the
   resolve queue), ``cons`` (the FTQ head, the first entry the cache has
@@ -77,7 +76,6 @@ from repro.core.hybrid import PredictionSystem, ProphetCriticSystem, SinglePredi
 from repro.engine.btb import BranchTargetBuffer
 from repro.pipeline.caches import MemoryModel
 from repro.pipeline.uarch import MachineConfig, TABLE2_MACHINE
-from repro.predictors.perceptron import PerceptronOps
 from repro.sim.driver import SimulationDesyncError
 from repro.workloads.program import Program
 
@@ -180,6 +178,7 @@ class TimedMachine:
         )
         return batched._ctx_get(ctx, key, lambda: memory.stall_column(t_uops))
 
+    # Patched by name by perfbench/layers.py, the layer tracer.
     def run(self, n_branches: int, warmup: int = 0) -> PipelineResult:
         """Simulate until ``n_branches`` resolve; measure after ``warmup``."""
         if warmup >= n_branches:
@@ -207,10 +206,9 @@ class TimedMachine:
         else:
             prophet, critic = system.prophet, system.critic
             ckind = batched._critic_kind(system)
-        p_predict, p_update = prophet.predict_packed, prophet.update_packed
         kind = batched._PROPHET_KINDS.get(type(prophet), batched._PACKED)
         gskew = kind == batched._GSKEW
-        perc = kind == batched._PERC
+        bundled = kind == batched._OPS
         tagged = ckind == batched._CR_TAGGED
         fperc = ckind == batched._CR_FPERC
         fused = tagged or fperc
@@ -241,12 +239,15 @@ class TimedMachine:
             gk_g1 = prophet._g1_raw
             gk_meta = prophet._meta_raw
             gk_hx, gk_hv = batched._gskew_xor_tables(prophet)
-        # Integer perceptron bundles (prophet, filtered critic), their
-        # weight mirrors written back in the ``finally`` below.
-        perc_ops = []
-        if perc:
-            perc_ops.append(PerceptronOps(prophet))
-            pp_dot, pp_train = perc_ops[0].dot, perc_ops[0].train
+        # Op bundles (prophet, critic or its perceptron), written back in
+        # the ``finally`` below.
+        bundles: dict = {}
+        if bundled:
+            p_ops = batched._bundle(bundles, prophet)
+            p_predict, p_train = p_ops.predict, p_ops.train
+        elif not gskew:
+            p_predict, p_update = prophet.predict_packed, prophet.update_packed
+        c_ops = None
         if fused:
             filt = critic.filter
             f_tags = filt._tags
@@ -267,11 +268,14 @@ class TimedMachine:
                 c_train = critic.train_hashed
             else:
                 fp = critic.perceptron
-                perc_ops.append(PerceptronOps(fp))
-                fp_dot, fp_train = perc_ops[-1].dot, perc_ops[-1].train
-                fp_n = fp.n_perceptrons
+                fp_ops = batched._bundle(bundles, fp)
+                fp_predict, fp_train = fp_ops.predict, fp_ops.train
         elif plain:
-            c_predict, c_update = critic.predict_packed, critic.update_packed
+            if type(critic) in batched._BUNDLES:
+                c_ops = batched._bundle(bundles, critic)
+                c_predict, c_train = c_ops.predict, c_ops.train
+            else:
+                c_predict, c_update = critic.predict_packed, critic.update_packed
 
         # ---- machine state -----------------------------------------------
         required_bits = max(system.future_bits, 0)
@@ -303,7 +307,7 @@ class TimedMachine:
         # cycle of the consumed entries.
         #
         #   r_fe[s] = (flat entry, uops, prophet pred, bhr, bor, seq,
-        #              static, prophet packed state, RAS snapshot)
+        #              static, packed prophet state, RAS snapshot)
         #   r_cq[s] = (final, set index | critic state, tag, bor)
         cmask = (1 << (ftq_entries + penalty + 16).bit_length()) - 1
         r_fe = [None] * (cmask + 1)
@@ -403,9 +407,9 @@ class TimedMachine:
                                 else:
                                     pred = bim
                                 pstate = None  # trained through update
-                            elif perc:
-                                pstate = bhr_val
-                                pred = pp_dot(fs[8], pstate) >= 0
+                            elif bundled:
+                                pstate = None  # trained over the ring's bhr
+                                pred = p_predict(fs[8], bhr_val)
                             else:
                                 pred, pstate = p_predict(fs[2], bhr_val)
                             r_fe[tail & cmask] = (
@@ -469,10 +473,13 @@ class TimedMachine:
                             if tagged:
                                 final = c_counters[si * c_ways + way] > 1
                             else:
-                                final = fp_dot(k0 % fp_n, bor_value) >= 0
+                                final = fp_predict(k0, bor_value)
                         else:
                             final = ppred  # filter miss: implicit agree
                         r_cq[s] = (final, si, tg, bor_value)
+                    elif c_ops is not None:
+                        final = c_predict(fs[12], bor_value)
+                        r_cq[s] = (final, None, None, bor_value)
                     elif plain:
                         final, cstate = c_predict(fs[2], bor_value)
                         r_cq[s] = (final, cstate, None, bor_value)
@@ -547,11 +554,11 @@ class TimedMachine:
                         brow.append(btag)
                         mispredicted = taken
                     else:
-                        if perc:
-                            # update_packed on the integer weight mirror.
+                        if bundled:
+                            # update_packed through the op bundle.
                             if prophet.stats_enabled:
                                 prophet.stats.record(ppred == taken)
-                            pp_train(fs[8], pstate, taken)
+                            p_train(fs[8], bhrb, taken)
                         elif gskew:
                             prophet.update(pc, bhrb, taken, ppred)
                         else:
@@ -571,11 +578,16 @@ class TimedMachine:
                                         filt._touch(si, frow.index(tg))
                                     else:
                                         filt.insert(si, tg)
-                                    y = fp_train((pc >> 2) % fp_n, borc, taken)
+                                    y = fp_train(fs[12], borc, taken)
                                     if fp.stats_enabled:
                                         fp.stats.record((y >= 0) == taken)
                                         if hit:
                                             critic.stats.record((y >= 0) == taken)
+                            elif c_ops is not None:
+                                # update_packed through the op bundle.
+                                if critic.stats_enabled:
+                                    critic.stats.record(final == taken)
+                                c_train(fs[12], borc, taken)
                             elif plain:
                                 c_update(pc, borc, taken, bool(final), si)
                             else:
@@ -612,8 +624,8 @@ class TimedMachine:
                 system.bor._value = bor_val
             self._front = (w_block, snap)
             self._fetched_uops = fetched_uops
-            for ops in perc_ops:
-                ops.write_back()
+            for bundle in bundles.values():
+                bundle.write_back()
             if fused:
                 filt.stats.lookups += f_lookups
                 filt.stats.hits += f_hits

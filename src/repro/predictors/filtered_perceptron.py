@@ -37,6 +37,10 @@ class FilteredPerceptronPredictor(DirectionPredictor):
         tag_bits: int = 9,
     ) -> None:
         super().__init__()
+        if filter_history_length < 0:
+            raise ValueError(
+                f"filter_history_length must be non-negative, got {filter_history_length}"
+            )
         self.perceptron = PerceptronPredictor(n_perceptrons, history_length)
         self.filter = TagFilter(filter_sets, filter_ways, tag_bits)
         self.filter_history_length = filter_history_length
@@ -61,30 +65,11 @@ class FilteredPerceptronPredictor(DirectionPredictor):
 
     # -- critic interface ------------------------------------------------------
 
-    def lookup_into(self, handle, pc: int, history: int) -> bool:
-        """Hot-path lookup writing straight into an in-flight handle.
-
-        Same observable behaviour as :meth:`lookup`; additionally stashes
-        the filter hash pair on the handle so training skips rehashing.
-        """
-        set_index = self._set_index(pc, history)
-        tag = self._tag(pc, history)
-        handle.critic_ix = set_index
-        handle.critic_tag = tag
-        way = self.filter.lookup(set_index, tag)
-        if way is None:
-            handle.critic_hit = False
-            handle.critic_pred = None
-            return False
-        handle.critic_hit = True
-        handle.critic_pred = self.perceptron.predict(pc, history)
-        return True
-
     def train_hashed(
         self, pc: int, history: int, taken: bool, final_mispredict: bool,
         set_index: int, tag: int,
     ) -> None:
-        """:meth:`train` with the filter hash pair precomputed at lookup."""
+        """:meth:`train` with the filter hash pair precomputed."""
         way = self.filter.probe(set_index, tag)
         if way is not None:
             predicted = self.perceptron.predict(pc, history)

@@ -29,6 +29,8 @@ class GsharePredictor(DirectionPredictor):
         self._index_bits = entries.bit_length() - 1
         if history_length is None:
             history_length = self._index_bits
+        if history_length < 0:
+            raise ValueError(f"history_length must be non-negative, got {history_length}")
         if history_length > self._index_bits:
             raise ValueError(
                 "gshare history cannot exceed index width "

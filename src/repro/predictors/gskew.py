@@ -71,6 +71,8 @@ class TwoBcGskewPredictor(DirectionPredictor):
         self._index_bits = entries_per_table.bit_length() - 1
         if history_length is None:
             history_length = self._index_bits
+        if history_length < 0:
+            raise ValueError(f"history_length must be non-negative, got {history_length}")
         self.history_length = history_length
         self.bim = CounterTable(entries_per_table, bits=2)
         self.g0 = CounterTable(entries_per_table, bits=2)

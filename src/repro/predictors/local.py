@@ -37,8 +37,8 @@ class LocalHistoryPredictor(DirectionPredictor):
         pattern_entries: int | None = None,
     ) -> None:
         super().__init__()
-        if history_entries & (history_entries - 1):
-            raise ValueError("history_entries must be a power of two")
+        if history_entries < 1 or history_entries & (history_entries - 1):
+            raise ValueError(f"history_entries must be a power of two, got {history_entries}")
         self.history_entries = history_entries
         self.local_history_length = local_history_length
         if pattern_entries is None:

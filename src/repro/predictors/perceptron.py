@@ -127,16 +127,17 @@ class PerceptronOps:
     """Bit-sliced integer op bundle over one :class:`PerceptronPredictor`
     (see the section comment).
 
+    Both ops take ``w = pc >> 2`` and select the row ``w % n_perceptrons``.
     ``rows`` mirrors ``weights`` for the duration of a replay;
     :meth:`write_back` stores the trained rows into the int16 array (a
-    replay loop does that in its ``finally``). ``dot(row, history)`` is the
-    predictor's output; ``train(row, history, taken)`` is
+    replay loop does that in its ``finally``). ``predict(w, history)`` is
+    the predictor's bit; ``train(w, history, taken)`` is
     ``update_packed`` minus the stats (the dot is recomputed against
     current weights) and returns the dot. A weight outside [WEIGHT_MIN,
     WEIGHT_MAX], which eight planes cannot hold, raises ``ValueError``.
     """
 
-    __slots__ = ("_perceptron", "_loaded", "rows", "n", "dot", "train")
+    __slots__ = ("_perceptron", "_loaded", "rows", "predict", "train")
 
     def __init__(self, perceptron) -> None:
         weights = perceptron.weights
@@ -146,7 +147,7 @@ class PerceptronOps:
                 f"{perceptron.name} weights must lie in [{w_min}, {w_max}]"
             )
         self._perceptron = perceptron
-        self.n = n = perceptron.n_perceptrons
+        n = perceptron.n_perceptrons
         h = perceptron.history_length
         hmask = (1 << h) - 1
         if weights.any():
@@ -157,8 +158,8 @@ class PerceptronOps:
         self._loaded = list(rows)
         thresh = perceptron.threshold
 
-        def dot(r, history):
-            w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[r]
+        def predict(w, history):
+            w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[w % n]
             b = history & hmask
             return w0 - s + 2 * (
                 (p0 & b).bit_count() + 2 * (p1 & b).bit_count()
@@ -166,12 +167,13 @@ class PerceptronOps:
                 + 16 * (p4 & b).bit_count() + 32 * (p5 & b).bit_count()
                 + 64 * (p6 & b).bit_count()
                 + 128 * ((p7 & b).bit_count() - b.bit_count())
-            )
+            ) >= 0
 
-        def train(r, history, taken):
+        def train(w, history, taken):
+            r = w % n
             w0, s, p0, p1, p2, p3, p4, p5, p6, p7 = rows[r]
             b = history & hmask
-            # dot(r, history), inlined: the planes are needed below.
+            # predict's dot, inlined: the planes are needed below.
             y = w0 - s + 2 * (
                 (p0 & b).bit_count() + 2 * (p1 & b).bit_count()
                 + 4 * (p2 & b).bit_count() + 8 * (p3 & b).bit_count()
@@ -200,7 +202,7 @@ class PerceptronOps:
                 rows[r] = (w0, s, p0, p1, p2, p3, p4, p5, p6, p7 ^ c ^ d)
             return y
 
-        self.dot = dot
+        self.predict = predict
         self.train = train
 
     def write_back(self) -> None:

@@ -312,7 +312,7 @@ class TageOps:
     ``update_packed`` minus the stats: it recomputes the folds from the
     fetch-time history and re-runs the provider search against current
     tables. The ops read and write the predictor's own lists, so unlike
-    the perceptron bundle there is nothing to write back.
+    the perceptron bundle's, :meth:`write_back` has nothing to store.
     """
 
     __slots__ = ("predict", "train")
@@ -459,6 +459,9 @@ class TageOps:
 
         self.predict = predict
         self.train = train
+
+    def write_back(self) -> None:
+        """Nothing to store: the ops trained the predictor's own lists."""
 
 
 @dataclass(frozen=True)

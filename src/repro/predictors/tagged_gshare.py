@@ -55,6 +55,8 @@ class TaggedGsharePredictor(DirectionPredictor):
         tag_bits: int = 8,
     ) -> None:
         super().__init__()
+        if history_length < 0:
+            raise ValueError(f"history_length must be non-negative, got {history_length}")
         self.sets = sets
         self.ways = ways
         self.history_length = history_length
@@ -116,33 +118,13 @@ class TaggedGsharePredictor(DirectionPredictor):
 
     # -- critic interface ------------------------------------------------------
 
-    def lookup_into(self, handle, pc: int, history: int) -> bool:
-        """Hot-path lookup writing straight into an in-flight handle.
-
-        Sets ``critic_hit``/``critic_pred`` plus the hash pair
-        (``critic_ix``/``critic_tag``) so commit-time training can skip
-        rehashing; returns the hit flag. Identical observable behaviour
-        to :meth:`lookup` (LRU refresh included).
-        """
-        set_index, tag = self._hash_pair(pc, history)
-        handle.critic_ix = set_index
-        handle.critic_tag = tag
-        way = self.filter.lookup(set_index, tag)
-        if way is None:
-            handle.critic_hit = False
-            handle.critic_pred = None
-            return False
-        handle.critic_hit = True
-        handle.critic_pred = self._counters_raw[set_index * self.ways + way] > 1
-        return True
-
     def train_hashed(
         self, pc: int, history: int, taken: bool, final_mispredict: bool,
         set_index: int, tag: int,
     ) -> None:
-        """:meth:`train` with the (set index, tag) pair precomputed at
-        lookup time — the hashes are pure in (pc, history), which the
-        engine already carries from critique to commit."""
+        """:meth:`train` with the (set index, tag) pair precomputed — the
+        hashes are pure in (pc, history), so the timing model carries the
+        pair it hashed at critique to commit."""
         way = self.filter.probe(set_index, tag)
         if way is not None:
             idx = set_index * self.ways + way

@@ -53,6 +53,9 @@ class YagsPredictor(DirectionPredictor):
         self._choice_bits = choice_entries.bit_length() - 1
         if choice_entries & (choice_entries - 1):
             raise ValueError("choice_entries must be a power of two")
+        for field, value in (("history_length", history_length), ("tag_bits", tag_bits)):
+            if value < 0:
+                raise ValueError(f"{field} must be non-negative, got {value}")
         self.t_cache = _ExceptionCache(cache_entries, tag_bits)
         self.nt_cache = _ExceptionCache(cache_entries, tag_bits)
         self.history_length = history_length

@@ -33,16 +33,15 @@ critic history of h bits.
 
 ``simulate_batched`` runs every exact :class:`SinglePredictorSystem`
 and :class:`ProphetCriticSystem`, the shapes ``TimedMachine`` runs too,
-and raises ``TypeError`` for any other system. The prophets the sweeps
-run most — 2bc-gskew, gshare, the perceptron and TAGE — have fused arms
-(the perceptron and TAGE through op bundles that live beside their
-predictors, ``PerceptronOps`` and ``TageOps``); every other prophet
-(YAGS, local, tournament, ...) is called through its own
-``predict_packed``/``update_packed``. Critics come in four shapes:
-the tagged-gshare and filtered-perceptron critics (fused), any other
-filtered critic (its own ``lookup``/``train``), and any unfiltered
-critic (its packed calls; the perceptron through its bit-sliced
-``PerceptronOps``). Both system shapes run through one
+and raises ``TypeError`` for any other system. A predictor is called one
+of three ways, in both loops: 2bc-gskew and gshare prophets are inlined;
+a predictor with an op bundle (``_BUNDLES``: ``PerceptronOps`` and
+``TageOps``, which live beside their predictors) goes through its
+bundle's ``predict``/``train``, as prophet or as unfiltered critic; every
+other one (YAGS, local, tournament, ...) through its own
+``predict_packed``/``update_packed``. Filtered critics are the
+tagged-gshare and filtered-perceptron critics (fused) or any other
+(its own ``lookup``/``train``). Both system shapes run through one
 replay loop, :func:`_replay`: a single predictor is the prophet/critic
 machine with no critic, exactly as in the reference kernel. The loop has
 one fetch step for aligned and wrong-path fetches and one critique
@@ -87,16 +86,22 @@ from repro.sim.metrics import RunStats
 #: limit and the drop-oldest RAS bound of the fused wrong-path walker.
 _RAS_CAPACITY = 64
 
-_PACKED, _GSKEW, _GSHARE, _PERC, _TAGE = 0, 1, 2, 3, 4
+_PACKED, _GSKEW, _GSHARE, _OPS = 0, 1, 2, 3
 
-#: Prophets with a fused arm, by exact type: a subclass may override
-#: behaviour the arm inlines. Every other prophet is ``_PACKED``, called
-#: through its own ``predict_packed``/``update_packed``.
+#: Op bundle classes by exact predictor type, read by both replay loops
+#: for a prophet and for an unfiltered critic. A bundle takes
+#: ``w = pc >> 2`` and exposes ``predict(w, history) -> bool``,
+#: ``train(w, history, taken)`` (``update_packed`` minus the stats) and
+#: ``write_back()``, which a loop calls when it ends.
+_BUNDLES = {PerceptronPredictor: PerceptronOps, TagePredictor: TageOps}
+
+#: Prophet arms by exact type: a subclass may override behaviour an arm
+#: inlines. Every other prophet is ``_PACKED``, called through its own
+#: ``predict_packed``/``update_packed``.
 _PROPHET_KINDS = {
     TwoBcGskewPredictor: _GSKEW,
     GsharePredictor: _GSHARE,
-    PerceptronPredictor: _PERC,
-    TagePredictor: _TAGE,
+    **dict.fromkeys(_BUNDLES, _OPS),
 }
 
 #: Critic shapes. The two filtered critics are fused by exact type, like
@@ -117,6 +122,15 @@ def _critic_kind(system) -> int:
     if ckind is None:
         ckind = _CR_LOOKUP if system._critic_is_filtered else _CR_PLAIN
     return ckind
+
+
+def _bundle(bundles: dict, predictor):
+    """``predictor``'s op bundle for one replay, made on first use and
+    kept in ``bundles`` (by predictor object) for the loop to write back."""
+    ops = bundles.get(id(predictor))
+    if ops is None:
+        ops = bundles[id(predictor)] = _BUNDLES[type(predictor)](predictor)
+    return ops
 
 
 # -- numpy constant tables ----------------------------------------------------
@@ -144,11 +158,12 @@ def _np_table(predictor, attr: str, values) -> "np.ndarray":
 #   0 uops   1 ras_ops|None   2 pc|None (None = no terminating branch)
 #   3 taken_target   4 fallthrough   5 next_block
 #   6 btb set index  7 btb tag
-#   8..11 prophet per-pc constants (kind-specific; gshare-shaped for
-#         a prophet without a fused arm, which reads none of them)
+#   8..11 prophet per-pc constants (2bc-gskew's four; every other
+#         prophet's are the word ``pc >> 2`` and three zeros)
 #   12 critic fold seed (pc >> 2)   13 critic tag pc-part
 
 
+# Patched by name by perfbench/layers.py, the layer tracer.
 def _make_pc_consts(predictor, kind: int, critic):
     """Per-branch-pc constant extractor for the flat segment table."""
     tb5 = 5 + critic.tag_bits if critic is not None else 5
@@ -161,11 +176,6 @@ def _make_pc_consts(predictor, kind: int, critic):
         def pc_consts(pc):
             v1 = (pc >> 2) & imask
             return v1, pc >> shift, h[v1], hinv[v1], pc >> 2, (pc >> 5) ^ (pc >> tb5)
-    elif kind == _PERC:
-        n_perc = predictor.n_perceptrons
-
-        def pc_consts(pc):
-            return (pc >> 2) % n_perc, 0, 0, 0, pc >> 2, (pc >> 5) ^ (pc >> tb5)
     else:
 
         def pc_consts(pc):
@@ -402,18 +412,18 @@ class FusedReplayContext:
         return len(self._store)
 
 
+# A wrapper, not a direct ``shared.get``, so that perfbench/layers.py,
+# the layer tracer, can patch it by name.
 def _ctx_get(shared, key, build):
     return shared.get(key, build)
 
 
 def _prophet_geometry(predictor, kind: int) -> tuple:
     """Geometry key: everything the per-pc prophet columns depend on.
-    Gshare-shaped columns (``pc >> 2``) are geometry-free, so gshare and
-    every prophet without a fused arm share them."""
+    The word column (``pc >> 2``) is geometry-free, so every prophet but
+    2bc-gskew shares it."""
     if kind == _GSKEW:
         return (_GSKEW, predictor._index_bits, predictor._pc_high_shift)
-    if kind == _PERC:
-        return (_PERC, predictor.n_perceptrons)
     return ()
 
 
@@ -466,6 +476,7 @@ def _program_ctx(program) -> FusedReplayContext:
     return ctx
 
 
+# Patched by name by perfbench/layers.py, the layer tracer.
 def simulate_batched(program, system, config, shared=None):
     """Run the batched kernel on an exact SinglePredictorSystem or
     ProphetCriticSystem (the loop inlines their events, which a subclass
@@ -506,6 +517,7 @@ def simulate_batched(program, system, config, shared=None):
 # trace.
 
 
+# Patched by name by perfbench/layers.py, the layer tracer.
 def _architectural_trace(program, n: int):
     """Columns of at least the first ``n`` committed branches, memoized.
 
@@ -571,8 +583,6 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
             _np_table(prophet, "_h_np", prophet._h_table)[v1_np].tolist(),
             _np_table(prophet, "_hinv_np", prophet._hinv_table)[v1_np].tolist(),
         ]
-    if kind == _PERC:
-        return [(words % prophet.n_perceptrons).tolist()]
     return [words.tolist()]
 
 
@@ -626,25 +636,25 @@ def _prophet_columns(prophet, kind: int, pcs) -> list:
 #   predictor single cells by 34-39 % (docs/PERFORMANCE.md);
 # * resolve -- no critic training and no filter stats.
 #
-# The perceptron and TAGE arms call their bundle's ops: a predict at
-# every fetch over the pc column ``c`` (the perceptron's row, or
-# ``pc >> 2``) and the live BHR, and at resolve ``train(c, bhrb,
-# taken)`` with ``c`` kept as the ring state. TAGE's train recomputes
-# its history folds from ``bhrb`` rather than carrying them in the
-# ring. A prophet without a fused arm (``kind == _PACKED``) is called
-# the way ``ProphetCriticSystem`` calls it: ``predict_packed(pc, bhr)``
-# at every fetch, wrong-path ones included, and ``update_packed`` at
-# resolve with the packed state from its fetch.
+# A prophet with an op bundle (``kind == _OPS``) is called through it:
+# ``predict(c, bhr)`` at every fetch, wrong-path ones included, over the
+# word column ``c = pc >> 2``, and at resolve ``train(c, bhrb, taken)``
+# with ``c`` kept as the ring state (TAGE's train recomputes its history
+# folds from ``bhrb`` rather than carrying them in the ring). Any other
+# prophet (``kind == _PACKED``) is called the way ``ProphetCriticSystem``
+# calls it: ``predict_packed(pc, bhr)`` at every fetch and
+# ``update_packed`` at resolve with the packed state from its fetch.
 #
 # An unfiltered critic (``ckind == _CR_PLAIN``, §7.2) keeps the hybrid
 # event loop and swaps only the critic's two calls, made in the same
-# order as ``ProphetCriticSystem``: at critique,
-# ``_critic_predict_packed(pc, bor)`` gives the final prediction (every
-# dynamic branch is a "hit"); at resolve, after the prophet's update,
-# ``_critic_update_packed(pc, bor_at_critique, taken, pred, state)``
-# trains it. No filter, fold tables or tag columns are involved. A
-# filtered critic without a fused arm (``_CR_LOOKUP``) is the same two
-# sites with its own ``lookup`` and ``train``. The two fused filtered
+# order as ``ProphetCriticSystem``: at critique, its bundle's
+# ``predict(pc >> 2, bor)`` or its ``predict_packed(pc, bor)`` gives the
+# final prediction (every dynamic branch is a "hit"); at resolve, after
+# the prophet's update, ``train(pc >> 2, bor_at_critique, taken)`` or
+# ``update_packed`` with the packed state from the critique trains it.
+# No filter, fold tables or tag columns are involved. A filtered critic
+# without a fused arm (``_CR_LOOKUP``) is the same two sites with its
+# own ``lookup`` and ``train``. The two fused filtered
 # critics share the critique's hash and filter probe and the resolve's
 # probe, allocate and LRU touch; only the opinion and training bodies
 # depend on the critic kind.
@@ -749,16 +759,9 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         )),
     )
 
-    # Integer perceptron bundles, one per perceptron object; their
-    # weight mirrors are written back in the ``finally`` below.
-    perc_ops = []
-
-    def _perc_ops(perceptron):
-        for ops in perc_ops:
-            if ops._perceptron is perceptron:
-                return ops
-        perc_ops.append(PerceptronOps(perceptron))
-        return perc_ops[-1]
+    # Op bundles, one per predictor object, written back in the
+    # ``finally`` below.
+    bundles: dict = {}
 
     if kind == _GSKEW:
         gk_imask = prophet._index_mask
@@ -773,14 +776,10 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         gs_imask = prophet._index_mask
         gs_raw = prophet._raw
         gs_mid = prophet._midpoint
-    elif kind == _PERC:
-        pp_ops = _perc_ops(prophet)
-        pp_dot = pp_ops.dot
-        p_train = pp_ops.train
-    elif kind == _TAGE:
-        tg_ops = TageOps(prophet)
-        tg_predict = tg_ops.predict
-        p_train = tg_ops.train
+    elif kind == _OPS:
+        p_ops = _bundle(bundles, prophet)
+        p_predict = p_ops.predict
+        p_train = p_ops.train
     else:
         p_predict = prophet.predict_packed
 
@@ -789,21 +788,19 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
     # (filtered perceptron). Both critics share the TagFilter and the
     # same fold-hash structure, so the critique arm's inline hash is
     # common; only the opinion/train bodies dispatch on ``ckind``. An
-    # unfiltered critic has no filter: it is the system's packed calls,
-    # or the integer perceptron bundle for an exact perceptron. Any other
-    # filtered critic is its own lookup/train pair.
+    # unfiltered critic has no filter: it is its op bundle, or its packed
+    # calls. Any other filtered critic is its own lookup/train pair.
     f_ins = f_evc = 0
     f_lookups = f_hits = 0
-    cp_dot = None
+    cp_ops = None
     if ckind == _CR_PLAIN:
-        if type(critic) is PerceptronPredictor:
-            cp_ops = _perc_ops(critic)
-            cp_dot = cp_ops.dot
+        if type(critic) in _BUNDLES:
+            cp_ops = _bundle(bundles, critic)
+            cp_predict = cp_ops.predict
             cp_train = cp_ops.train
-            cp_n = cp_ops.n
         else:
-            c_predict = system._critic_predict_packed
-            c_update = system._critic_update_packed
+            c_predict = critic.predict_packed
+            c_update = critic.update_packed
     elif ckind == _CR_LOOKUP:
         c_lookup = critic.lookup
         c_train = critic.train
@@ -841,10 +838,9 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         c_counters = critic._counters_raw
     elif ckind == _CR_FPERC:
         fp = critic.perceptron
-        fp_ops = _perc_ops(fp)
-        fp_dot = fp_ops.dot
+        fp_ops = _bundle(bundles, fp)
+        fp_predict = fp_ops.predict
         fp_train = fp_ops.train
-        fp_n = fp_ops.n
 
     stats = RunStats(benchmark=program.name, system=type(system).__name__)
     required_bits = max(system.future_bits, 0)
@@ -911,9 +907,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
         system.set_stats_enabled(False)
     # Hoist after the toggle so the stats gates are the live ones (the
     # filtered perceptron's flag is its inner perceptron's).
-    p_stats_on = (
-        kind == _GSKEW or kind == _PERC or kind == _TAGE
-    ) and prophet.stats_enabled
+    p_stats_on = (kind == _GSKEW or kind == _OPS) and prophet.stats_enabled
     c_stats_on = ckind and critic.stats_enabled
     p_sn = p_sc = c_sn = c_sc = fp_sn = fp_sc = 0
     depth1 = depth + 1
@@ -1073,10 +1067,8 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 pred = gs_raw[
                                     (fs[8] ^ (bhr_val & gs_hmask)) & gs_imask
                                 ] > gs_mid
-                            elif kind == _PERC:
-                                pred = pp_dot(fs[8], bhr_val) >= 0
-                            elif kind == _TAGE:
-                                pred = tg_predict(fs[8], bhr_val)
+                            elif kind == _OPS:
+                                pred = p_predict(fs[8], bhr_val)
                             else:
                                 pred = p_predict(fs[2], bhr_val)[0]
                             bhr_val = ((bhr_val << 1) | pred) & bhr_mask
@@ -1114,12 +1106,9 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                     elif kind == _GSHARE:
                         state = (c ^ (bhr_val & gs_hmask)) & gs_imask
                         pred = gs_raw[state] > gs_mid
-                    elif kind == _PERC:
+                    elif kind == _OPS:
                         state = c
-                        pred = pp_dot(c, bhr_val) >= 0
-                    elif kind == _TAGE:
-                        state = c
-                        pred = tg_predict(c, bhr_val)
+                        pred = p_predict(c, bhr_val)
                     else:
                         pred, state = p_predict(pc, bhr_val)
                     r_fe[s] = (pc, bhr_val, bor_val, tkb, ftb, k0, k1,
@@ -1185,11 +1174,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                             # Unfiltered critic: an opinion on every
                             # branch, no filter (its packed state rides
                             # in ``si``).
-                            if cp_dot is None:
+                            if cp_ops is None:
                                 final, si = c_predict(fe[0], bor_value)
                             else:
-                                si = bor_value
-                                final = cp_dot((fe[0] >> 2) % cp_n, si) >= 0
+                                si = None
+                                final = cp_predict(fe[0] >> 2, bor_value)
                             r_cq[s] = (final, True, final, si, 0, bor_value)
                         elif ckind == _CR_LOOKUP:
                             found = c_lookup(fe[0], bor_value)
@@ -1218,7 +1207,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 if ckind == _CR_TAGGED:
                                     final = c_counters[si * c_ways + way] > 1
                                 else:
-                                    final = fp_dot(k0 % fp_n, bor_value) >= 0
+                                    final = fp_predict(k0, bor_value)
                                 r_cq[s] = (final, True, final, si, tg, bor_value)
                             else:
                                 final = ppred
@@ -1407,9 +1396,9 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                     gk_meta[mi] = mv + 1
                             elif mv > 0:
                                 gk_meta[mi] = mv - 1
-                    elif kind == _PERC or kind == _TAGE:
+                    elif kind == _OPS:
                         # A bundle's train: ``state`` is its fetch-time
-                        # pc column (perceptron row, or pc >> 2 for TAGE).
+                        # word column, pc >> 2.
                         if p_stats_on:
                             p_sn += 1
                             if ppred == taken:
@@ -1466,7 +1455,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                                 # (predict, then update's recompute)
                                 # against weights nothing mutates in
                                 # between, so one dot is bit-identical.
-                                y = fp_train(k0 % fp_n, borc, taken)
+                                y = fp_train(k0, borc, taken)
                                 if c_stats_on:
                                     fp_sn += 1
                                     c_sn += hit
@@ -1477,14 +1466,14 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                         # Unfiltered critic: trains on every dynamic
                         # branch with the BOR and packed state from its
                         # critique (the state rides in the ``si`` slot).
-                        if cp_dot is None:
+                        if cp_ops is None:
                             c_update(pc, borc, taken, cpred, si)
                         else:
                             if c_stats_on:
                                 c_sn += 1
                                 if cpred == taken:
                                     c_sc += 1
-                            cp_train((pc >> 2) % cp_n, si, taken)
+                            cp_train(pc >> 2, borc, taken)
                     elif ckind == _CR_LOOKUP:
                         c_train(pc, borc, taken,
                                 (final if insert_final else ppred) != taken)
@@ -1516,7 +1505,7 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
     finally:
         if not config.collect_predictor_stats:
             system.set_stats_enabled(True)
-        for ops in perc_ops:
+        for ops in bundles.values():
             ops.write_back()
         bhr._value = bhr_val
         if p_sn:

@@ -1,14 +1,10 @@
 """Tests for the prediction systems (single and prophet/critic)."""
 
-import random
-
 import pytest
 
 from repro.core import ProphetCriticSystem, SinglePredictorSystem
 from repro.core.critiques import CritiqueKind
-from repro.core.hybrid import InflightBranch
 from repro.predictors import GsharePredictor, PerceptronPredictor, TaggedGsharePredictor
-from repro.sim.specs import PredictorSpec, SystemSpec
 
 
 def make_hybrid(future_bits=4, critic=None):
@@ -181,97 +177,3 @@ class TestProphetCriticSystem:
         system.reset()
         assert system.bor.value == 0
         assert not system.critic.lookup(0x4000, 0).hit
-
-
-#: Every system shape the two ``predict_into`` bodies and ``critique``
-#: branch on: packed and classic prophets; filtered critics with and
-#: without ``lookup_into``; unfiltered critics with and without a
-#: packed path; zero and many future bits; both insertion policies.
-POOLED_SYSTEMS = {
-    "bimodal": SystemSpec(
-        kind="single", prophet=PredictorSpec("bimodal", params={"entries": 1024})
-    ),
-    "gshare": SystemSpec.single("gshare", 2),
-    "2bc-gskew": SystemSpec.single("2bc-gskew", 4),
-    "tage": SystemSpec.single("tage", 8),
-    "perceptron": SystemSpec.single("perceptron", 4),
-    "local": SystemSpec(kind="single", prophet=PredictorSpec(
-        "local", params={"history_entries": 256, "local_history_length": 8}
-    )),
-    "yags": SystemSpec(kind="single", prophet=PredictorSpec(
-        "yags", params={"choice_entries": 1024, "cache_entries": 256, "history_length": 10}
-    )),
-    "gskew+tagged-gshare@f4": SystemSpec.hybrid("2bc-gskew", 2, "tagged-gshare", 2, 4),
-    "gshare+filtered-perceptron@f8": SystemSpec.hybrid(
-        "gshare", 2, "filtered-perceptron", 2, 8
-    ),
-    "gskew+gshare@f1": SystemSpec.hybrid("2bc-gskew", 2, "gshare", 2, 1),
-    "gshare+perceptron@f0": SystemSpec.hybrid("gshare", 2, "perceptron", 2, 0),
-    "tage+tagged-gshare@f8,prophet": SystemSpec.hybrid(
-        "tage", 4, "tagged-gshare", 2, 8, insert_on="prophet"
-    ),
-}
-
-
-def _branch_stream(n):
-    """Deterministic (pc, taken, btb_hit) triples with learnable sites."""
-    rng = random.Random(11)
-    bias = [rng.random() for _ in range(48)]
-    last = False
-    for _ in range(n):
-        site = rng.randrange(len(bias))
-        taken = rng.random() < bias[site]
-        if site % 4 == 0:
-            taken = not last  # correlated with the previous outcome
-        last = taken
-        yield 0x40000 + 16 * site, taken, rng.random() >= 0.1
-
-
-def _run_lifecycle(system, handle_for, n=3000):
-    """Fetch, critique, redirect, commit and repair every branch in turn."""
-    trace = []
-    redirects = 0
-    for pc, taken, btb_hit in _branch_stream(n):
-        handle = handle_for(system, pc, btb_hit)
-        final = system.critique(handle)
-        if not handle.is_static and final != handle.prophet_pred:
-            system.apply_redirect(handle, final)
-            redirects += 1
-        system.resolve(handle, taken)
-        if final != taken:
-            system.recover(handle, taken)
-        trace.append((
-            handle.pc, handle.is_static, handle.prophet_pred, final,
-            handle.bhr_before, handle.bor_before,
-        ))
-    bor = getattr(system, "bor", None)
-    return trace, redirects, system.bhr.value, bor.value if bor is not None else None
-
-
-class TestPooledHandles:
-    """``predict_into`` on a recycled handle behaves like a fresh ``predict``.
-
-    The drivers pool :class:`InflightBranch` handles, so a handle's
-    previous occupant must never leak into the next branch's critique,
-    training or repair.
-    """
-
-    @pytest.mark.parametrize("spec", POOLED_SYSTEMS.values(), ids=POOLED_SYSTEMS.keys())
-    def test_recycled_handle_matches_fresh_handles(self, spec):
-        def fresh(system, pc, btb_hit):
-            return system.predict(pc) if btb_hit else system.predict_static(pc)
-
-        pooled = InflightBranch(pc=0, prophet_pred=False, bhr_before=0, bor_before=0)
-
-        def recycled(system, pc, btb_hit):
-            if btb_hit:
-                system.predict_into(pooled, pc)
-            else:
-                system.predict_static_into(pooled, pc)
-            return pooled
-
-        want = _run_lifecycle(spec.build(), fresh)
-        got = _run_lifecycle(spec.build(), recycled)
-        assert got == want
-        if spec.kind == "hybrid":
-            assert want[1] > 0  # the critic overrode the prophet at least once

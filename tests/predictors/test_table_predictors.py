@@ -245,3 +245,51 @@ class TestYags:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             YagsPredictor(1000, 256, 8)
+
+
+class TestGeometryRejections:
+    """A geometry a predictor cannot run is a ValueError naming the field
+    at construction, so a sweep config carrying it is refused at submit:
+    a negative history used to run as if it were zero under another
+    content hash, and an empty local history table failed inside the
+    kernel with an IndexError."""
+
+    @pytest.mark.parametrize(
+        ("kind", "params", "field"),
+        [
+            ("gshare", {"entries": 1024, "history_length": -1}, "history_length"),
+            ("gshare", {"entries": 1024, "history_length": -5}, "history_length"),
+            ("2bc-gskew", {"entries_per_table": 1024, "history_length": -1},
+             "history_length"),
+            ("tagged-gshare", {"sets": 64, "history_length": -1}, "history_length"),
+            ("yags", {"history_length": -1}, "history_length"),
+            ("yags", {"tag_bits": -1}, "tag_bits"),
+            ("filtered-perceptron", {"filter_history_length": -1},
+             "filter_history_length"),
+            ("local", {"history_entries": 0, "local_history_length": 4},
+             "history_entries"),
+        ],
+    )
+    def test_rejects_bad_geometry_naming_the_field(self, kind, params, field):
+        from repro.sim.specs import PredictorSpec
+
+        with pytest.raises(ValueError, match=field):
+            PredictorSpec(kind, params=params).build()
+
+    @pytest.mark.parametrize(
+        ("kind", "params"),
+        [
+            ("gshare", {"entries": 1024, "history_length": 0}),
+            ("2bc-gskew", {"entries_per_table": 1024, "history_length": 0}),
+            ("tagged-gshare", {"sets": 64, "history_length": 0}),
+            ("yags", {"history_length": 0, "tag_bits": 0}),
+            ("filtered-perceptron", {"filter_history_length": 0}),
+            ("local", {"history_entries": 1, "local_history_length": 4}),
+        ],
+    )
+    def test_accepts_the_boundary(self, kind, params):
+        from repro.sim.specs import PredictorSpec
+
+        predictor = PredictorSpec(kind, params=params).build()
+        pred = predictor.predict(0x4000, 0b101)
+        predictor.update(0x4000, 0b101, taken=not pred, predicted=pred)

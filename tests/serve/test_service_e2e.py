@@ -196,6 +196,13 @@ class TestRejections:
             (_payload(systems={"t": {"kind": "single", "prophet": {
                 "kind": "tage", "params": {"tag_bits": -1}}}}),
              "systems", "tag_bits"),
+            # Other geometries the predictors cannot run, named at submit.
+            (_payload(systems={"g": {"kind": "single", "prophet": {
+                "kind": "gshare", "params": {"history_length": -1}}}}),
+             "systems", "history_length"),
+            (_payload(systems={"l": {"kind": "single", "prophet": {
+                "kind": "local", "params": {"history_entries": 0}}}}),
+             "systems", "history_entries"),
         ],
     )
     def test_malformed_config_rejected_with_section(

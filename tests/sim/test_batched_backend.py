@@ -13,7 +13,9 @@ matrix does not:
   against the critic's own hash over every window value;
 * what the kernel keeps alive between replays: precompute entries per
   program, live contexts per process, and the fold images' size;
-* the bit-sliced perceptron ops against the numpy perceptron;
+* the op-bundle convention: every bundle in the kernel's type table
+  against its predictor's packed calls, the bit-sliced perceptron ops
+  against the numpy perceptron, and both loops picking the bundle arm;
 * dispatch: the retired scalar kernel refused by name, a prophet and a
   filtered critic without a fused arm, and systems the kernel refuses;
 * the hash-stability constraint: ``SweepCell.content_hash`` stays pinned
@@ -313,25 +315,38 @@ class TestBatchHelpers:
     hash the critique drain builds from them, against their scalar
     counterparts. An aligned fetch reads them from the fused trace row
     (vectorized ``_prophet_columns``), a wrong-path fetch from the flat
-    CFG entry (``_make_pc_consts``); the two must agree slot for slot."""
+    CFG entry (``_make_pc_consts``); the two must agree slot for slot.
+    There are two column shapes: 2bc-gskew's four constants, and the
+    word ``pc >> 2`` that every other prophet reads (gshare inline, a
+    bundle's ops, or nothing for a packed prophet)."""
 
-    @pytest.mark.parametrize("kind", ["2bc-gskew", "gshare", "gas", "bimodal"])
+    @pytest.mark.parametrize(
+        "kind", ["2bc-gskew", "gshare", "gas", "bimodal", "perceptron", "tage"]
+    )
     def test_batch_predict_matches_scalar(self, kind):
-        predictor = _single_builders()[kind]().predictor
-        # gas and bimodal have no fused arm: they read the packed arm's
-        # gshare-shaped constants.
+        builders = _single_builders()
+        if kind in builders:
+            predictor = builders[kind]().predictor
+        else:
+            predictor = SystemSpec.single(kind, 2).build().predictor
         code = batched._PROPHET_KINDS.get(type(predictor), batched._PACKED)
         rng = np.random.default_rng(zlib.crc32(kind.encode()))
         pcs, _ = _random_inputs(rng)
         columns = batched._prophet_columns(predictor, code, pcs)
         pc_consts = batched._make_pc_consts(predictor, code, None)
-        assert 1 <= len(columns) <= 4
+        gskew = kind == "2bc-gskew"
+        assert len(columns) == (4 if gskew else 1)
+        # Only 2bc-gskew's columns depend on the geometry: every other
+        # prophet shares one flat table and one set of fused rows.
+        assert bool(batched._prophet_geometry(predictor, code)) == gskew
         for i in range(len(pcs)):
             pc = int(pcs[i])
             consts = pc_consts(pc)
             assert tuple(col[i] for col in columns) == consts[: len(columns)], i
             assert consts[len(columns) : 4] == (0,) * (4 - len(columns)), i
             assert consts[4] == pc >> 2, i
+            if not gskew:
+                assert columns[0][i] == pc >> 2, i
 
     @pytest.mark.parametrize("budget", BUDGETS_KB)
     @pytest.mark.parametrize("kind", ["tagged-gshare", "filtered-perceptron"])
@@ -414,6 +429,8 @@ class TestPerceptronOps:
         "history_length", [1, 7, 8, 9, 16, 24, 28, 33, 40, 47, 57, 63, 64, 65, 72]
     )
     def test_matches_numpy_perceptron(self, history_length):
+        """``train`` returns numpy's int32 dot at every step, over words
+        on both sides of ``n_perceptrons``."""
         from repro.predictors.perceptron import PerceptronOps, PerceptronPredictor
 
         rng = np.random.default_rng(history_length)
@@ -424,21 +441,45 @@ class TestPerceptronOps:
         mirrored = PerceptronPredictor(5, history_length)
         mirrored.weights[:] = oracle.weights
         ops = PerceptronOps(mirrored)
-        for _ in range(300):
-            pc = int(rng.integers(0, 1 << 20)) << 2
+        for step in range(300):
+            w = step % 7 if step % 2 else int(rng.integers(0, 1 << 20))
+            pc = w << 2
             # Wider than any h here: the ops mask to the history length.
             history = int(rng.integers(0, 1 << 62)) | int(rng.integers(0, 1 << 62)) << 62
             taken = bool(rng.integers(0, 2))
-            row = (pc >> 2) % ops.n
             y = int(
-                np.dot(oracle.weights[row].astype(np.int32), oracle._inputs(history))
+                np.dot(oracle.weights[w % 5].astype(np.int32), oracle._inputs(history))
             )
-            assert ops.dot(row, history) == y
+            assert ops.predict(w, history) == (y >= 0)
             pred, x = oracle.predict_packed(pc, history)
             oracle.update_packed(pc, history, taken, pred, x)
-            assert ops.train(row, history, taken) == y
+            assert ops.train(w, history, taken) == y
         ops.write_back()
         assert mirrored.weights.tobytes() == oracle.weights.tobytes()
+
+    @pytest.mark.parametrize("history_length", [1, 8, 28, 64, 65])
+    @pytest.mark.parametrize("target", [-1, 0, 1])
+    def test_predict_at_the_sign_boundary(self, history_length, target):
+        """``predict`` is ``dot >= 0`` on rows whose dot is exactly -1, 0
+        or +1: the bias weight is chosen to land it there."""
+        from repro.predictors.perceptron import PerceptronOps, PerceptronPredictor
+
+        rng = np.random.default_rng(history_length * 3 + target)
+        perceptron = PerceptronPredictor(7, history_length)
+        perceptron.weights[:, 1:] = rng.integers(
+            -1, 2, size=(7, history_length)
+        )
+        histories = [int(rng.integers(0, 1 << 62)) << 8 | i for i in range(7)]
+        for row, history in enumerate(histories):
+            inputs = perceptron._inputs(history)
+            rest = int(np.dot(perceptron.weights[row, 1:].astype(np.int32), inputs[1:]))
+            perceptron.weights[row, 0] = target - rest
+        assert perceptron.weights.min() >= -128 and perceptron.weights.max() <= 127
+        ops = PerceptronOps(perceptron)
+        for row, history in enumerate(histories):
+            assert perceptron.output(row << 2, history) == target
+            for w in (row, row + 7, row + 7 * 1000):
+                assert ops.predict(w, history) == (target >= 0)
 
     @pytest.mark.parametrize("history_length", [1, 28, 57, 64, 65, 72])
     @pytest.mark.parametrize("table", ["random", "zero"])
@@ -542,6 +583,89 @@ class TestTageOps:
             assert ours.ctrs == theirs.ctrs
             assert ours.useful == theirs.useful
         assert any(t >= 0 for comp in fused.components for t in comp.tags)
+
+
+#: A small geometry per bundled predictor type, by registry name.
+_BUNDLED = {
+    "perceptron": {"n_perceptrons": 37, "history_length": 28},
+    "tage": {"n_components": 4, "component_entries": 64, "min_history": 3,
+             "max_history": 40, "tag_bits": 5},
+}
+
+
+class TestOpBundles:
+    """The op-bundle convention, for every bundle in the kernel's type
+    table: over ``w = pc >> 2``, ``predict`` is the bit ``predict_packed``
+    returns and ``train`` then ``write_back`` leave the predictor's tables
+    as ``update_packed`` does, at every step, for words on both sides of
+    any table size."""
+
+    @pytest.mark.parametrize("ptype", list(batched._BUNDLES), ids=lambda t: t.name)
+    def test_matches_packed_calls(self, ptype):
+        import pickle
+
+        from repro.sim.specs import PredictorSpec
+
+        def build():
+            predictor = PredictorSpec(ptype.name, params=_BUNDLED[ptype.name]).build()
+            predictor.stats_enabled = False  # the ops leave stats to the loops
+            return predictor
+
+        oracle, bundled = build(), build()
+        assert type(bundled) is ptype
+        ops = batched._BUNDLES[ptype](bundled)
+        rng = np.random.default_rng(zlib.crc32(ptype.name.encode()))
+        words = [int(w) for w in rng.integers(0, 1 << 20, size=40)] + list(range(8))
+        mask = (1 << oracle.history_length) - 1
+        history = 0
+        for step in range(2000):
+            pc = words[int(rng.integers(0, len(words)))] << 2
+            pred, state = oracle.predict_packed(pc, history)
+            assert ops.predict(pc >> 2, history) == pred, step
+            taken = bool(rng.integers(0, 2)) if step % 3 else bool(history & 2)
+            oracle.update_packed(pc, history, taken, pred, state)
+            ops.train(pc >> 2, history, taken)
+            history = ((history << 1) | taken) & mask
+        ops.write_back()
+
+        def tables(predictor):
+            return {k: pickle.dumps(v) for k, v in predictor.__getstate__().items()}
+
+        assert tables(bundled) == tables(oracle)
+
+
+class TestArmSelection:
+    """Both loops pick a bundle from the one type table: with the packed
+    calls of every bundled predictor type made to raise, a bundle prophet
+    and a bundle unfiltered critic still run through ``simulate`` and
+    ``TimedMachine.run``."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SystemSpec.single("perceptron", 2),
+            SystemSpec.single("tage", 2),
+            SystemSpec.hybrid("2bc-gskew", 2, "perceptron", 2, future_bits=4),
+            SystemSpec.hybrid("tage", 2, "tage", 2, future_bits=4),
+            SystemSpec.hybrid("perceptron", 2, "filtered-perceptron", 2, future_bits=4),
+        ],
+        ids=["perceptron", "tage", "gskew+perceptron", "tage+tage",
+             "perceptron+filtered-perceptron"],
+    )
+    def test_bundles_run_without_packed_calls(self, spec, monkeypatch):
+        from repro.pipeline.machine import TimedMachine
+
+        def refuse(predictor, *args):
+            raise AssertionError(f"{predictor.name} called through its packed calls")
+
+        for ptype in batched._BUNDLES:
+            monkeypatch.setattr(ptype, "predict_packed", refuse)
+            monkeypatch.setattr(ptype, "update_packed", refuse)
+        program = _program("gcc", 27)
+        stats = simulate(program, spec.build(), _CONFIG)
+        assert stats.branches == _CONFIG.n_branches - _CONFIG.warmup
+        result = TimedMachine(program, spec.build()).run(800, 200)
+        assert result.branches == 600
 
 
 class TestBackendDispatch:
