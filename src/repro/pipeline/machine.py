@@ -569,8 +569,9 @@ class TimedMachine:
                             if tagged:
                                 c_train(pc, borc, taken, final_mispredict, si, tg)
                             elif fperc:
-                                # The filtered perceptron's train_hashed on
-                                # the integer weight mirror.
+                                # The filtered perceptron's train, with the
+                                # critique's hash pair, on the integer
+                                # weight mirror.
                                 frow = f_tags[si]
                                 hit = tg in frow
                                 if hit or final_mispredict:

@@ -65,11 +65,17 @@ class FilteredPerceptronPredictor(DirectionPredictor):
 
     # -- critic interface ------------------------------------------------------
 
-    def train_hashed(
-        self, pc: int, history: int, taken: bool, final_mispredict: bool,
-        set_index: int, tag: int,
-    ) -> None:
-        """:meth:`train` with the filter hash pair precomputed."""
+    def lookup(self, pc: int, history: int) -> CritiqueLookup:
+        """Parallel tag probe + perceptron compute; opinion only on hit."""
+        way = self.filter.lookup(self._set_index(pc, history), self._tag(pc, history))
+        if way is None:
+            return CritiqueLookup(hit=False, prediction=None)
+        return CritiqueLookup(hit=True, prediction=self.perceptron.predict(pc, history))
+
+    def train(self, pc: int, history: int, taken: bool, final_mispredict: bool) -> None:
+        """Train on hits; allocate (and prime the perceptron) on mispredict+miss."""
+        set_index = self._set_index(pc, history)
+        tag = self._tag(pc, history)
         way = self.filter.probe(set_index, tag)
         if way is not None:
             predicted = self.perceptron.predict(pc, history)
@@ -84,20 +90,6 @@ class FilteredPerceptronPredictor(DirectionPredictor):
             # perceptron analogue of setting a counter weakly taken/not.
             predicted = self.perceptron.predict(pc, history)
             self.perceptron.update(pc, history, taken, predicted)
-
-    def lookup(self, pc: int, history: int) -> CritiqueLookup:
-        """Parallel tag probe + perceptron compute; opinion only on hit."""
-        way = self.filter.lookup(self._set_index(pc, history), self._tag(pc, history))
-        if way is None:
-            return CritiqueLookup(hit=False, prediction=None)
-        return CritiqueLookup(hit=True, prediction=self.perceptron.predict(pc, history))
-
-    def train(self, pc: int, history: int, taken: bool, final_mispredict: bool) -> None:
-        """Train on hits; allocate (and prime the perceptron) on mispredict+miss."""
-        self.train_hashed(
-            pc, history, taken, final_mispredict,
-            self._set_index(pc, history), self._tag(pc, history),
-        )
 
     # -- standalone DirectionPredictor interface -------------------------------
 

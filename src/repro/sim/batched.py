@@ -81,6 +81,7 @@ from repro.predictors.tage import TageOps, TagePredictor
 from repro.predictors.tagged_gshare import TaggedGsharePredictor
 from repro.sim.driver import SimulationDesyncError
 from repro.sim.metrics import RunStats
+from repro.workloads.trace_io import TraceFormatError
 
 #: Must match the ArchitecturalExecutor default: the compiled-CFG pair
 #: limit and the drop-oldest RAS bound of the fused wrong-path walker.
@@ -527,7 +528,13 @@ def _architectural_trace(program, n: int):
     ``n``. The longest trace built so far is cached on the program
     object and returned whole to shorter requests (callers stop at their
     own ``n``), so sweeping many systems over one program pays for the
-    executor walk once. Memory is O(longest n) per program;
+    executor walk once. A walk goes to the next power of two at or above
+    ``n``, so a longer request that walks again from branch 0 walks to
+    at least twice the memo's length: a program serving windows that
+    vary within a factor of two (a daemon's mixed jobs) mostly walks
+    once, and any growing sequence walks a logarithmic number of times,
+    for at most twice the branches of the longest request. Memory is
+    O(longest walk) per program;
     ``Program.reset()`` leaves the cache intact (the replay is
     deterministic from reset state by construction).
 
@@ -545,18 +552,33 @@ def _architectural_trace(program, n: int):
         if hit is not None:
             program._trace_cache = hit
             return hit[1]
+    # A power of two, and at least twice any memo (a store hit's may not
+    # be a power of two).
+    floor = 2 * cached[0] if cached is not None else n
+    walk = 1 << (max(n, floor) - 1).bit_length()
     program.reset()
     executor = ArchitecturalExecutor(program)
-    t_pc = [0] * n
-    t_tk = [False] * n
-    t_uops = [0] * n
-    t_tt = [0] * n
-    t_ft = [0] * n
-    t_snap = [()] * n
+    t_pc = [0] * walk
+    t_tk = [False] * walk
+    t_uops = [0] * walk
+    t_tt = [0] * walk
+    t_ft = [0] * walk
+    t_snap = [()] * walk
+    cols = (t_pc, t_tk, t_uops, t_tt, t_ft, t_snap)
     resolve_next = executor.resolve_next
     ras_snapshot = executor._ras.snapshot
-    for i in range(n):
-        pc, taken, uops = resolve_next()
+    for i in range(walk):
+        try:
+            pc, taken, uops = resolve_next()
+        except TraceFormatError:
+            # A recorded trace may end (or stop matching its CFG) past
+            # the request: the walk keeps what resolved before that.
+            if i < n:
+                raise
+            walk = i
+            for col in cols:
+                del col[walk:]
+            break
         br = executor._last_branch
         t_pc[i] = pc
         t_tk[i] = taken
@@ -564,10 +586,9 @@ def _architectural_trace(program, n: int):
         t_tt[i] = br.taken_target
         t_ft[i] = br.fallthrough
         t_snap[i] = ras_snapshot()
-    cols = (t_pc, t_tk, t_uops, t_tt, t_ft, t_snap)
-    program._trace_cache = (n, cols)
+    program._trace_cache = (walk, cols)
     if store is not None and build_key is not None:
-        store.put(build_key, n, cols)
+        store.put(build_key, walk, cols)
     return cols
 
 
@@ -1407,11 +1428,11 @@ def _replay(program, system, config, kind: int, ckind: int, shared):
                     else:
                         prophet_update(pc, bhrb, taken, ppred, state)
                     # Critic training (critic-less: none). The filtered
-                    # critics inline train_hashed: probe (no LRU/stats
-                    # side effects); on a hit, train and touch; on a miss
-                    # with a mispredict under the insertion policy,
-                    # allocate, touch and prime. Only the training body
-                    # depends on the critic kind.
+                    # critics inline their train with the critique's hash
+                    # pair: probe (no LRU/stats side effects); on a hit,
+                    # train and touch; on a miss with a mispredict under
+                    # the insertion policy, allocate, touch and prime.
+                    # Only the training body depends on the critic kind.
                     if filtered:
                         way = f_maps[si].get(tg)
                         hit = way is not None

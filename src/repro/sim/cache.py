@@ -46,12 +46,10 @@ wall time, which REP001 bans from ``sim/`` itself.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import re
 import tempfile
-import urllib.parse
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -295,6 +293,11 @@ class HTTPBackend(CacheBackend):
         timeout: float = 30.0,
         retry: RetryPolicy | None = None,
     ) -> None:
+        # http.client and urllib.parse load here, not with the module:
+        # http.client pulls in ssl and email, which every importer of
+        # repro.sim.batched would otherwise pay for at startup.
+        import urllib.parse
+
         parsed = urllib.parse.urlsplit(url)
         if parsed.scheme not in ("http",):
             raise ValueError(f"HTTPBackend needs an http:// URL, got {url!r}")
@@ -310,6 +313,8 @@ class HTTPBackend(CacheBackend):
         return f"http://{self.host}:{self.port}{self.prefix}"
 
     def _request(self, method: str, key: str, body: bytes | None = None):
+        import http.client
+
         connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
         try:
             headers = {"Connection": "close"}

@@ -14,9 +14,14 @@ reproducible from its seed. Two tools provide this:
 
 from __future__ import annotations
 
+import operator
+
 from repro.utils.hashing import _GOLDEN64, _MASK64, mix64
 
 _TWO64 = float(1 << 64)
+
+#: Draws computed per refill of a :class:`DeterministicRng` block.
+_BLOCK = 1024
 
 
 class DeterministicRng:
@@ -25,31 +30,75 @@ class DeterministicRng:
     ``random.Random`` would also work, but an explicit implementation keeps
     the stream stable across Python versions and documents exactly how much
     randomness the simulator consumes.
+
+    splitmix64 is counter-based: draw ``k`` (from 0) of a stream whose
+    state starts at ``s0`` is ``mix64(s0 + (k + 1) * gamma)``. So the
+    stream is computed ``_BLOCK`` draws at a time in one vectorised pass
+    and served from a list; it is the same stream the one-at-a-time
+    recurrence gives, across block boundaries too:
+
+    >>> rng = DeterministicRng(2024)
+    >>> s0 = rng._state
+    >>> drawn = [rng.next_u64() for _ in range(_BLOCK + 3)]
+    >>> drawn == [mix64((s0 + (k + 1) * _GOLDEN64) & _MASK64)
+    ...           for k in range(_BLOCK + 3)]
+    True
+    >>> rng._state == (s0 + (_BLOCK + 3) * _GOLDEN64) & _MASK64
+    True
     """
 
+    __slots__ = ("_block", "_filled", "_origin")
+
     def __init__(self, seed: int) -> None:
-        self._state = mix64(seed & _MASK64)
+        #: The state before the first draw.
+        self._origin = mix64(seed & _MASK64)
+        #: Draws computed so far (served or waiting in ``_block``).
+        self._filled = 0
+        #: Iterator over the computed draws not served yet.
+        self._block = iter(())
+
+    @property
+    def _state(self) -> int:
+        """The splitmix64 state after the draws served so far."""
+        served = self._filled - operator.length_hint(self._block)
+        return (self._origin + served * _GOLDEN64) & _MASK64
+
+    def _refill(self) -> int:
+        """Compute the next ``_BLOCK`` draws; serve and return the first."""
+        # numpy only here: importing this module must stay cheap.
+        import numpy as np
+
+        u64 = np.uint64
+        start = self._filled + 2  # mix64 adds gamma once more
+        value = u64(self._origin) + np.arange(
+            start, start + _BLOCK, dtype=u64
+        ) * u64(_GOLDEN64)
+        value = (value ^ (value >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        value = (value ^ (value >> u64(27))) * u64(0x94D049BB133111EB)
+        self._block = block = iter((value ^ (value >> u64(31))).tolist())
+        self._filled += _BLOCK
+        return next(block)
 
     def next_u64(self) -> int:
-        """Return the next 64-bit value in the stream: the state advanced
-        by the golden gamma, then :func:`mix64` of it (inlined, as this
-        is the program generator's innermost call)."""
-        self._state = value = (self._state + _GOLDEN64) & _MASK64
-        value = (value + _GOLDEN64) & _MASK64
-        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return value ^ (value >> 31)
+        """Return the next 64-bit value in the stream."""
+        value = next(self._block, None)
+        return self._refill() if value is None else value
 
     def random(self) -> float:
         """Return a float uniform in [0, 1)."""
-        return self.next_u64() / _TWO64
+        value = next(self._block, None)
+        if value is None:
+            value = self._refill()
+        return value / _TWO64
 
     def randint(self, low: int, high: int) -> int:
         """Return an integer uniform in [low, high] (inclusive)."""
         if high < low:
             raise ValueError("empty range")
-        span = high - low + 1
-        return low + self.next_u64() % span
+        value = next(self._block, None)
+        if value is None:
+            value = self._refill()
+        return low + value % (high - low + 1)
 
     def choice(self, items):
         """Return a uniformly chosen element of a non-empty sequence."""

@@ -88,6 +88,8 @@ class ExecutionContext:
 class BranchBehavior(abc.ABC):
     """Decides the architectural outcome of one branch site."""
 
+    __slots__ = ()
+
     #: Short identifier used in program statistics and tests.
     kind: str = "behavior"
 
@@ -102,6 +104,11 @@ class BranchBehavior(abc.ABC):
     def reset(self) -> None:
         """Forget per-run state (default: stateless)."""
 
+    def has_state(self) -> bool:
+        """Whether :meth:`reset` does anything (``Program.reset`` skips
+        behaviours that answer False)."""
+        return type(self).reset is not BranchBehavior.reset
+
 
 class LoopBehavior(BranchBehavior):
     """A loop back-edge: taken ``trip_count - 1`` times, then not-taken.
@@ -110,6 +117,16 @@ class LoopBehavior(BranchBehavior):
     deterministically from the given set, modelling data-dependent loop
     bounds — the classic source of end-of-loop mispredicts.
     """
+
+    __slots__ = (
+        "_current_trip",
+        "_instance",
+        "_iteration",
+        "_trip0",
+        "persistence",
+        "trip_choices",
+        "trip_count",
+    )
 
     kind = "loop"
 
@@ -134,7 +151,8 @@ class LoopBehavior(BranchBehavior):
         self.persistence = persistence
         self._iteration = 0
         self._instance = 0
-        self._current_trip = self._trip_for_instance(0)
+        #: Instance 0's trip count, which every reset restores.
+        self._trip0 = self._current_trip = self._trip_for_instance(0)
 
     def _trip_for_instance(self, instance: int) -> int:
         if not self.trip_choices:
@@ -157,7 +175,7 @@ class LoopBehavior(BranchBehavior):
     def reset(self) -> None:
         self._iteration = 0
         self._instance = 0
-        self._current_trip = self._trip_for_instance(0)
+        self._current_trip = self._trip0
 
 
 class PatternBehavior(BranchBehavior):
@@ -173,6 +191,8 @@ class PatternBehavior(BranchBehavior):
     >>> outcomes
     [True, True, False, True]
     """
+
+    __slots__ = ("pattern",)
 
     kind = "pattern"
 
@@ -192,6 +212,8 @@ class BiasedRandomBehavior(BranchBehavior):
     reproducible and independent of traversal order.
     """
 
+    __slots__ = ("bias",)
+
     kind = "random"
 
     def __init__(self, bias: float = 0.5) -> None:
@@ -210,6 +232,8 @@ class CorrelatedBehavior(BranchBehavior):
     flip, bounding achievable accuracy even for a perfect correlator.
     Sources whose outcomes haven't been recorded yet default to not-taken.
     """
+
+    __slots__ = ("invert", "noise", "source_sites")
 
     kind = "correlated"
 
@@ -238,6 +262,8 @@ class PathCorrelatedBehavior(BranchBehavior):
     is revealed by) which side of an earlier hammock executed. Programs
     must register ``watched_block`` in the context's watch set.
     """
+
+    __slots__ = ("invert", "watched_block", "window")
 
     kind = "path"
 
@@ -270,6 +296,8 @@ class CallerCorrelatedBehavior(BranchBehavior):
     (the paper's taxi analogy: recognise the intersection by the streets
     that follow it).
     """
+
+    __slots__ = ("depth", "noise", "salt")
 
     kind = "caller"
 
@@ -308,6 +336,8 @@ class ModalBehavior(BranchBehavior):
     the systematic mispredict bursts critics learn to catch.
     """
 
+    __slots__ = ("children", "period")
+
     kind = "modal"
 
     def __init__(self, children: tuple[BranchBehavior, ...], period: int = 256) -> None:
@@ -325,3 +355,6 @@ class ModalBehavior(BranchBehavior):
     def reset(self) -> None:
         for child in self.children:
             child.reset()
+
+    def has_state(self) -> bool:
+        return any(child.has_state() for child in self.children)

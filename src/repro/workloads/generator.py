@@ -151,7 +151,6 @@ class ProgramGenerator:
         self.profile = profile
         self._rng = DeterministicRng(profile.seed)
         self._blocks: list[BasicBlock] = []
-        self._next_id = 0
         self._pc_cursor = 0x400000
         self._cond_sites: list[int] = []
         self._diamond_arms: list[int] = []
@@ -160,27 +159,33 @@ class ProgramGenerator:
         # branches want to sit late in leaf functions, near the return).
         self._building_leaf = False
         self._segment_fraction = 0.0
+        # The behaviour mix, drawn from once per conditional: "caller"
+        # apart (it is placed by position), the rest a weighted choice.
+        mix = profile.normalised_mix()
+        self._caller_weight = mix.pop("caller", 0.0)
+        self._kinds = list(mix)
+        self._weights = list(mix.values())
 
     # -- low-level builders ---------------------------------------------------
 
-    def _new_block(self, kind: BlockKind, **kwargs) -> BasicBlock:
+    def _new_block(
+        self,
+        kind: BlockKind,
+        taken_target: int | None = None,
+        fallthrough: int | None = None,
+        behavior: BranchBehavior | None = None,
+    ) -> BasicBlock:
         uops = self._rng.randint(*self.profile.uops_per_block)
-        block = BasicBlock(
-            block_id=self._next_id,
-            pc=self._pc_cursor,
-            uops=uops,
-            kind=kind,
-            **kwargs,
-        )
-        self._blocks.append(block)
-        self._next_id += 1
-        self._pc_cursor += uops * 4 + 4
+        pc = self._pc_cursor
+        blocks = self._blocks
+        block = BasicBlock(len(blocks), pc, uops, kind, taken_target, fallthrough, behavior)
+        blocks.append(block)
+        self._pc_cursor = pc + uops * 4 + 4
         return block
 
     def _pick_behavior(self) -> BranchBehavior:
         profile = self.profile
-        mix = profile.normalised_mix()
-        caller_weight = mix.pop("caller", 0.0)
+        caller_weight = self._caller_weight
         # Caller-correlated behaviour only makes sense inside callees, and
         # its *future-bit* signature requires sitting just before the
         # return: the caller's identity is then many dynamic branches
@@ -193,11 +198,9 @@ class ProgramGenerator:
                 return CallerCorrelatedBehavior(
                     noise=profile.caller_noise, salt=self.profile.seed, depth=depth
                 )
-        if not mix:
+        if not self._kinds:
             return CallerCorrelatedBehavior(noise=profile.caller_noise, salt=self.profile.seed)
-        kinds = list(mix.keys())
-        weights = [mix[k] for k in kinds]
-        kind = self._rng.weighted_choice(kinds, weights)
+        kind = self._rng.weighted_choice(self._kinds, self._weights)
         if kind == "loop":
             return self._make_loop_behavior()
         if kind == "pattern":

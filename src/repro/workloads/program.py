@@ -206,9 +206,14 @@ class CompiledCFG:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class BasicBlock:
-    """One basic block: some uops, then a control-flow terminator."""
+    """One basic block: some uops, then a control-flow terminator.
+
+    The generator builds about ten thousand of these per large program,
+    positionally (``BasicBlock(id, pc, uops, kind, taken, fall,
+    behavior)``); slots keep each one small and quick to make.
+    """
 
     block_id: int
     pc: int
@@ -256,10 +261,15 @@ class Program:
             raise ValueError("entry block missing")
         self._compiled: dict[int, CompiledCFG] = {}
         # Behaviours must be attached before Program construction (the
-        # generator and from_structure both do); capturing them once makes
-        # reset() O(#conditionals), which matters now that the execution
-        # engine resets memoized programs between every sweep cell.
-        self._stateful = tuple(b.behavior for b in self.blocks if b.behavior is not None)
+        # generator and from_structure both do). Only those whose reset
+        # does something are kept for reset(): the execution engine
+        # resets memoized programs around every sweep cell.
+        self._stateful = tuple(
+            b.behavior for b in self.blocks
+            if b.behavior is not None and b.behavior.has_state()
+        )
+        #: Whether a context was made since the last reset (see reset()).
+        self._dirty = False
 
     def block(self, block_id: int) -> BasicBlock:
         """Look up a block by id."""
@@ -290,7 +300,13 @@ class Program:
                     raise ValueError(f"block {block.block_id}: dangling edge to {target}")
 
     def make_context(self) -> ExecutionContext:
-        """Create a fresh architectural context for this program."""
+        """Create a fresh architectural context for this program.
+
+        Behaviours resolve only against a context, and every resolver
+        gets its context here, so this marks the program dirty: the
+        next :meth:`reset` has behaviour state to rewind.
+        """
+        self._dirty = True
         return ExecutionContext(seed=self.seed, watched_blocks=set(self.watched_blocks))
 
     def __getstate__(self) -> dict:
@@ -318,9 +334,17 @@ class Program:
         compiled CFG transition tables (:meth:`compiled`) survive, so a
         reused program re-runs without recompilation — the contract the
         execution engine's build memoization relies on.
+
+        Behaviours move only when resolved against a context from
+        :meth:`make_context`, so a program that made none since it was
+        built or last reset is already rewound and this does nothing. A
+        context made before a reset must not be resolved against after
+        it.
         """
-        for behavior in self._stateful:
-            behavior.reset()
+        if self._dirty:
+            for behavior in self._stateful:
+                behavior.reset()
+            self._dirty = False
 
     # -- inventory helpers (used by tests and reports) ------------------------
 

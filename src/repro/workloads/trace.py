@@ -261,6 +261,8 @@ class TraceReplayBehavior(BranchBehavior):
     :class:`~repro.workloads.trace_io.TraceFormatError`.
     """
 
+    __slots__ = ("cursor",)
+
     kind = "replay"
 
     def __init__(self, cursor: ReplayCursor) -> None:

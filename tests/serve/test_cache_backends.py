@@ -10,6 +10,11 @@ mock.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.serve import ServeConfig, start_daemon
@@ -183,3 +188,19 @@ class TestCacheFromUrl:
         fetched = again.get(key)
         assert fetched is not None
         assert stats_to_dict(fetched) == stats_to_dict(result)
+
+
+def test_simulation_imports_leave_http_client_out():
+    """Only HTTPBackend needs http.client (which pulls in ssl and email):
+    the modules every experiment run imports must not load it."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "import repro.experiments, repro.sim.batched\n"
+        "print(sorted(m for m in ('http.client', 'ssl', 'email') if m in sys.modules))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "[]"

@@ -148,11 +148,32 @@ class TestTraceMemoization:
         spec = SystemSpec.single("gshare", 2)
         short_cfg = replace(_CONFIG, n_branches=500, warmup=100)
         simulate(program, spec.build(), _CONFIG)
-        assert program._trace_cache[0] == _CONFIG.n_branches
+        walked = program._trace_cache[0]
+        assert walked == 2048  # the power of two at or above n_branches
         short = simulate(program, spec.build(), short_cfg)
-        assert program._trace_cache[0] == _CONFIG.n_branches  # kept, not shrunk
+        assert program._trace_cache[0] == walked  # kept, not shrunk
         fresh = reference_simulate(_program("swim", 13), spec.build(), short_cfg)
         _assert_identical(short, fresh)
+
+
+    def test_growing_request_walks_to_twice_the_memo(self):
+        """Walks go to a power of two, so a longer request walks again
+        to at least twice the memo's length; its columns start with
+        exactly the shorter walk's, and a run over them matches a fresh
+        program's."""
+        program = _program("swim", 14)
+        short_cfg = replace(_CONFIG, n_branches=700, warmup=100)
+        simulate(program, SystemSpec.single("gshare", 2).build(), short_cfg)
+        n_short, short = program._trace_cache
+        assert n_short == 1024
+        spec = SystemSpec.single("2bc-gskew", 2)
+        stats = simulate(program, spec.build(), _CONFIG)
+        n, longer = program._trace_cache
+        assert n == 2048 >= 2 * n_short
+        assert [col[:n_short] for col in longer] == [list(col) for col in short]
+        fresh = _program("swim", 14)
+        assert batched._architectural_trace(fresh, n) == longer
+        _assert_identical(stats, reference_simulate(fresh, spec.build(), _CONFIG))
 
 
 class TestTraceColumnStore:

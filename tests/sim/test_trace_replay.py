@@ -87,6 +87,21 @@ class TestExactReplay:
         second = simulate(program, hybrid_system(), CONFIG)
         assert_stats_identical(first, second)
 
+    def test_trace_walk_stops_at_the_recording_end(self, recorded):
+        """The memoised walk overshoots a request up to a power of two,
+        but a recording ends: the walk keeps every record, and a request
+        past the end still fails."""
+        from repro.sim import batched
+        from repro.workloads.trace_io import TraceFormatError
+
+        program = replay_program(recorded["swim"])
+        cols = batched._architectural_trace(program, 2_500)
+        assert program._trace_cache[0] == CONFIG.n_branches
+        assert len(cols[0]) == CONFIG.n_branches
+        program.reset()
+        with pytest.raises(TraceFormatError):
+            batched._architectural_trace(program, CONFIG.n_branches + 1)
+
     def test_custom_profile_replay(self, tmp_path):
         """Replay fidelity holds for arbitrary generated workloads too."""
         profile = WorkloadProfile(name="custom", seed=99, static_branch_target=120)

@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.rng import DeterministicRng, site_hash_outcome
+from repro.utils.hashing import _GOLDEN64, _MASK64, mix64
+from repro.utils.rng import _BLOCK, DeterministicRng, site_hash_outcome
+
+
+def scalar_stream(seed: int, n: int) -> tuple[list[int], int]:
+    """The splitmix64 recurrence one draw at a time: (draws, final state)."""
+    state = mix64(seed & _MASK64)
+    draws = []
+    for _ in range(n):
+        state = (state + _GOLDEN64) & _MASK64
+        draws.append(mix64(state))
+    return draws, state
 
 
 class TestDeterministicRng:
@@ -63,6 +74,31 @@ class TestDeterministicRng:
         child1 = parent.fork(1)
         child2 = parent.fork(2)
         assert [child1.next_u64() for _ in range(5)] != [child2.next_u64() for _ in range(5)]
+
+    def test_blocks_serve_the_scalar_stream(self):
+        rng = DeterministicRng(123)
+        n = 2 * _BLOCK + 5
+        draws, state = scalar_stream(123, n)
+        assert [rng.next_u64() for _ in range(n)] == draws
+        assert rng._state == state
+
+    def test_every_draw_method_consumes_one_value(self):
+        rng = DeterministicRng(77)
+        draws, _ = scalar_stream(77, 3)
+        assert rng.random() == draws[0] / float(1 << 64)
+        assert rng.randint(10, 19) == 10 + draws[1] % 10
+        assert rng.choice("abcde") == "abcde"[draws[2] % 5]
+
+    def test_fork_mid_block_uses_the_served_state(self):
+        rng = DeterministicRng(31)
+        for _ in range(5):
+            rng.next_u64()
+        _, state = scalar_stream(31, 5)
+        child = rng.fork(4)
+        expected = DeterministicRng(mix64(state ^ mix64(4)))
+        assert [child.next_u64() for _ in range(3)] == [
+            expected.next_u64() for _ in range(3)
+        ]
 
     def test_roughly_uniform_mean(self):
         rng = DeterministicRng(42)

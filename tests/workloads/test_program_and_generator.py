@@ -13,8 +13,14 @@ from repro.workloads.suites import (
     suite_benchmarks,
     suite_names,
 )
+from repro.engine.executor import ArchitecturalExecutor
 from repro.workloads.trace import BranchRecord, BranchTrace
-from repro.workloads.behaviors import PatternBehavior
+from repro.workloads.behaviors import (
+    BiasedRandomBehavior,
+    LoopBehavior,
+    ModalBehavior,
+    PatternBehavior,
+)
 
 
 def tiny_program() -> Program:
@@ -62,6 +68,66 @@ class TestProgramModel:
         assert program.static_conditional_branches == 1
         assert program.behavior_census() == {"pattern": 1}
         assert program.conditional_sites() == [0x1000]
+
+
+def committed_stream(program: Program, n: int) -> list[tuple[int, bool, int]]:
+    executor = ArchitecturalExecutor(program)
+    return [executor.resolve_next() for _ in range(n)]
+
+
+class CountingLoop(LoopBehavior):
+    """A loop back-edge that counts its resets."""
+
+    __slots__ = ("resets",)
+
+    def __init__(self) -> None:
+        super().__init__(trip_count=3)
+        self.resets = 0
+
+    def reset(self) -> None:
+        super().reset()
+        self.resets += 1
+
+
+class TestResetContract:
+    """``Program.reset`` rewinds behaviours only when a context was made
+    since the program was built or last reset."""
+
+    def test_reset_after_a_run_replays_like_a_fresh_build(self):
+        profile = WorkloadProfile(name="t", seed=21, static_branch_target=120)
+        program = generate_program(profile)
+        first = committed_stream(program, 3000)
+        program.reset()
+        assert committed_stream(program, 3000) == first
+        assert committed_stream(generate_program(profile), 3000) == first
+
+    def test_reset_without_a_context_is_a_no_op(self):
+        loop = CountingLoop()
+        blocks = [
+            BasicBlock(0, 0x1000, 4, BlockKind.COND, 1, 1, loop),
+            BasicBlock(1, 0x1010, 6, BlockKind.JUMP, 0),
+        ]
+        program = Program(name="counted", blocks=blocks, entry=0)
+        program.reset()
+        assert loop.resets == 0
+        program.make_context()
+        program.reset()
+        program.reset()
+        assert loop.resets == 1
+
+    def test_only_behaviours_with_state_are_rewound(self):
+        stateless_modal = ModalBehavior((PatternBehavior("TTN"), BiasedRandomBehavior(0.3)))
+        looping_modal = ModalBehavior((LoopBehavior(4), BiasedRandomBehavior(0.3)))
+        assert not PatternBehavior("TN").has_state()
+        assert not stateless_modal.has_state()
+        assert LoopBehavior(4).has_state() and looping_modal.has_state()
+        blocks = [
+            BasicBlock(0, 0x1000, 4, BlockKind.COND, 1, 1, stateless_modal),
+            BasicBlock(1, 0x1010, 4, BlockKind.COND, 2, 2, looping_modal),
+            BasicBlock(2, 0x1020, 4, BlockKind.COND, 0, 0, PatternBehavior("TN")),
+        ]
+        program = Program(name="mixed", blocks=blocks, entry=0)
+        assert program._stateful == (looping_modal,)
 
 
 class TestGenerator:
@@ -138,8 +204,11 @@ class TestSuites:
 
     def test_cached_benchmark_is_reset(self):
         a = benchmark("swim", fresh=False)
+        first = committed_stream(a, 2000)
         b = benchmark("swim", fresh=False)
         assert a is b
+        assert committed_stream(b, 2000) == first
+        assert committed_stream(benchmark("swim"), 2000) == first
 
     def test_benchmark_names_stable(self):
         assert benchmark_names() == list(BENCHMARKS)
