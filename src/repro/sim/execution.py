@@ -80,9 +80,25 @@ if TYPE_CHECKING:  # pipeline imports sim.driver; keep the runtime DAG acyclic
 #: Default per-process cap on memoized program builds (override with the
 #: ``REPRO_BUILD_CACHE`` environment variable; ``0`` disables
 #: memoization entirely, e.g. when bisecting a suspected stale-build
-#: issue). Programs are a few MB each; eight covers a Table-1 suite
-#: half without unbounded growth.
-DEFAULT_BUILD_CACHE_CAPACITY = 8
+#: issue). All 19 named benchmarks, each built and run once at a
+#: 2 000-branch window, retain 26.5 MB of Python memory together
+#: (tracemalloc), so 24 holds the whole named suite at once with room
+#: for a few trace-backed or custom programs. What a kept program holds
+#: beyond its build is its trace memo, which grows with the longest
+#: window it served; :data:`TRACE_MEMO_BUDGET` bounds those memos
+#: across the cache.
+DEFAULT_BUILD_CACHE_CAPACITY = 24
+
+#: Branches of trace memo (the batched kernel's ``_trace_cache``
+#: columns) that the programs in one build cache may hold together,
+#: besides the memo of the program in use. Past it, the least recently
+#: used programs drop theirs and walk again (or refetch from the trace
+#: store) if they come back. A memo costs 49 to 67 bytes a branch
+#: (tracemalloc, five named benchmarks at 65 536- and 262 144-branch
+#: windows), so the programs not in use hold at most about 35 MB of
+#: memo, whatever the capacity. The experiments' windows (16 000
+#: branches at scale 1) never reach it.
+TRACE_MEMO_BUDGET = 1 << 19
 
 # --- persistent trace-column cache ------------------------------------------
 #
@@ -283,7 +299,9 @@ class ProgramBuildCache:
     build; the differential tests pin that down.
 
     Capacity-evicted programs are reset too, which closes any open trace
-    reader they hold.
+    reader they hold. Kept programs other than the one handed out drop
+    their trace memos, least recently used first, while the cache's
+    memos together exceed :data:`TRACE_MEMO_BUDGET` branches.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -305,7 +323,8 @@ class ProgramBuildCache:
             raise ValueError("build cache capacity must be >= 0 (0 disables memoization)")
         self.capacity = capacity
         self._programs: OrderedDict[str, Program] = OrderedDict()
-        #: Telemetry (reported by tools/profile_sweep.py).
+        #: Lifetime build/reuse counts (read by the tests that pin the
+        #: memo's hit pattern).
         self.builds = 0
         self.reuses = 0
         _ensure_trace_store()
@@ -331,7 +350,22 @@ class ProgramBuildCache:
             self.reuses += 1
             self._programs.move_to_end(key)
             program.reset()
+        self._trim_trace_memos(program)
         return program
+
+    def _trim_trace_memos(self, in_use: "Program") -> None:
+        memos = [
+            (program, memo[0])
+            for program in self._programs.values()
+            if (memo := getattr(program, "_trace_cache", None)) is not None
+        ]
+        held = sum(length for _, length in memos)
+        for program, length in memos:  # least recently used first
+            if held <= TRACE_MEMO_BUDGET:
+                break
+            if program is not in_use:
+                del program._trace_cache
+                held -= length
 
     def clear(self) -> None:
         for program in self._programs.values():
@@ -595,10 +629,12 @@ class ProcessPoolExecutor:
     ) -> list[CellResult]:
         if not cells:
             return []
-        if self.jobs == 1 or len(cells) == 1:
-            # A 1-job "pool" (or a 1-cell grid) is just ceremony; keep
-            # semantics identical (memoized, streaming) without worker
-            # spawn and pickle round trips.
+        if self.jobs == 1:
+            # A 1-job "pool" runs in-process, memoized and streaming, with
+            # no worker spawn or pickle round trips. Any other grid, a
+            # single cell included, goes to the workers: this process
+            # then keeps no copies of the programs they hold, and
+            # terminate() can stop every cell.
             if self._serial is None:
                 self._serial = SerialExecutor()
             return self._serial.map_cells(cells, on_result=on_result, cache=cache, keys=keys)

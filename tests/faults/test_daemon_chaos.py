@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import time
 import urllib.parse
 
 import pytest
@@ -126,9 +127,41 @@ class TestJobTimeout:
         assert stats["worker_crashes"] == 0
         assert stats["cells_retried"] == 0
 
-        # One cell, so it runs in the daemon's process: the 0.3 s budget
-        # then times the daemon moving on, not a cold respawned pool
-        # building its programs (TestWorkerDeath covers the respawn).
+        # One cell, sent to a pool respawned for it (terminate() left
+        # none): the 0.3 s budget covers the daemon moving on and a cold
+        # pool building one small program (TestWorkerDeath covers the
+        # respawn after a crash).
+        follow_up = client.submit_payload(_payload(
+            branches=400, benchmarks="swim", systems={"gshare": SYSTEMS["gshare"]},
+        ))
+        assert client.wait(follow_up, timeout=180)["state"] == "done"
+
+    def test_one_cell_runaway_is_stopped(self, chaos_daemon):
+        # A roomier budget than above: the first job spawns the pool, and
+        # the follow-up spawns it again after the kill.
+        handle = chaos_daemon(jobs=2, job_timeout=1.0)
+        client = SweepClient(handle.url)
+
+        # One cell of 2M branches runs for seconds. As the daemon's first
+        # job it still goes to the workers, so terminate() kills it instead
+        # of the daemon waiting it out.
+        started = time.monotonic()
+        runaway = client.submit_payload(_payload(
+            branches=2_000_000, warmup=1000, benchmarks="swim",
+            systems={"gshare": SYSTEMS["gshare"]},
+        ))
+        status = client.wait(runaway, timeout=300)
+        elapsed = time.monotonic() - started
+        assert status["state"] == "failed"
+        assert "wall-clock" in status["error"]["error"]
+        assert elapsed < 1.0 + 2.5, elapsed
+
+        stats = client.stats()
+        assert stats["jobs_timed_out"] == 1
+        assert stats["worker_crashes"] == 0
+        assert stats["cells_retried"] == 0
+        assert stats["jobs_retried"] == 0
+
         follow_up = client.submit_payload(_payload(
             branches=400, benchmarks="swim", systems={"gshare": SYSTEMS["gshare"]},
         ))

@@ -239,6 +239,20 @@ class TestPersistentPool:
         assert executor._pool is None  # never spawned
         assert_results_identical(results, [run_cell(c) for c in make_cells()[:2]])
 
+    def test_one_cell_grid_runs_in_a_worker(self):
+        executor = ProcessPoolExecutor(jobs=2)
+        try:
+            cell = make_cells()[4]
+            results = executor.map_cells([cell])
+            # Sent to the workers even on a fresh executor: this process
+            # builds nothing, and the cell stays within reach of
+            # terminate().
+            assert executor._serial is None
+            assert executor._pool is not None
+            assert_results_identical(results, [run_cell(cell)])
+        finally:
+            executor.shutdown()
+
     def test_streaming_on_result_delivers_every_cell_once(self):
         seen = {}
         executor = ProcessPoolExecutor(jobs=2)
@@ -302,6 +316,41 @@ class TestProgramBuildCache:
         fresh = simulate(spec.build(), system_spec.build(), CONFIG)
         for field in ("mispredicts", "committed_uops", "fetched_uops", "taken_branches"):
             assert getattr(first, field) == getattr(second, field) == getattr(fresh, field)
+
+    def test_trace_memos_past_the_budget_are_dropped_oldest_first(self, monkeypatch):
+        from repro.sim import execution
+
+        # Each 1 500-branch cell leaves a 2 048-branch memo: two fit.
+        monkeypatch.setattr(execution, "TRACE_MEMO_BUDGET", 4096)
+        cache = ProgramBuildCache(capacity=4)
+        cells = {cell.bench_name: cell for cell in make_cells()[::3]}
+        programs = {
+            name: cache.program_for(cells[name].program) for name in BENCHMARKS
+        }
+
+        def memos():
+            return {n for n, p in programs.items() if hasattr(p, "_trace_cache")}
+
+        for name in BENCHMARKS:
+            execution._compute_cell(cells[name], cache)
+        assert memos() == set(BENCHMARKS)  # the one in use is never trimmed
+
+        # Reusing swim trims facerec, now the least recently used.
+        result = execution._compute_cell(cells["swim"], cache)
+        assert memos() == {"swim", "ammp"}
+        assert_results_identical([result], [run_cell(cells["swim"])])
+        # facerec walks again, with the same result.
+        result = execution._compute_cell(cells["facerec"], cache)
+        assert "facerec" in memos()
+        assert_results_identical([result], [run_cell(cells["facerec"])])
+
+        # The program in use keeps its memo (no walk) even alone over
+        # the budget.
+        monkeypatch.setattr(execution, "TRACE_MEMO_BUDGET", 1024)
+        memo = programs["ammp"]._trace_cache
+        execution._compute_cell(cells["ammp"], cache)
+        assert memos() == {"ammp"}
+        assert programs["ammp"]._trace_cache is memo
 
 
 class TestErrorSurfacing:
@@ -467,6 +516,17 @@ class TestBuildCacheEnvKnob:
     def test_env_zero_disables_memoization(self, monkeypatch):
         monkeypatch.setenv("REPRO_BUILD_CACHE", "0")
         assert ProgramBuildCache().capacity == 0
+
+    def test_default_capacity_holds_every_named_benchmark(self, monkeypatch):
+        from repro.workloads.suites import BENCHMARKS as NAMED
+
+        monkeypatch.delenv("REPRO_BUILD_CACHE", raising=False)
+        cache = ProgramBuildCache()
+        for _ in range(2):
+            for name in NAMED:
+                cache.program_for(ProgramSpec(benchmark=name))
+        # The second pass over the whole suite rebuilds nothing.
+        assert (cache.builds, cache.reuses) == (len(NAMED), len(NAMED)) == (19, 19)
 
 
 class TestTraceHandleRelease:
